@@ -33,9 +33,9 @@ from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError
 from .extensions import classify_nonnegative, extension_params
 from .matrix2 import hermitian_eigenvalues, operator_norm
-from .scattering import s_matrix_zero_range
+from .scattering import lower_half_plane_grid, s_matrix_zero_range
 from .symmetry import symmetry_report
-from .verify import run_parameter_suite, run_random_suite
+from .verify import _pair, run_parameter_suite, run_random_suite
 
 CSV_HEADER = ("z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,"
               "s22_re,s22_im,std_norm,metric_defect")
@@ -49,10 +49,6 @@ EXIT_VIOLATION = 5
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _emit(text: str, path):
@@ -226,9 +222,8 @@ def cmd_sweep(parser, args) -> int:
         parser.error("--im-max must be <= 0 (closed lower half-plane)")
     if args.re_min > args.re_max or args.im_min > args.im_max:
         parser.error("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
-    res = np.linspace(args.re_min, args.re_max, args.steps)
-    ims = np.linspace(args.im_min, args.im_max, args.steps)
-    zs = [complex(x, y) for y in ims for x in res]
+    zs = lower_half_plane_grid(args.re_min, args.re_max, args.im_min, args.im_max,
+                               args.steps)
     config = {"command": "sweep", "beta0": args.beta0, "beta1": args.beta1,
               "chi": args.chi, "xi": args.xi,
               "grid": {"re_min": args.re_min, "re_max": args.re_max,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, AssumptionError
+from .errors import (ArgumentError, AssumptionError, _check_tol,
+                     _finite_complex, _finite_real)
 from .matrix2 import as_matrix, operator_norm
 
 DEFAULT_TOL = 1e-10
@@ -40,20 +41,6 @@ for _s in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
 del _s
 
 
-def _finite_scalar(name, value) -> complex:
-    c = complex(value)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ArgumentError(f"{name} must be finite, got {value!r}")
-    return c
-
-
-def _finite_angle(name, value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ArgumentError(f"{name} must be finite, got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class PauliCoefficients:
     """Coefficients (a0, a1, a2, a3) of I, P (sigma_3), R (sigma_1), iRP (sigma_2)."""
@@ -65,7 +52,7 @@ class PauliCoefficients:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "a3"):
-            object.__setattr__(self, name, _finite_scalar(name, getattr(self, name)))
+            object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3])
@@ -75,14 +62,19 @@ class PauliCoefficients:
 class KreinMetricParams:
     """The pair (xi, chi): xi selects the involution P_xi, chi the hyperbolic
     strength of the C-operator and of the metric.  xi is stored reduced to
-    [0, 2*pi)."""
+    [0, 2*pi); chi is rejected when cosh(chi) overflows (|chi| above about
+    710)."""
 
     xi: float
     chi: float
 
     def __post_init__(self):
-        xi = _finite_angle("xi", self.xi)
-        chi = _finite_angle("chi", self.chi)
+        xi = _finite_real("xi", self.xi)
+        chi = _finite_real("chi", self.chi)
+        try:
+            math.cosh(chi)
+        except OverflowError:
+            raise ArgumentError(f"chi = {chi!r} is too large: cosh(chi) overflows") from None
         object.__setattr__(self, "xi", xi % TWO_PI)
         object.__setattr__(self, "chi", chi)
 
@@ -92,7 +84,7 @@ def p_xi(xi: float) -> np.ndarray:
 
     Hermitian, squares to the identity, and anti-commutes with R = sigma_1.
     """
-    x = _finite_angle("xi", xi)
+    x = _finite_real("xi", xi)
     c, s = math.cos(x), math.sin(x)
     return np.array([[c, -1j * s], [1j * s, -c]], dtype=complex)
 
@@ -127,7 +119,7 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     s1 = (a[0, 0] - a[1, 1]) / 2.0
     s2 = (a[0, 1] + a[1, 0]) / 2.0
     s3 = 1j * (a[0, 1] - a[1, 0]) / 2.0
-    x = _finite_angle("xi", xi)
+    x = _finite_real("xi", xi)
     if x == 0.0:
         return PauliCoefficients(a0, s1, s2, s3)
     c, s = math.cos(x), math.sin(x)
@@ -157,8 +149,9 @@ def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises :class:`AssumptionError` when ``||j^2 - I||`` exceeds ``tol``.
     """
+    _check_tol(tol)
     jm = as_matrix(j)
-    th = _finite_scalar("theta", theta)
+    th = _finite_complex("theta", theta)
     defect = operator_norm(jm @ jm - SIGMA0)
     if defect > tol:
         raise AssumptionError(f"j is not an involution: ||j^2 - I|| = {defect:.3e}")
@@ -167,8 +160,7 @@ def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def is_unitary_involution(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m^2 = I and m m* = I within tol (operator norm)."""
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     a = as_matrix(m)
     return (operator_norm(a @ a - SIGMA0) <= tol
             and operator_norm(a @ a.conj().T - SIGMA0) <= tol)

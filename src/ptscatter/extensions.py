@@ -29,24 +29,11 @@ import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
-from .errors import ArgumentError, AssumptionError
+from .errors import (ArgumentError, AssumptionError, _check_tol,
+                     _finite_complex, _finite_real)
 from .matrix2 import (as_matrix, det, hermitian_eigenvalues, is_hermitian,
                       operator_norm)
 from .symmetry import c_params_from_matrix
-
-
-def _finite_complex(name, value) -> complex:
-    c = complex(value)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ArgumentError(f"{name} must be finite, got {value!r}")
-    return c
-
-
-def _finite_real(name, value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ArgumentError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -77,8 +64,7 @@ def gamma1(b: BoundaryData) -> np.ndarray:
 
 def in_domain(t, b: BoundaryData, tol: float = DEFAULT_TOL) -> bool:
     """Whether the boundary data satisfies T Gamma_1 f = Gamma_0 f."""
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     a = as_matrix(t)
     return float(np.linalg.norm(a @ gamma1(b) - gamma0(b))) <= tol
 
@@ -126,8 +112,7 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
     ``metric_identifiable = False``.  Raises :class:`AssumptionError` when t
     is not of the form beta0 I + beta1 C within tol.
     """
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     a = as_matrix(t)
     tr = a[0, 0] + a[1, 1]
     if abs(tr.imag) > tol:
@@ -182,8 +167,7 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
     eigenvalues.  Both verdicts use the same absolute tolerance so they agree
     on boundary parameters.
     """
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     b0, b1 = e.beta0, e.beta1
     closed = (b0 >= -tol and b0 <= 0.5 + tol
               and abs(b1) <= min(0.5 - b0, b0) + tol)
@@ -204,8 +188,7 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
     :class:`AssumptionError`; then both G t and G (I/2 - t) must be positive
     semidefinite with eigenvalues >= -tol.
     """
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     a = as_matrix(t)
     g = metric(p)
     gt = g @ a

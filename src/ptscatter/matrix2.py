@@ -8,9 +8,11 @@ platform independent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ArgumentError, SingularMatrixError
+from .errors import ArgumentError, SingularMatrixError, _check_tol
 
 
 def as_matrix(m) -> np.ndarray:
@@ -32,9 +34,12 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def det(m) -> complex:
-    a = as_matrix(m)
+def _det(a) -> complex:
     return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+
+
+def det(m) -> complex:
+    return _det(as_matrix(m))
 
 
 def operator_norm(m) -> float:
@@ -46,19 +51,39 @@ def operator_norm(m) -> float:
     return float(np.sqrt(t / 2.0 + np.sqrt(disc)))
 
 
-def condition_number(m) -> float:
-    """Spectral condition number s_max / s_min.
+def _det_condition(a) -> tuple[complex, float]:
+    """Determinant and condition number s_max / s_min (inf when singular).
 
-    s_min is recovered from |det m| = s_max * s_min, which avoids the
-    cancellation the direct eigenvalue formula suffers for ill-conditioned
-    input.  Returns inf for singular matrices.
+    s_min comes from |det a| = s_max * s_min, which avoids the cancellation
+    the direct eigenvalue formula suffers for ill-conditioned input.
     """
-    a = as_matrix(m)
-    top = operator_norm(a)
-    d = abs(det(a))
-    if top == 0.0 or d == 0.0:
-        return float("inf")
-    return max(top * top / d, 1.0)
+    d = _det(a)
+    absd = abs(d)
+    if absd == 0.0:
+        return d, math.inf
+    frob = float((a.real ** 2 + a.imag ** 2).sum())  # tr(a* a)
+    disc = max(frob * frob / 4.0 - absd * absd, 0.0)
+    return d, max((frob / 2.0 + math.sqrt(disc)) / absd, 1.0)
+
+
+def _adjugate(a, condition_limit, z=None, name="matrix"):
+    """(adjugate, determinant, condition number) of a 2x2 array; raises
+    :class:`SingularMatrixError` carrying ``z`` when a is singular or its
+    condition number exceeds ``condition_limit`` (None: no limit)."""
+    d, cond = _det_condition(a)
+    if cond == math.inf:
+        problem = "is singular"
+    elif condition_limit is not None and cond > condition_limit:
+        problem = f"condition number {cond:.3e} exceeds {condition_limit:g}"
+    else:
+        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]), d, cond
+    at = "" if z is None else f" at z = {z}"
+    raise SingularMatrixError(f"{name} {problem}{at}", z=z)
+
+
+def condition_number(m) -> float:
+    """Spectral condition number s_max / s_min; inf for singular matrices."""
+    return _det_condition(as_matrix(m))[1]
 
 
 def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
@@ -68,17 +93,12 @@ def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
     exceeds it are rejected with :class:`SingularMatrixError` (carrying the
     spectral point ``z`` if supplied).
     """
-    a = as_matrix(m)
-    d = det(a)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular", z=z)
-    if condition_limit is not None and condition_number(a) > condition_limit:
-        raise SingularMatrixError(
-            f"matrix condition number exceeds {condition_limit:g}", z=z)
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / d
+    adj, d, _ = _adjugate(as_matrix(m), condition_limit, z)
+    return adj / d
 
 
 def is_hermitian(m, tol: float) -> bool:
+    _check_tol(tol)
     a = as_matrix(m)
     return operator_norm(a - a.conj().T) <= tol
 

@@ -27,34 +27,41 @@ single out scattering matrices of nonnegative metric-self-adjoint extensions
 
 plus the antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z), which
 holds exactly when T is PT-symmetric.
+
+Each condition is one residual expression in S (larger is worse).  The checks
+read S from a per-call table that evaluates s_matrix once per distinct point,
+reflections -conj z included, and one reducer picks the worst residual over
+the sampled points together with the first point attaining it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA3, KreinMetricParams,
                        exp_involution, metric, p_xi)
-from .errors import ArgumentError, SingularMatrixError
+from .errors import ArgumentError, _check_tol, _finite_complex
 from .extensions import ExtensionParams
-from .matrix2 import as_matrix, hermitian_eigenvalues, operator_norm
+from .matrix2 import _adjugate, as_matrix, hermitian_eigenvalues, operator_norm
 
 DEFAULT_CONDITION_LIMIT = 1e12
 
 
 def _spectral_point(z, interior: bool = False) -> complex:
-    zz = complex(z)
-    if not (math.isfinite(zz.real) and math.isfinite(zz.imag)):
-        raise ArgumentError(f"z must be finite, got {z!r}")
+    zz = _finite_complex("z", z)
     if interior:
         if not zz.imag < 0:
             raise ArgumentError(f"z must lie strictly in the lower half-plane, got {zz}")
     elif zz.imag > 0:
         raise ArgumentError(f"z must lie in the closed lower half-plane, got {zz}")
     return zz
+
+
+_interior_point = partial(_spectral_point, interior=True)
 
 
 @dataclass(frozen=True)
@@ -87,20 +94,8 @@ class PropertyReport:
 
 
 def _quotient(num, den, z, condition_limit):
-    """num @ den^{-1} with the denominator's condition number, sharing one
-    determinant evaluation between the conditioning check and the adjugate."""
-    d = complex(den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0])
-    absd = abs(d)
-    if absd == 0.0:
-        raise SingularMatrixError(f"denominator is singular at z = {z}", z=z)
-    frob = float((den.real ** 2 + den.imag ** 2).sum())
-    disc = max(frob * frob / 4.0 - absd * absd, 0.0)
-    cond = max((frob / 2.0 + math.sqrt(disc)) / absd, 1.0)
-    if cond > condition_limit:
-        raise SingularMatrixError(
-            f"denominator condition number {cond:.3e} exceeds "
-            f"{condition_limit:g} at z = {z}", z=z)
-    adj = np.array([[den[1, 1], -den[0, 1]], [-den[1, 0], den[0, 0]]])
+    """num @ den^{-1} and the denominator's condition number."""
+    adj, d, cond = _adjugate(den, condition_limit, z, "denominator")
     return num @ adj / d, cond
 
 
@@ -150,11 +145,82 @@ def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarr
     2(1+iz) I - 2(1-iz) S is not safely invertible.
     """
     sm = as_matrix(s)
-    zz = _spectral_point(z, interior=True)
+    zz = _interior_point(z)
     a = 2.0 * (1.0 + 1j * zz)
     b = 2.0 * (1.0 - 1j * zz)
     t, _ = _quotient(SIGMA0 - sm, a * SIGMA0 - b * sm, zz, condition_limit)
     return t
+
+
+def _s_table(t):
+    """z -> S(z) for one T through s_matrix, once per distinct z; points equal
+    as complex numbers (0.0 and -0.0 parts) share one entry."""
+    table = {}
+
+    def s_of(z):
+        s = table.get(z)
+        if s is None:
+            s = table[z] = s_matrix(t, z).s
+        return s
+
+    return s_of
+
+
+def _worst(points, residual):
+    """(largest residual(z), z) over the points; the first point attaining
+    the largest residual is the witness."""
+    worst, witness = -math.inf, None
+    for z in points:
+        res = residual(z)
+        if res > worst:
+            worst, witness = res, z
+    if witness is None:
+        raise ArgumentError("zs must be nonempty")
+    return worst, witness
+
+
+def _check(residual, witness, tol) -> PropertyCheck:
+    return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
+
+
+def _off_axis(z) -> complex:
+    zz = _interior_point(z)
+    if zz.real == 0.0:
+        raise ArgumentError("condition (c) needs a point with Re z != 0")
+    return zz
+
+
+# One function per condition, holding its residual expression (larger is
+# worse) over an S table s_of; the public checks give each call its own
+# table, property_report shares one.
+
+def _cond_a(s_of, g, zs, tol) -> PropertyCheck:
+    def residual(z):  # minus the lowest eigenvalue of G - S* G S
+        s = s_of(z)
+        return -hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
+    worst, witness = _worst(map(_interior_point, zs), residual)
+    return _check(max(0.0, worst), witness, tol)
+
+
+def _cond_reflection(s_of, j, zs, tol) -> PropertyCheck:
+    """(b) with J = G, (d) with J = P_xi."""
+    def residual(z):
+        return operator_norm(j @ s_of(z) - s_of(-z.conjugate()).conj().T @ j)
+    return _check(*_worst(map(_spectral_point, zs), residual), tol)
+
+
+def _cond_c(s_of, g, zs, tol) -> PropertyCheck:
+    def residual(z):
+        s = s_of(z)
+        sh = s.conj().T
+        return operator_norm(z.real * (g - sh @ g @ s) - 1j * z.imag * (sh @ g - g @ s))
+    return _check(*_worst(map(_off_axis, zs), residual), tol)
+
+
+def _cond_pt(s_of, zs, tol) -> PropertyCheck:
+    def residual(z):
+        return operator_norm(SIGMA3 @ np.conj(s_of(z)) @ SIGMA3 - s_of(-z.conjugate()))
+    return _check(*_worst(map(_interior_point, zs), residual), tol)
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -163,36 +229,14 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     The residual is the most negative eigenvalue encountered, clamped at 0;
     the witness is the point that produced it.
     """
-    g = metric(p)
-    worst = math.inf
-    worst_z = None
-    for z in zs:
-        zz = _spectral_point(z, interior=True)
-        s = s_matrix(t, zz).s
-        low = hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
-        if low < worst:
-            worst, worst_z = low, zz
-    if worst_z is None:
-        raise ArgumentError("zs must be nonempty")
-    residual = max(0.0, -worst)
-    return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=worst_z)
+    _check_tol(tol)
+    return _cond_a(_s_table(t), metric(p), zs, tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
-    g = metric(p)
-    worst = -math.inf
-    worst_z = None
-    for z in zs:
-        zz = _spectral_point(z)
-        s = s_matrix(t, zz).s
-        s_ref = s_matrix(t, -zz.conjugate()).s
-        res = operator_norm(g @ s - s_ref.conj().T @ g)
-        if res > worst:
-            worst, worst_z = res, zz
-    if worst_z is None:
-        raise ArgumentError("zs must be nonempty")
-    return PropertyCheck(passed=worst <= tol, residual=worst, witness_z=worst_z)
+    _check_tol(tol)
+    return _cond_reflection(_s_table(t), metric(p), zs, tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -200,54 +244,28 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
 
     Requires Re z != 0 and Im z < 0.
     """
-    zz = _spectral_point(z, interior=True)
-    if zz.real == 0.0:
-        raise ArgumentError("condition (c) needs a point with Re z != 0")
-    g = metric(p)
-    s = s_matrix(t, zz).s
-    sh = s.conj().T
-    lhs = zz.real * (g - sh @ g @ s)
-    rhs = 1j * zz.imag * (sh @ g - g @ s)
-    res = operator_norm(lhs - rhs)
-    return PropertyCheck(passed=res <= tol, residual=res, witness_z=zz)
+    _check_tol(tol)
+    return _cond_c(_s_table(t), metric(p), [z], tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
-    zz = _spectral_point(z)
-    j = p_xi(xi)
-    s = s_matrix(t, zz).s
-    s_ref = s_matrix(t, -zz.conjugate()).s
-    res = operator_norm(j @ s - s_ref.conj().T @ j)
-    return PropertyCheck(passed=res <= tol, residual=res, witness_z=zz)
+    _check_tol(tol)
+    return _cond_reflection(_s_table(t), p_xi(xi), [z], tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
-    worst = -math.inf
-    worst_z = None
-    for z in zs:
-        zz = _spectral_point(z, interior=True)
-        s = s_matrix(t, zz).s
-        s_ref = s_matrix(t, -zz.conjugate()).s
-        res = operator_norm(SIGMA3 @ np.conj(s) @ SIGMA3 - s_ref)
-        if res > worst:
-            worst, worst_z = res, zz
-    if worst_z is None:
-        raise ArgumentError("zs must be nonempty")
-    return PropertyCheck(passed=worst <= tol, residual=worst, witness_z=worst_z)
+    _check_tol(tol)
+    return _cond_pt(_s_table(t), zs, tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    worst = -math.inf
-    for z in zs:
-        worst = max(worst, operator_norm(s_matrix(t, z).s))
-    if worst == -math.inf:
-        raise ArgumentError("zs must be nonempty")
-    return worst
+    s_of = _s_table(t)
+    return _worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z)))[0]
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -272,12 +290,6 @@ def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[
     return [complex(x, 0.0) for x in np.linspace(lo, hi, steps)]
 
 
-def _merge(checks: list[PropertyCheck], tol: float) -> PropertyCheck:
-    worst = max(checks, key=lambda c: c.residual)
-    return PropertyCheck(passed=worst.residual <= tol, residual=worst.residual,
-                         witness_z=worst.witness_z)
-
-
 def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
                     witness: complex = 1.0 - 1.0j,
                     tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -287,18 +299,21 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     additionally take boundary (real-axis) samples.  The single-point
     conditions (c) and (d) are evaluated at the fixed ``witness`` and, for
     stronger evidence, at every admissible grid point, keeping the worst
-    residual.
+    residual.  S is evaluated once per distinct point of
+    interior | boundary | {witness} and of its reflection -conj z, from one
+    table shared by all five checks; each condition's worst residual and
+    witness come from the one reducer the single checks use.
     """
+    _check_tol(tol)
     interior = list(interior) if interior is not None else lower_half_plane_grid()
     boundary = list(boundary) if boundary is not None else real_axis_points()
-    witness = _spectral_point(witness, interior=True)
-
-    cond_a = check_condition_a(t, p, interior, tol)
-    cond_b = check_condition_b(t, p, interior + boundary, tol)
+    witness = _interior_point(witness)
+    s_of = _s_table(t)
+    g = metric(p)
     c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
-    cond_c = _merge([check_condition_c(t, p, z, tol) for z in c_points], tol)
-    d_points = [witness] + interior + boundary
-    cond_d = _merge([check_condition_d(t, p.xi, z, tol) for z in d_points], tol)
-    pt = check_pt_criterion(t, interior, tol)
-    return PropertyReport(cond_a=cond_a, cond_b=cond_b, cond_c=cond_c,
-                          cond_d=cond_d, pt_criterion=pt)
+    return PropertyReport(
+        cond_a=_cond_a(s_of, g, interior, tol),
+        cond_b=_cond_reflection(s_of, g, interior + boundary, tol),
+        cond_c=_cond_c(s_of, g, c_points, tol),
+        cond_d=_cond_reflection(s_of, p_xi(p.xi), [witness] + interior + boundary, tol),
+        pt_criterion=_cond_pt(s_of, interior, tol))

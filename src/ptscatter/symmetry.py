@@ -24,13 +24,8 @@ import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA2, SIGMA3, TWO_PI,
                        KreinMetricParams, c_operator, p_xi, pauli_decompose)
-from .errors import ArgumentError, AssumptionError
+from .errors import ArgumentError, AssumptionError, _check_tol
 from .matrix2 import as_matrix, as_vector, operator_norm
-
-
-def _check_tol(tol: float):
-    if not tol > 0:
-        raise ArgumentError("tol must be positive")
 
 
 def pt_apply(v) -> np.ndarray:

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams, metric, p_xi
-from .errors import ArgumentError
+from .errors import ArgumentError, _check_tol
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import hermitian_eigenvalues, operator_norm
@@ -121,23 +121,26 @@ def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
     return worst
 
 
-def _complex_pair(z: complex) -> list[float]:
+def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _entry(passed, residual, expected_pass: bool = True, **extra) -> dict:
+    """One JSON check entry; consistent when the outcome is the expected one."""
+    return {"passed": bool(passed), "residual": float(residual), **extra,
+            "expected_pass": bool(expected_pass),
+            "consistent": bool(passed) == bool(expected_pass)}
+
+
 def _check_entry(check, expected_pass: bool) -> dict:
-    return {
-        "passed": bool(check.passed),
-        "residual": float(check.residual),
-        "witness_z": _complex_pair(check.witness_z),
-        "expected_pass": bool(expected_pass),
-        "consistent": bool(check.passed == expected_pass),
-    }
+    return _entry(check.passed, check.residual, expected_pass,
+                  witness_z=_pair(check.witness_z))
 
 
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
                         interior=None, boundary=None) -> dict:
     """Full check battery for one parameter set; JSON-ready dict."""
+    _check_tol(tol)
     interior = list(interior) if interior is not None else lower_half_plane_grid()
     boundary = list(boundary) if boundary is not None else real_axis_points()
 
@@ -166,45 +169,15 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
         "condition_c": _check_entry(report.cond_c, expected_pass=True),
         "condition_d": _check_entry(report.cond_d, expected_pass=True),
         "pt_criterion": _check_entry(report.pt_criterion, expected_pass=pt_expected),
-        "mobius_round_trip": {
-            "passed": recovery <= tol,
-            "residual": float(recovery),
-            "expected_pass": True,
-            "consistent": recovery <= tol,
-        },
-        "z_independence": {
-            "passed": spread <= tol,
-            "residual": float(spread),
-            "expected_pass": True,
-            "consistent": spread <= tol,
-        },
-        "formula_equivalence": {
-            "passed": feq <= feq_tol,
-            "residual": float(feq),
-            "tolerance": float(feq_tol),
-            "expected_pass": True,
-            "consistent": feq <= feq_tol,
-        },
-        "quadratic_eigenvalues": {
-            "passed": quad <= tol,
-            "residual": float(quad),
-            "expected_pass": True,
-            "consistent": quad <= tol,
-        },
-        "oracle_agreement": {
-            "passed": cls.closed_form_verdict == cls.oracle_verdict,
-            "residual": 0.0,
-            "expected_pass": True,
-            "consistent": cls.closed_form_verdict == cls.oracle_verdict,
-        },
+        "mobius_round_trip": _entry(recovery <= tol, recovery),
+        "z_independence": _entry(spread <= tol, spread),
+        "formula_equivalence": _entry(feq <= feq_tol, feq, tolerance=float(feq_tol)),
+        "quadratic_eigenvalues": _entry(quad <= tol, quad),
+        "oracle_agreement": _entry(cls.closed_form_verdict == cls.oracle_verdict, 0.0),
     }
     if e.beta1 == 0.0:
-        checks["contraction_bound"] = {
-            "passed": max_norm <= 1.0 + CONTRACTION_SLACK,
-            "residual": float(max(0.0, max_norm - 1.0)),
-            "expected_pass": True,
-            "consistent": max_norm <= 1.0 + CONTRACTION_SLACK,
-        }
+        checks["contraction_bound"] = _entry(max_norm <= 1.0 + CONTRACTION_SLACK,
+                                             max(0.0, max_norm - 1.0))
     consistent = all(entry["consistent"] for entry in checks.values())
 
     result = {
@@ -237,6 +210,7 @@ def run_random_suite(n: int, seed: int, tol: float = DEFAULT_TOL) -> dict:
     deliberately out-of-region for odd i."""
     if n < 1:
         raise ArgumentError("n must be >= 1")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     interior = lower_half_plane_grid()
     boundary = real_axis_points()

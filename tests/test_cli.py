@@ -71,6 +71,14 @@ def test_classify_non_numeric_flag_exits_2():
     assert info.value.code == 2
 
 
+def test_classify_overflowing_chi_exits_2(capsys):
+    code, out, err = run(capsys, ["classify", "--beta0", "0.2", "--beta1", "0.1",
+                                  "--chi", "1000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "chi" in err
+
+
 def test_classify_internal_disagreement_exits_3(capsys, monkeypatch):
     from ptscatter.extensions import SpectraClassification
 

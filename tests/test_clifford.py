@@ -185,3 +185,13 @@ def test_krein_metric_params_canonicalize_xi():
         KreinMetricParams(np.nan, 0.0)
     with pytest.raises(ArgumentError):
         KreinMetricParams(0.0, np.inf)
+
+
+def test_params_reject_chi_whose_cosh_overflows():
+    with pytest.raises(ArgumentError, match="cosh"):
+        KreinMetricParams(0.0, 1000.0)
+    with pytest.raises(ArgumentError, match="cosh"):
+        KreinMetricParams(0.0, -711.0)
+    # the largest magnitudes with a finite cosh are still accepted
+    for chi in (700.0, -710.0):
+        assert math.isfinite(math.cosh(KreinMetricParams(0.0, chi).chi))

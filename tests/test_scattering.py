@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from ptscatter import (SIGMA0, SIGMA1, SIGMA2, SIGMA3, ArgumentError,
-                       KreinMetricParams,
+                       KreinMetricParams, PropertyCheck, PropertyReport,
                        SingularMatrixError, check_condition_a,
                        check_condition_b, check_condition_c,
                        check_condition_d, check_pt_criterion,
-                       extension_params, inverse, lower_half_plane_grid,
-                       operator_norm, pauli_compose, property_report,
-                       real_axis_points, s_matrix, s_matrix_zero_range,
+                       extension_params, hermitian_eigenvalues, inverse,
+                       lower_half_plane_grid, metric, operator_norm, p_xi,
+                       pauli_compose, property_report, real_axis_points,
+                       s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.verify import WITNESS_POINTS, draw_extension_params
 
@@ -250,3 +251,135 @@ def test_grid_shapes_and_order():
         lower_half_plane_grid(im_max=0.5)
     with pytest.raises(ArgumentError):
         lower_half_plane_grid(steps=0)
+
+
+# ---------------------------------------------------------------- report vs per-point loops
+#
+# The report as first written, kept as the reference: each check is its own
+# per-point loop that calls s_matrix afresh at every point and reflection, and
+# the single-point conditions (c) and (d) are merged by their worst residual.
+
+
+def _ref_condition_a(t, p, zs, tol):
+    g = metric(p)
+    worst, worst_z = math.inf, None
+    for z in zs:
+        zz = complex(z)
+        s = s_matrix(t, zz).s
+        low = hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
+        if low < worst:
+            worst, worst_z = low, zz
+    residual = max(0.0, -worst)
+    return PropertyCheck(residual <= tol, residual, worst_z)
+
+
+def _ref_condition_b(t, p, zs, tol):
+    g = metric(p)
+    worst, worst_z = -math.inf, None
+    for z in zs:
+        zz = complex(z)
+        s = s_matrix(t, zz).s
+        s_ref = s_matrix(t, -zz.conjugate()).s
+        res = operator_norm(g @ s - s_ref.conj().T @ g)
+        if res > worst:
+            worst, worst_z = res, zz
+    return PropertyCheck(worst <= tol, worst, worst_z)
+
+
+def _ref_condition_c(t, p, z, tol):
+    zz = complex(z)
+    g = metric(p)
+    s = s_matrix(t, zz).s
+    sh = s.conj().T
+    lhs = zz.real * (g - sh @ g @ s)
+    rhs = 1j * zz.imag * (sh @ g - g @ s)
+    res = operator_norm(lhs - rhs)
+    return PropertyCheck(res <= tol, res, zz)
+
+
+def _ref_condition_d(t, xi, z, tol):
+    zz = complex(z)
+    j = p_xi(xi)
+    s = s_matrix(t, zz).s
+    s_ref = s_matrix(t, -zz.conjugate()).s
+    res = operator_norm(j @ s - s_ref.conj().T @ j)
+    return PropertyCheck(res <= tol, res, zz)
+
+
+def _ref_pt_criterion(t, zs, tol):
+    worst, worst_z = -math.inf, None
+    for z in zs:
+        zz = complex(z)
+        s = s_matrix(t, zz).s
+        s_ref = s_matrix(t, -zz.conjugate()).s
+        res = operator_norm(SIGMA3 @ np.conj(s) @ SIGMA3 - s_ref)
+        if res > worst:
+            worst, worst_z = res, zz
+    return PropertyCheck(worst <= tol, worst, worst_z)
+
+
+def _ref_merge(checks, tol):
+    worst = max(checks, key=lambda c: c.residual)
+    return PropertyCheck(worst.residual <= tol, worst.residual, worst.witness_z)
+
+
+def reference_property_report(t, p, interior=None, boundary=None,
+                              witness=1.0 - 1.0j, tol=1e-10):
+    interior = list(interior) if interior is not None else lower_half_plane_grid()
+    boundary = list(boundary) if boundary is not None else real_axis_points()
+    witness = complex(witness)
+    cond_a = _ref_condition_a(t, p, interior, tol)
+    cond_b = _ref_condition_b(t, p, interior + boundary, tol)
+    c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
+    cond_c = _ref_merge([_ref_condition_c(t, p, z, tol) for z in c_points], tol)
+    d_points = [witness] + interior + boundary
+    cond_d = _ref_merge([_ref_condition_d(t, p.xi, z, tol) for z in d_points], tol)
+    pt = _ref_pt_criterion(t, interior, tol)
+    return PropertyReport(cond_a, cond_b, cond_c, cond_d, pt)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        rep = fn(*args, **kwargs)
+    except SingularMatrixError as exc:
+        return ("singular", str(exc))
+    # repr keeps the sign of zero parts, so the witnesses must be the same point
+    return [(c.passed, c.residual, repr(c.witness_z))
+            for c in (rep.cond_a, rep.cond_b, rep.cond_c, rep.cond_d, rep.pt_criterion)]
+
+
+def test_property_report_matches_per_point_loops():
+    rng = np.random.default_rng(46)
+    # not reflection symmetric: no point's reflection is on this grid
+    skew = [complex(x, y) for x, y in zip(rng.uniform(-3, 3, 15),
+                                          rng.uniform(-3, -0.1, 15))]
+    bnd = [1.5, -0.25, 0.0]
+    for i in range(80):
+        e = draw_extension_params(rng, admissible=(i % 2 == 0))
+        t = t_from_betas(e)
+        w = complex(rng.uniform(-2, 2), rng.uniform(-2, -0.2))
+        for args, kwargs in (((), {}),                     # default grid, witness 1-1j
+                             ((skew, bnd), {}),
+                             ((skew, bnd), {"witness": w}),
+                             ((GRID, REAL_AXIS), {"witness": w, "tol": 1e-6})):
+            assert (_outcome(property_report, t, e.metric, *args, **kwargs)
+                    == _outcome(reference_property_report, t, e.metric, *args, **kwargs))
+
+
+def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
+    import ptscatter.scattering as scattering
+    calls = []
+    original = scattering.s_matrix
+
+    def counting(t, z, *args, **kwargs):
+        calls.append(complex(z))
+        return original(t, z, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "s_matrix", counting)
+    e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
+    property_report(t_from_betas(e), e.metric)
+    # 49 grid points, 7 real-axis points and the witness 1-1j with its
+    # reflection -1-1j; the grid and the axis are their own reflections
+    assert len(calls) == 58
+    assert len(set(calls)) == 58
+    assert 1 - 1j in calls and -1 - 1j in calls
