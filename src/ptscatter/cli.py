@@ -30,10 +30,10 @@ import sys
 import numpy as np
 
 from .clifford import DEFAULT_TOL, metric, pauli_decompose
-from .errors import ArgumentError, AssumptionError, SingularMatrixError
+from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
-from .matrix2 import hermitian_eigenvalues, operator_norm
-from .scattering import lower_half_plane_grid, s_matrix_zero_range
+from .matrix2 import operator_norm
+from .scattering import _metric_defect, lower_half_plane_grid, s_matrix_zero_range
 from .symmetry import symmetry_report
 from .verify import _pair, run_parameter_suite, run_random_suite
 
@@ -86,11 +86,6 @@ def _add_param_flags(parser: argparse.ArgumentParser):
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-
-
-def _check_tolerance(parser, args):
-    if not args.tolerance > 0:
-        parser.error("--tolerance must be positive")
 
 
 def cmd_decompose(args) -> int:
@@ -154,9 +149,8 @@ def _sweep_rows(e, zs):
             rows.append({"z": complex(z), "singular": True, "s": None,
                          "std_norm": float("nan"), "metric_defect": float("nan")})
             continue
-        defect = hermitian_eigenvalues(g - ev.s.conj().T @ g @ ev.s)[0]
         rows.append({"z": complex(z), "singular": False, "s": ev.s,
-                     "std_norm": operator_norm(ev.s), "metric_defect": float(defect)})
+                     "std_norm": operator_norm(ev.s), "metric_defect": _metric_defect(g, ev.s)})
     return rows, singular
 
 
@@ -241,26 +235,22 @@ def cmd_verify(parser, args) -> int:
         config = {"command": "verify", "random": args.random, "seed": args.seed,
                   "tolerance": args.tolerance}
         out = {"config": config, **report}
-        _emit_json(out, args.output)
-        if not report["all_consistent"]:
-            p = report["first_violation"]
-            print("error: property violation; replay with: "
-                  f"ptscatter verify --beta0 {p['beta0']!r} --beta1 {p['beta1']!r} "
-                  f"--chi {p['chi']!r} --xi {p['xi']!r}", file=sys.stderr)
-            return EXIT_VIOLATION
-        return EXIT_OK
-    if args.beta0 is None or args.beta1 is None:
-        parser.error("either --random N or --beta0/--beta1 must be given")
-    e = extension_params(args.beta0, args.beta1, args.chi, args.xi)
-    suite = run_parameter_suite(e, args.tolerance)
-    config = {"command": "verify", "beta0": args.beta0, "beta1": args.beta1,
-              "chi": args.chi, "xi": args.xi, "tolerance": args.tolerance}
-    out = {"config": config, "results": [suite], "all_consistent": suite["consistent"]}
+        replay = report["first_violation"]
+    else:
+        if args.beta0 is None or args.beta1 is None:
+            parser.error("either --random N or --beta0/--beta1 must be given")
+        e = extension_params(args.beta0, args.beta1, args.chi, args.xi)
+        suite = run_parameter_suite(e, args.tolerance)
+        config = {"command": "verify", "beta0": args.beta0, "beta1": args.beta1,
+                  "chi": args.chi, "xi": args.xi, "tolerance": args.tolerance}
+        out = {"config": config, "results": [suite], "all_consistent": suite["consistent"]}
+        # echo the flags as given (xi not reduced mod 2 pi)
+        replay = None if suite["consistent"] else vars(args)
     _emit_json(out, args.output)
-    if not suite["consistent"]:
+    if replay is not None:
         print("error: property violation; replay with: "
-              f"ptscatter verify --beta0 {args.beta0!r} --beta1 {args.beta1!r} "
-              f"--chi {args.chi!r} --xi {args.xi!r}", file=sys.stderr)
+              f"ptscatter verify --beta0 {replay['beta0']!r} --beta1 {replay['beta1']!r} "
+              f"--chi {replay['chi']!r} --xi {replay['xi']!r}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -313,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_tolerance(parser, args)
     try:
+        _check_tol(args.tolerance)
         if args.command == "decompose":
             return cmd_decompose(args)
         if args.command == "classify":

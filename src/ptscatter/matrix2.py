@@ -55,7 +55,8 @@ def _det_condition(a) -> tuple[complex, float]:
     """Determinant and condition number s_max / s_min (inf when singular).
 
     s_min comes from |det a| = s_max * s_min, which avoids the cancellation
-    the direct eigenvalue formula suffers for ill-conditioned input.
+    the direct eigenvalue formula suffers for ill-conditioned input.  An
+    estimate that overflows to inf or NaN counts as singular.
     """
     d = _det(a)
     absd = abs(d)
@@ -63,7 +64,8 @@ def _det_condition(a) -> tuple[complex, float]:
         return d, math.inf
     frob = float((a.real ** 2 + a.imag ** 2).sum())  # tr(a* a)
     disc = max(frob * frob / 4.0 - absd * absd, 0.0)
-    return d, max((frob / 2.0 + math.sqrt(disc)) / absd, 1.0)
+    cond = max((frob / 2.0 + math.sqrt(disc)) / absd, 1.0)
+    return d, cond if cond < math.inf else math.inf
 
 
 def _adjugate(a, condition_limit, z=None, name="matrix"):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -153,17 +153,9 @@ def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarr
 
 
 def _s_table(t):
-    """z -> S(z) for one T through s_matrix, once per distinct z; points equal
-    as complex numbers (0.0 and -0.0 parts) share one entry."""
-    table = {}
-
-    def s_of(z):
-        s = table.get(z)
-        if s is None:
-            s = table[z] = s_matrix(t, z).s
-        return s
-
-    return s_of
+    """z -> s_matrix(t, z), evaluated once per distinct z; points equal as
+    complex numbers (0.0 and -0.0 parts) share one entry."""
+    return cache(lambda z: s_matrix(t, z))
 
 
 def _worst(points, residual):
@@ -190,14 +182,18 @@ def _off_axis(z) -> complex:
     return zz
 
 
+def _metric_defect(g, s) -> float:
+    """Lowest eigenvalue of G - S* G S (negative where (a) fails)."""
+    return hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
+
+
 # One function per condition, holding its residual expression (larger is
 # worse) over an S table s_of; the public checks give each call its own
-# table, property_report shares one.
+# table, property_report and the verify suite share one per parameter.
 
 def _cond_a(s_of, g, zs, tol) -> PropertyCheck:
-    def residual(z):  # minus the lowest eigenvalue of G - S* G S
-        s = s_of(z)
-        return -hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
+    def residual(z):
+        return -_metric_defect(g, s_of(z).s)
     worst, witness = _worst(map(_interior_point, zs), residual)
     return _check(max(0.0, worst), witness, tol)
 
@@ -205,13 +201,13 @@ def _cond_a(s_of, g, zs, tol) -> PropertyCheck:
 def _cond_reflection(s_of, j, zs, tol) -> PropertyCheck:
     """(b) with J = G, (d) with J = P_xi."""
     def residual(z):
-        return operator_norm(j @ s_of(z) - s_of(-z.conjugate()).conj().T @ j)
+        return operator_norm(j @ s_of(z).s - s_of(-z.conjugate()).s.conj().T @ j)
     return _check(*_worst(map(_spectral_point, zs), residual), tol)
 
 
 def _cond_c(s_of, g, zs, tol) -> PropertyCheck:
     def residual(z):
-        s = s_of(z)
+        s = s_of(z).s
         sh = s.conj().T
         return operator_norm(z.real * (g - sh @ g @ s) - 1j * z.imag * (sh @ g - g @ s))
     return _check(*_worst(map(_off_axis, zs), residual), tol)
@@ -219,7 +215,7 @@ def _cond_c(s_of, g, zs, tol) -> PropertyCheck:
 
 def _cond_pt(s_of, zs, tol) -> PropertyCheck:
     def residual(z):
-        return operator_norm(SIGMA3 @ np.conj(s_of(z)) @ SIGMA3 - s_of(-z.conjugate()))
+        return operator_norm(SIGMA3 @ np.conj(s_of(z).s) @ SIGMA3 - s_of(-z.conjugate()).s)
     return _check(*_worst(map(_interior_point, zs), residual), tol)
 
 
@@ -262,10 +258,13 @@ def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     return _cond_pt(_s_table(t), zs, tol)
 
 
+def _max_norm(s_of, zs) -> float:
+    return _worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z).s))[0]
+
+
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    s_of = _s_table(t)
-    return _worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z)))[0]
+    return _max_norm(_s_table(t), zs)
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -305,10 +304,17 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     witness come from the one reducer the single checks use.
     """
     _check_tol(tol)
-    interior = list(interior) if interior is not None else lower_half_plane_grid()
-    boundary = list(boundary) if boundary is not None else real_axis_points()
+    return _report(_s_table(t), p, *_grids(interior, boundary), witness, tol)
+
+
+def _grids(interior, boundary) -> tuple[list, list]:
+    """The interior and boundary samples as lists; None gives the defaults."""
+    return (list(interior) if interior is not None else lower_half_plane_grid(),
+            list(boundary) if boundary is not None else real_axis_points())
+
+
+def _report(s_of, p, interior, boundary, witness, tol) -> PropertyReport:
     witness = _interior_point(witness)
-    s_of = _s_table(t)
     g = metric(p)
     c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
     return PropertyReport(

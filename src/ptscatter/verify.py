@@ -18,8 +18,11 @@ with its theory-expected outcome:
     as a violation (the failure set depends on (chi, xi) and need not meet a
     finite grid).
 
-A suite is *consistent* when every actual outcome equals its expected one;
-the random driver reports the first inconsistent draw in replayable form.
+Every S(z) a draw needs comes from one table that calls s_matrix once per
+distinct point; only the Mobius round trip evaluates S itself, at its own
+witness points.  A suite is *consistent* when every actual outcome equals
+its expected one; the random driver reports the first inconsistent draw in
+replayable form.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ import math
 
 import numpy as np
 
-from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams, metric, p_xi
+from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
 from .errors import ArgumentError, _check_tol
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
-from .matrix2 import hermitian_eigenvalues, operator_norm
-from .scattering import (lower_half_plane_grid, property_report,
-                         real_axis_points, s_matrix, s_matrix_zero_range,
-                         t_from_s)
+from .matrix2 import operator_norm
+from .scattering import (_grids, _max_norm, _report, _s_table, s_matrix,
+                         s_matrix_zero_range, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -101,22 +103,26 @@ def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S evaluation."""
-    t = t_from_betas(e)
-    return max(operator_norm(s_matrix_zero_range(e, z).s - s_matrix(t, z).s)
-               for z in zs)
+    return _route_gap(e, _s_table(t_from_betas(e)), zs)
+
+
+def _route_gap(e, s_of, zs) -> float:
+    return max(operator_norm(s_matrix_zero_range(e, z).s - s_of(z).s) for z in zs)
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
     """Worst gap between the oracle matrices' eigenvalues and the roots of
     lambda^2 - 2 lambda b0 cosh(chi) + b0^2 - b1^2 = 0 (and its mirrored
     version for the upper bound matrix)."""
-    g = metric(e.metric)
-    j = p_xi(e.metric.xi)
+    return _quadratic_gap(e, classify_nonnegative(e))
+
+
+def _quadratic_gap(e, cls) -> float:
     worst = 0.0
-    for b0, b1 in ((e.beta0, e.beta1), (0.5 - e.beta0, -e.beta1)):
-        eigs = hermitian_eigenvalues(b0 * g + b1 * j)
+    for b0, eigs in ((e.beta0, cls.eigenvalues_lower),
+                     (0.5 - e.beta0, cls.eigenvalues_upper)):
         mid = b0 * math.cosh(e.metric.chi)
-        rad = math.sqrt(max((b0 * math.sinh(e.metric.chi)) ** 2 + b1 * b1, 0.0))
+        rad = math.sqrt(max((b0 * math.sinh(e.metric.chi)) ** 2 + e.beta1 * e.beta1, 0.0))
         worst = max(worst, abs(eigs[0] - (mid - rad)), abs(eigs[1] - (mid + rad)))
     return worst
 
@@ -139,28 +145,23 @@ def _check_entry(check, expected_pass: bool) -> dict:
 
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
                         interior=None, boundary=None) -> dict:
-    """Full check battery for one parameter set; JSON-ready dict."""
+    """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
+    the draw needs comes from one table, one s_matrix call per distinct z
+    (the Mobius round trip alone evaluates its witness points itself)."""
     _check_tol(tol)
-    interior = list(interior) if interior is not None else lower_half_plane_grid()
-    boundary = list(boundary) if boundary is not None else real_axis_points()
-
+    interior, boundary = _grids(interior, boundary)
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    report = property_report(t, e.metric, interior, boundary, tol=tol)
+    s_of = _s_table(t)
+    report = _report(s_of, e.metric, interior, boundary, 1.0 - 1.0j, tol)
     recovery, spread = mobius_round_trip_residuals(t)
-    # one pass over the grid: route equivalence, conditioning, plain norm
-    feq = 0.0
-    worst_cond = 1.0
-    max_norm = 0.0
-    for z in interior:
-        ev = s_matrix(t, z)
-        feq = max(feq, operator_norm(s_matrix_zero_range(e, z).s - ev.s))
-        worst_cond = max(worst_cond, ev.condition_number)
-        max_norm = max(max_norm, operator_norm(ev.s))
+    feq = _route_gap(e, s_of, interior)
+    worst_cond = max([1.0] + [s_of(z).condition_number for z in interior])
+    max_norm = _max_norm(s_of, interior)
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
-    quad = quadratic_eigenvalue_residual(e)
+    quad = _quadratic_gap(e, cls)
     pt_expected = is_pt_symmetric(t, tol)
 
     checks = {
@@ -212,12 +213,10 @@ def run_random_suite(n: int, seed: int, tol: float = DEFAULT_TOL) -> dict:
         raise ArgumentError("n must be >= 1")
     _check_tol(tol)
     rng = np.random.default_rng(seed)
-    interior = lower_half_plane_grid()
-    boundary = real_axis_points()
     results = []
     for i in range(n):
         e = draw_extension_params(rng, admissible=(i % 2 == 0))
-        suite = run_parameter_suite(e, tol, interior, boundary)
+        suite = run_parameter_suite(e, tol)
         suite["draw"] = i
         suite["admissible_draw"] = bool(i % 2 == 0)
         results.append(suite)

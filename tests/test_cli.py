@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ptscatter import cli
@@ -173,6 +174,19 @@ def test_sweep_flagged_rows_dont_fail_whole_run(capsys):
     assert out.strip().splitlines()[-1] == "# singular_points: 2/4"
 
 
+def test_sweep_overflowing_chi_flags_every_point(capsys):
+    # cosh(400) squares past the float range in the denominator's condition
+    # estimate; such a point counts as singular
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, ["sweep", "--beta0", "0.2", "--beta1", "0.1",
+                                      "--chi", "400", "--steps", "2"])
+    assert code == 4
+    lines = out.strip().splitlines()
+    assert all(line.split(",")[2:] == ["nan"] * 10 for line in lines[1:5])
+    assert lines[-1] == "# singular_points: 4/4"
+    assert "singular" in err
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -237,3 +251,31 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     assert path.read_text().startswith(cli.CSV_HEADER)
     assert capsys.readouterr().out == ""
+
+
+def test_verify_violation_echoes_the_flags_as_given(capsys, monkeypatch):
+    def inconsistent(e, tol):
+        return {"consistent": False}
+
+    monkeypatch.setattr(cli, "run_parameter_suite", inconsistent)
+    code, _, err = run(capsys, ["verify", "--beta0", "0.1", "--beta1", "0.0",
+                                "--xi", "7"])
+    assert code == 5
+    assert err == ("error: property violation; replay with: ptscatter verify "
+                   "--beta0 0.1 --beta1 0.0 --chi 0.0 --xi 7.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "[[1,0],[0,-1]]"],
+    ["classify", "--beta0", "0.25", "--beta1", "0.2"],
+    ["smatrix", "--beta0", "0.25", "--beta1", "0.2", "--z-im", "-1"],
+    ["sweep", "--beta0", "0.25", "--beta1", "0.2", "--steps", "2"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.2"],
+    ["verify", "--random", "1"],
+])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bad_tolerance_exits_2_on_every_subcommand(capsys, argv, tol):
+    code, out, err = run(capsys, argv + [f"--tolerance={tol}"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be positive\n"

@@ -42,6 +42,15 @@ def test_condition_number_matches_numpy():
     assert condition_number(np.eye(2)) == 1.0
 
 
+def test_overflowing_condition_estimate_counts_as_singular():
+    # entries whose squares pass the float range: det and tr(m* m) overflow
+    m = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with np.errstate(all="ignore"):
+        assert condition_number(m) == np.inf
+        with pytest.raises(SingularMatrixError):
+            inverse(m, condition_limit=1e12)
+
+
 def test_inverse_matches_numpy_and_rejects_singular():
     rng = np.random.default_rng(9)
     for _ in range(300):

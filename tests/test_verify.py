@@ -1,14 +1,22 @@
 """The composite suites: sampling, expected-outcome logic and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
-from ptscatter import (classify_nonnegative, draw_extension_params,
-                       extension_params, formula_equivalence_residual,
-                       lower_half_plane_grid, mobius_round_trip_residuals,
-                       quadratic_eigenvalue_residual, run_parameter_suite,
-                       run_random_suite, t_from_betas)
-from ptscatter.errors import ArgumentError
+from ptscatter import (check_metric_inequality, classify_nonnegative,
+                       draw_extension_params, extension_params,
+                       formula_equivalence_residual, hermitian_eigenvalues,
+                       is_pt_symmetric, lower_half_plane_grid, metric,
+                       mobius_round_trip_residuals, operator_norm, p_xi,
+                       property_report, quadratic_eigenvalue_residual,
+                       real_axis_points, run_parameter_suite, run_random_suite,
+                       s_matrix, s_matrix_zero_range, t_from_betas)
+from ptscatter.errors import ArgumentError, SingularMatrixError
+from ptscatter.verify import (CONTRACTION_SLACK, CONTRACTION_WITNESS_MARGIN,
+                              FORMULA_EQUIVALENCE_COND_SCALE,
+                              FORMULA_EQUIVALENCE_TOL, _check_entry, _entry)
 
 
 def test_draws_respect_region_and_margins():
@@ -76,3 +84,114 @@ def test_random_suite_consistent_and_deterministic():
     assert a["first_violation"] is None
     c = run_random_suite(16, seed=124)
     assert c != a
+
+
+# ------------------------------------------- reference: one S call per use
+
+
+def _ref_quadratic(e):
+    g = metric(e.metric)
+    j = p_xi(e.metric.xi)
+    worst = 0.0
+    for b0, b1 in ((e.beta0, e.beta1), (0.5 - e.beta0, -e.beta1)):
+        eigs = hermitian_eigenvalues(b0 * g + b1 * j)
+        mid = b0 * math.cosh(e.metric.chi)
+        rad = math.sqrt(max((b0 * math.sinh(e.metric.chi)) ** 2 + b1 * b1, 0.0))
+        worst = max(worst, abs(eigs[0] - (mid - rad)), abs(eigs[1] - (mid + rad)))
+    return worst
+
+
+def reference_parameter_suite(e, tol=1e-10, interior=None, boundary=None):
+    """The suite as an explicit pass over the grid, calling s_matrix again at
+    every interior point after property_report."""
+    interior = list(interior) if interior is not None else lower_half_plane_grid()
+    boundary = list(boundary) if boundary is not None else real_axis_points()
+    t = t_from_betas(e)
+    cls = classify_nonnegative(e, tol)
+    metric_ok = check_metric_inequality(t, e.metric, tol)
+    report = property_report(t, e.metric, interior, boundary, tol=tol)
+    recovery, spread = mobius_round_trip_residuals(t)
+    feq = 0.0
+    worst_cond = 1.0
+    max_norm = 0.0
+    for z in interior:
+        ev = s_matrix(t, z)
+        feq = max(feq, operator_norm(s_matrix_zero_range(e, z).s - ev.s))
+        worst_cond = max(worst_cond, ev.condition_number)
+        max_norm = max(max_norm, operator_norm(ev.s))
+    feq_tol = max(FORMULA_EQUIVALENCE_TOL, FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
+    quad = _ref_quadratic(e)
+    checks = {
+        "condition_a": _check_entry(report.cond_a, metric_ok),
+        "condition_b": _check_entry(report.cond_b, True),
+        "condition_c": _check_entry(report.cond_c, True),
+        "condition_d": _check_entry(report.cond_d, True),
+        "pt_criterion": _check_entry(report.pt_criterion, is_pt_symmetric(t, tol)),
+        "mobius_round_trip": _entry(recovery <= tol, recovery),
+        "z_independence": _entry(spread <= tol, spread),
+        "formula_equivalence": _entry(feq <= feq_tol, feq, tolerance=float(feq_tol)),
+        "quadratic_eigenvalues": _entry(quad <= tol, quad),
+        "oracle_agreement": _entry(cls.closed_form_verdict == cls.oracle_verdict, 0.0),
+    }
+    if e.beta1 == 0.0:
+        checks["contraction_bound"] = _entry(max_norm <= 1.0 + CONTRACTION_SLACK,
+                                             max(0.0, max_norm - 1.0))
+    return {
+        "params": {"beta0": float(e.beta0), "beta1": float(e.beta1),
+                   "chi": float(e.metric.chi), "xi": float(e.metric.xi)},
+        "classification": {
+            "nonnegative": bool(cls.nonnegative),
+            "closed_form_verdict": bool(cls.closed_form_verdict),
+            "oracle_verdict": bool(cls.oracle_verdict),
+            "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
+            "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper],
+        },
+        "metric_inequality": bool(metric_ok),
+        "standard_norm_max": float(max_norm),
+        "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
+        "checks": checks,
+        "consistent": all(entry["consistent"] for entry in checks.values()),
+    }
+
+
+def _suite_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return ("singular", str(exc))
+
+
+def test_parameter_suite_matches_grid_loop_reference():
+    rng = np.random.default_rng(52)
+    # not reflection symmetric: no point's reflection is on this grid
+    skew = [complex(x, y) for x, y in zip(rng.uniform(-3, 3, 15),
+                                          rng.uniform(-3, -0.1, 15))]
+    bnd = [1.5, -0.25, 0.0]
+    draws = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(80)]
+    # out-of-region draw whose denominator nearly vanishes at a grid point
+    draws.append(extension_params(-0.24876168095150114, -0.0012823971079812813,
+                                  chi=-1.4354489678740707, xi=2.929887110558113))
+    for e in draws:
+        for args in ((1e-10,), (1e-10, skew, bnd)):
+            assert (_suite_outcome(run_parameter_suite, e, *args)
+                    == _suite_outcome(reference_parameter_suite, e, *args))
+
+
+def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
+    import ptscatter.scattering as scattering
+    import ptscatter.verify as verify
+    calls = []
+    original = scattering.s_matrix
+
+    def counting(t, z, *args, **kwargs):
+        calls.append(complex(z))
+        return original(t, z, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "s_matrix", counting)
+    monkeypatch.setattr(verify, "s_matrix", counting)
+    run_parameter_suite(extension_params(0.2, 0.1, chi=0.5, xi=0.3))
+    # 58 points of the property report and the Mobius witnesses -1j, -2j,
+    # 1-1j and -0.5-0.3j, of which only 1-1j is evaluated twice
+    assert len(calls) == 62
+    assert len(set(calls)) == 61
+    assert calls.count(1 - 1j) == 2
