@@ -10,7 +10,12 @@ sweep     --beta0 ... grid flags            S(z) over a z-grid, CSV or JSON
 verify    --beta0 ... | --random N --seed S full property suite, JSON
 
 Exit codes: 0 success, 2 usage or configuration error, 3 internal verdict
-disagreement, 4 every sweep point singular, 5 property violation.
+disagreement, 4 every sweep point singular, 5 property violation.  Each input
+is validated by the library function it enters; exit 2 prints one
+``error: <message>`` line on stderr and nothing on stdout.  The only
+exceptions are argparse's own usage errors (an unknown flag, a non-numeric
+value, a missing required flag, and a verify run with neither --random nor
+--beta0/--beta1), which print argparse's usage message instead.
 
 CSV schema (fixed):
 z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,s22_re,s22_im,std_norm,metric_defect
@@ -26,13 +31,14 @@ import argparse
 import ast
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
-from .matrix2 import operator_norm
+from .matrix2 import as_matrix, operator_norm
 from .scattering import _metric_defect, lower_half_plane_grid, s_matrix_zero_range
 from .symmetry import symmetry_report
 from .verify import _pair, run_parameter_suite, run_random_suite
@@ -67,13 +73,9 @@ def _parse_matrix(text: str) -> np.ndarray:
     """Parse a Python-style 2x2 literal such as [[1,0],[0,-1]] or
     [[0,1j],[1j,0]]."""
     try:
-        raw = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+        return as_matrix(ast.literal_eval(text))
+    except (ValueError, SyntaxError, TypeError) as exc:
         raise ArgumentError(f"cannot parse matrix literal: {exc}") from exc
-    arr = np.asarray(raw, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ArgumentError(f"matrix literal must be 2x2, got shape {arr.shape}")
-    return arr
 
 
 def _add_param_flags(parser: argparse.ArgumentParser):
@@ -89,11 +91,7 @@ def _add_common_flags(parser: argparse.ArgumentParser):
 
 
 def cmd_decompose(args) -> int:
-    try:
-        m = _parse_matrix(args.matrix)
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m = _parse_matrix(args.matrix)
     coeffs = pauli_decompose(m)
     rep = symmetry_report(m, args.tolerance)
     out = {
@@ -136,6 +134,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+_NAN_S = np.full((2, 2), complex(np.nan, np.nan))
+
+
 def _sweep_rows(e, zs):
     """One record per grid point; singular points carry NaNs and a flag."""
     g = metric(e.metric)
@@ -146,7 +147,7 @@ def _sweep_rows(e, zs):
             ev = s_matrix_zero_range(e, z)
         except SingularMatrixError:
             singular += 1
-            rows.append({"z": complex(z), "singular": True, "s": None,
+            rows.append({"z": complex(z), "singular": True, "s": _NAN_S,
                          "std_norm": float("nan"), "metric_defect": float("nan")})
             continue
         rows.append({"z": complex(z), "singular": False, "s": ev.s,
@@ -157,15 +158,9 @@ def _sweep_rows(e, zs):
 def _rows_to_csv(rows, singular: int) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        z = r["z"]
-        if r["singular"]:
-            cells = [_fmt(z.real), _fmt(z.imag)] + ["nan"] * 10
-        else:
-            s = r["s"]
-            cells = [_fmt(z.real), _fmt(z.imag)]
-            for entry in (s[0, 0], s[0, 1], s[1, 0], s[1, 1]):
-                cells += [_fmt(entry.real), _fmt(entry.imag)]
-            cells += [_fmt(r["std_norm"]), _fmt(r["metric_defect"])]
+        values = [r["z"]] + list(r["s"].ravel())
+        cells = [_fmt(x) for v in values for x in (v.real, v.imag)]
+        cells += [_fmt(r["std_norm"]), _fmt(r["metric_defect"])]
         lines.append(",".join(cells))
     lines.append(f"# singular_points: {singular}/{len(rows)}")
     return "\n".join(lines) + "\n"
@@ -200,22 +195,14 @@ def _run_points(args, zs, config) -> int:
     return EXIT_OK
 
 
-def cmd_smatrix(parser, args) -> int:
-    if args.z_im > 0:
-        parser.error("--z-im must be <= 0 (closed lower half-plane)")
+def cmd_smatrix(args) -> int:
     config = {"command": "smatrix", "beta0": args.beta0, "beta1": args.beta1,
               "chi": args.chi, "xi": args.xi, "z": [args.z_re, args.z_im],
               "tolerance": args.tolerance}
     return _run_points(args, [complex(args.z_re, args.z_im)], config)
 
 
-def cmd_sweep(parser, args) -> int:
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
-    if args.im_max > 0:
-        parser.error("--im-max must be <= 0 (closed lower half-plane)")
-    if args.re_min > args.re_max or args.im_min > args.im_max:
-        parser.error("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
+def cmd_sweep(args) -> int:
     zs = lower_half_plane_grid(args.re_min, args.re_max, args.im_min, args.im_max,
                                args.steps)
     config = {"command": "sweep", "beta0": args.beta0, "beta1": args.beta1,
@@ -229,8 +216,6 @@ def cmd_sweep(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     if args.random is not None:
-        if args.random < 1:
-            parser.error("--random must be >= 1")
         report = run_random_suite(args.random, args.seed, args.tolerance)
         config = {"command": "verify", "random": args.random, "seed": args.seed,
                   "tolerance": args.tolerance}
@@ -265,10 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Pauli coefficients and symmetry report for a matrix literal")
     p_dec.add_argument("matrix", help="2x2 literal, e.g. '[[1,0],[0,-1]]' (use 1j for i)")
     _add_common_flags(p_dec)
+    p_dec.set_defaults(func=cmd_decompose)
 
     p_cls = sub.add_parser("classify", help="nonnegative-spectrum classification")
     _add_param_flags(p_cls)
     _add_common_flags(p_cls)
+    p_cls.set_defaults(func=cmd_classify)
 
     p_sm = sub.add_parser("smatrix", help="evaluate S(z) at one point")
     _add_param_flags(p_sm)
@@ -276,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sm.add_argument("--z-im", type=float, required=True)
     p_sm.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common_flags(p_sm)
+    p_sm.set_defaults(func=cmd_smatrix)
 
     p_sw = sub.add_parser("sweep", help="evaluate S(z) over a grid")
     _add_param_flags(p_sw)
@@ -286,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--steps", type=int, default=7)
     p_sw.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common_flags(p_sw)
+    p_sw.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the full property suite")
     p_ver.add_argument("--beta0", type=float, default=None)
@@ -296,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run N seeded random draws instead of explicit parameters")
     p_ver.add_argument("--seed", type=int, default=0)
     _add_common_flags(p_ver)
+    p_ver.set_defaults(func=partial(cmd_verify, parser))
 
     return parser
 
@@ -305,20 +295,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_tol(args.tolerance)
-        if args.command == "decompose":
-            return cmd_decompose(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "smatrix":
-            return cmd_smatrix(parser, args)
-        if args.command == "sweep":
-            return cmd_sweep(parser, args)
-        if args.command == "verify":
-            return cmd_verify(parser, args)
+        # overflow at large |chi| already ends as a flagged singular row or
+        # an error line; numpy's warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ArgumentError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

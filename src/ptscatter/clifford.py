@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, _check_tol,
                      _finite_complex, _finite_real)
-from .matrix2 import as_matrix, operator_norm
+from .matrix2 import _finite_array, as_matrix, operator_norm
 
 DEFAULT_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
@@ -98,12 +98,7 @@ def pauli_compose(coeffs, xi: float = 0.0) -> np.ndarray:
     if isinstance(coeffs, PauliCoefficients):
         a0, a1, a2, a3 = coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
     else:
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.shape != (4,):
-            raise ArgumentError(f"expected 4 coefficients, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ArgumentError("coefficients must be finite")
-        a0, a1, a2, a3 = arr
+        a0, a1, a2, a3 = _finite_array(coeffs, (4,), "coefficient vector")
     j = p_xi(xi)
     return a0 * SIGMA0 + a1 * j + a2 * SIGMA1 + a3 * (1j * (SIGMA1 @ j))
 

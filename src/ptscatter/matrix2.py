@@ -15,23 +15,23 @@ import numpy as np
 from .errors import ArgumentError, SingularMatrixError, _check_tol
 
 
+def _finite_array(x, shape, name) -> np.ndarray:
+    """Coerce to a complex ndarray of the given shape with finite entries."""
+    a = np.asarray(x, dtype=complex)
+    if a.shape != shape:
+        raise ArgumentError(f"expected a {name} of shape {shape}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError(f"{name} entries must be finite")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2x2 complex ndarray."""
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ArgumentError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("matrix entries must be finite")
-    return a
+    return _finite_array(m, (2, 2), "matrix")
 
 
 def as_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=complex)
-    if a.shape != (2,):
-        raise ArgumentError(f"expected a length-2 vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("vector entries must be finite")
-    return a
+    return _finite_array(v, (2,), "vector")
 
 
 def _det(a) -> complex:

@@ -43,7 +43,7 @@ from functools import cache, partial
 import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA3, KreinMetricParams,
-                       exp_involution, metric, p_xi)
+                       metric, p_xi)
 from .errors import ArgumentError, _check_tol, _finite_complex
 from .extensions import ExtensionParams
 from .matrix2 import _adjugate, as_matrix, hermitian_eigenvalues, operator_norm
@@ -118,7 +118,7 @@ def s_matrix_zero_range(e: ExtensionParams, z,
     """Evaluate S(z) from (beta0, beta1, chi, xi) without assembling T.
 
     Numerator and denominator are built directly from P_xi and the
-    hyperbolic factor e^{chi i R P_xi}:
+    hyperbolic factor e^{chi i R P_xi} = cosh(chi) I + sinh(chi) i R P_xi:
 
         [1 - 2(1+iz) beta0] P_xi - [2(1+iz) beta1] e^{chi i R P_xi}
 
@@ -128,7 +128,8 @@ def s_matrix_zero_range(e: ExtensionParams, z,
     """
     zz = _spectral_point(z)
     sx = p_xi(e.metric.xi)
-    hyp = exp_involution(e.metric.chi, 1j * (SIGMA1 @ sx))
+    chi = e.metric.chi
+    hyp = math.cosh(chi) * SIGMA0 + math.sinh(chi) * (1j * (SIGMA1 @ sx))
     ap = 2.0 * (1.0 + 1j * zz)
     am = 2.0 * (1.0 - 1j * zz)
     num = (1.0 - ap * e.beta0) * sx - (ap * e.beta1) * hyp
@@ -271,12 +272,14 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
                           im_min: float = -3.0, im_max: float = -0.1,
                           steps: int = 7) -> list[complex]:
     """steps x steps points, row-major: imaginary part outer (ascending),
-    real part inner (ascending).  The defaults give the standard 49-point
-    grid used by the verification suites."""
+    real part inner (ascending); reversed bounds raise :class:`ArgumentError`.
+    The defaults give the standard 49-point grid of the verification suites."""
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
     if im_max > 0:
         raise ArgumentError("grid must stay in the closed lower half-plane")
+    if re_min > re_max or im_min > im_max:
+        raise ArgumentError("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
     res = np.linspace(re_min, re_max, steps)
     ims = np.linspace(im_min, im_max, steps)
     return [complex(x, y) for y in ims for x in res]

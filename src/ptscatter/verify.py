@@ -211,6 +211,8 @@ def run_random_suite(n: int, seed: int, tol: float = DEFAULT_TOL) -> dict:
     deliberately out-of-region for odd i."""
     if n < 1:
         raise ArgumentError("n must be >= 1")
+    if seed < 0:
+        raise ArgumentError("seed must be >= 0")
     _check_tol(tol)
     rng = np.random.default_rng(seed)
     results = []

@@ -1,6 +1,10 @@
 """Exit codes, output schemas and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,10 +111,12 @@ def test_smatrix_point_query(capsys):
     assert lines[-1].startswith("# singular_points: 0/1")
 
 
-def test_smatrix_rejects_upper_half_plane():
-    with pytest.raises(SystemExit) as info:
-        cli.main(["smatrix", "--beta0", "0", "--beta1", "0", "--z-im", "0.5"])
-    assert info.value.code == 2
+def test_smatrix_rejects_upper_half_plane(capsys):
+    code, out, err = run(capsys, ["smatrix", "--beta0", "0", "--beta1", "0",
+                                  "--z-im", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_sweep_identity_rows(capsys):
@@ -142,13 +148,14 @@ def test_sweep_json_format(capsys):
     assert {"z", "singular", "s11", "std_norm", "metric_defect"} <= set(rep["records"][0])
 
 
-def test_sweep_rejects_bad_grid():
-    with pytest.raises(SystemExit) as info:
-        cli.main(["sweep", "--beta0", "0", "--beta1", "0", "--im-max", "0.5"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["sweep", "--beta0", "0", "--beta1", "0", "--steps", "0"])
-    assert info.value.code == 2
+def test_sweep_rejects_bad_grid(capsys):
+    for grid in (["--im-max", "0.5"], ["--steps", "0"],
+                 ["--re-min", "3", "--re-max", "-3"],
+                 ["--im-min", "-0.1", "--im-max", "-3"]):
+        code, out, err = run(capsys, ["sweep", "--beta0", "0", "--beta1", "0"] + grid)
+        assert code == 2, grid
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_sweep_all_singular_exits_4(capsys):
@@ -279,3 +286,46 @@ def test_bad_tolerance_exits_2_on_every_subcommand(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert err == "error: tol must be positive\n"
+
+
+# ---------------------------------------------------------------- bad input
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--beta0", "0", "--beta1", "0", "--z-im", "0.5"],
+    ["sweep", "--beta0", "0", "--beta1", "0", "--steps", "0"],
+    ["sweep", "--beta0", "0", "--beta1", "0", "--im-max", "0.5"],
+    ["sweep", "--beta0", "0", "--beta1", "0", "--re-min", "3", "--re-max", "-3"],
+    ["verify", "--random", "0"],
+    ["verify", "--random", "1", "--seed", "-1"],
+    ["decompose", "1"],
+    ["decompose", "[[1,0],[0,'a']]"],
+    ["decompose", "{1: 2}"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_prints_one_error_line(capsys, argv):
+    # each input is rejected by the library function it enters
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter, so numpy warnings reach real stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "ptscatter"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_overflowing_chi_sweep_writes_only_its_error_line():
+    proc = run_process(["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "400",
+                        "--steps", "2"])
+    assert proc.returncode == 4
+    assert proc.stderr == "error: every grid point had a singular denominator\n"
+
+
+def test_overflowing_chi_verify_writes_only_its_error_line():
+    proc = run_process(["verify", "--beta0", "0.2", "--beta1", "0.1", "--chi", "700"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

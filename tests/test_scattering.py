@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from ptscatter import (SIGMA0, SIGMA1, SIGMA2, SIGMA3, ArgumentError,
-                       KreinMetricParams, PropertyCheck, PropertyReport,
+from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
+                       ArgumentError, KreinMetricParams, PropertyCheck,
+                       PropertyReport, ScatteringEvaluation,
                        SingularMatrixError, check_condition_a,
                        check_condition_b, check_condition_c,
-                       check_condition_d, check_pt_criterion,
+                       check_condition_d, check_pt_criterion, exp_involution,
                        extension_params, hermitian_eigenvalues, inverse,
                        lower_half_plane_grid, metric, operator_norm, p_xi,
                        pauli_compose, property_report, real_axis_points,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
+from ptscatter.scattering import _quotient, _spectral_point
 from ptscatter.verify import WITNESS_POINTS, draw_extension_params
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +83,54 @@ def test_zero_range_matches_generic_formula():
             ev = s_matrix(t, z)
             res = norm(s_matrix_zero_range(e, z).s - ev.s)
             assert res <= 1e-10 * max(1.0, ev.condition_number)
+
+
+# The zero-range route as first written, kept as the reference: the
+# hyperbolic factor comes from exp_involution, which re-checks that
+# i R P_xi squares to I at every point.
+
+def reference_s_matrix_zero_range(e, z):
+    zz = _spectral_point(z)
+    sx = p_xi(e.metric.xi)
+    hyp = exp_involution(e.metric.chi, 1j * (SIGMA1 @ sx))
+    ap = 2.0 * (1.0 + 1j * zz)
+    am = 2.0 * (1.0 - 1j * zz)
+    num = (1.0 - ap * e.beta0) * sx - (ap * e.beta1) * hyp
+    den = (1.0 - am * e.beta0) * sx - (am * e.beta1) * hyp
+    s, cond = _quotient(num, den, zz, DEFAULT_CONDITION_LIMIT)
+    return ScatteringEvaluation(z=zz, s=s, condition_number=cond)
+
+
+def outcome(route, e, z):
+    try:
+        return route(e, z)
+    except SingularMatrixError as exc:
+        return (str(exc), exc.z)
+
+
+def test_zero_range_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(42)
+    params = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(200)]
+    params += [extension_params(p.beta0, p.beta1, chi, p.metric.xi)
+               for chi in (0.0, -0.0, 6.0, -6.0, 20.0, -20.0) for p in params[:10]]
+    # beta1 = +-0 gives S exact zero entries, whose signs must agree too
+    params += [extension_params(0.25, beta1, chi, xi) for beta1 in (0.0, -0.0)
+               for chi in (0.0, -0.0) for xi in (0.0, math.pi)]
+    singular = 0
+    for e in params:
+        for z in GRID + REAL_AXIS:
+            got = outcome(s_matrix_zero_range, e, z)
+            want = outcome(reference_s_matrix_zero_range, e, z)
+            if isinstance(want, tuple):
+                singular += 1
+                assert got == want
+                continue
+            assert np.array_equal(got.s, want.s)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got.s)), np.signbit(part(want.s)))
+            assert got.condition_number == want.condition_number
+            assert got.z == want.z
+    assert singular > 0   # chi = +-20 pushes the denominator past the limit
 
 
 def test_numerator_and_denominator_commute():
@@ -251,6 +301,10 @@ def test_grid_shapes_and_order():
         lower_half_plane_grid(im_max=0.5)
     with pytest.raises(ArgumentError):
         lower_half_plane_grid(steps=0)
+    with pytest.raises(ArgumentError):
+        lower_half_plane_grid(re_min=3.0, re_max=-3.0)
+    with pytest.raises(ArgumentError):
+        lower_half_plane_grid(im_min=-0.1, im_max=-3.0)
 
 
 # ---------------------------------------------------------------- report vs per-point loops
