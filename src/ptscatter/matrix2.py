@@ -4,6 +4,14 @@ Every norm, inverse and eigenvalue used in this package reduces to an exact
 2x2 formula (trace/determinant discriminants), so nothing here calls an
 iterative LAPACK routine.  That keeps all tolerance checks deterministic and
 platform independent.
+
+The underscored stack forms (``_det_conditions``, ``_adjugates``,
+``_operator_norms``, ``_hermitian_lows``) apply the same formulas to arrays of
+shape (N, 2, 2) and reproduce the one-matrix results bit for bit: products of
+complex entries are formed from real parts (numpy's complex array multiply
+may fuse them, the scalar one does not), moduli come from ``np.hypot`` like
+Python's ``abs``, and the four-entry sums add in the order ``np.sum`` uses on
+one 2x2 matrix.
 """
 
 from __future__ import annotations
@@ -46,9 +54,33 @@ def operator_norm(m) -> float:
     """Largest singular value, from the eigenvalues of m* m."""
     a = as_matrix(m)
     t = float(np.sum(np.abs(a) ** 2))  # tr(m* m)
-    d = abs(det(a)) ** 2               # det(m* m)
-    disc = max(t * t / 4.0 - d, 0.0)
+    absd = abs(det(a))                 # det(m* m) = absd * absd
+    disc = max(t * t / 4.0 - absd * absd, 0.0)
     return float(np.sqrt(t / 2.0 + np.sqrt(disc)))
+
+
+def _sum4(x) -> np.ndarray:
+    """Entry sums of a stack of 2x2 real arrays, added left to right."""
+    return ((x[:, 0, 0] + x[:, 0, 1]) + x[:, 1, 0]) + x[:, 1, 1]
+
+
+def _clip0(x) -> np.ndarray:
+    """max(x, 0.0) elementwise, NaN and -0.0 kept as Python's max keeps them."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def _det_parts(a) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the determinants of a stack of 2x2 arrays."""
+    p, q, r, s = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    return ((p.real * s.real - p.imag * s.imag) - (q.real * r.real - q.imag * r.imag),
+            (p.real * s.imag + p.imag * s.real) - (q.real * r.imag + q.imag * r.real))
+
+
+def _operator_norms(a) -> np.ndarray:
+    """operator_norm of each matrix of a stack (N, 2, 2)."""
+    t = _sum4(np.abs(a) ** 2)
+    absd = np.hypot(*_det_parts(a))
+    return np.sqrt(t / 2.0 + np.sqrt(_clip0(t * t / 4.0 - absd * absd)))
 
 
 def _det_condition(a) -> tuple[complex, float]:
@@ -68,19 +100,51 @@ def _det_condition(a) -> tuple[complex, float]:
     return d, cond if cond < math.inf else math.inf
 
 
-def _adjugate(a, condition_limit, z=None, name="matrix"):
-    """(adjugate, determinant, condition number) of a 2x2 array; raises
-    :class:`SingularMatrixError` carrying ``z`` when a is singular or its
-    condition number exceeds ``condition_limit`` (None: no limit)."""
-    d, cond = _det_condition(a)
+def _det_conditions(a) -> tuple[np.ndarray, np.ndarray]:
+    """_det_condition of each matrix of a stack (N, 2, 2): complex
+    determinants and condition numbers (inf when singular or overflowed).
+    Callers run it under ``np.errstate``: singular rows divide by zero."""
+    re, im = _det_parts(a)
+    absd = np.hypot(re, im)
+    frob = _sum4(a.real ** 2 + a.imag ** 2)
+    cond = (frob / 2.0 + np.sqrt(_clip0(frob * frob / 4.0 - absd * absd))) / absd
+    cond = np.where(1.0 > cond, 1.0, cond)
+    d = np.empty(len(a), dtype=complex)
+    d.real, d.imag = re, im
+    return d, np.where((cond < math.inf) & (absd != 0.0), cond, math.inf)
+
+
+def _singular_error(cond, condition_limit, z=None, name="matrix"):
+    """The :class:`SingularMatrixError` for a condition number that is inf or
+    exceeds ``condition_limit`` (None: no limit), carrying ``z``; else None."""
     if cond == math.inf:
         problem = "is singular"
     elif condition_limit is not None and cond > condition_limit:
         problem = f"condition number {cond:.3e} exceeds {condition_limit:g}"
     else:
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]), d, cond
+        return None
     at = "" if z is None else f" at z = {z}"
-    raise SingularMatrixError(f"{name} {problem}{at}", z=z)
+    return SingularMatrixError(f"{name} {problem}{at}", z=z)
+
+
+def _adjugate(a, condition_limit, z=None, name="matrix"):
+    """(adjugate, determinant, condition number) of a 2x2 array; raises
+    :class:`SingularMatrixError` carrying ``z`` when a is singular or its
+    condition number exceeds ``condition_limit`` (None: no limit)."""
+    d, cond = _det_condition(a)
+    err = _singular_error(cond, condition_limit, z, name)
+    if err is not None:
+        raise err
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]), d, cond
+
+
+def _adjugates(a) -> np.ndarray:
+    """The adjugate of each matrix of a stack (N, 2, 2), C-contiguous like the
+    one _adjugate builds."""
+    adj = np.empty_like(a)
+    adj[:, 0, 0], adj[:, 0, 1] = a[:, 1, 1], -a[:, 0, 1]
+    adj[:, 1, 0], adj[:, 1, 1] = -a[:, 1, 0], a[:, 0, 0]
+    return adj
 
 
 def condition_number(m) -> float:
@@ -118,3 +182,9 @@ def hermitian_eigenvalues(m) -> tuple[float, float]:
     mid = (p + q) / 2.0
     rad = float(np.hypot((p - q) / 2.0, abs(a[0, 1])))
     return (float(mid - rad), float(mid + rad))
+
+
+def _hermitian_lows(m) -> np.ndarray:
+    """hermitian_eigenvalues(m)[0] for each matrix of a stack (N, 2, 2)."""
+    p, q, off = m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1]
+    return (p + q) / 2.0 - np.hypot((p - q) / 2.0, np.hypot(off.real, off.imag))

@@ -29,16 +29,32 @@ plus the antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z), which
 holds exactly when T is PT-symmetric.
 
 Each condition is one residual expression in S (larger is worse).  The checks
-read S from a per-call table that evaluates s_matrix once per distinct point,
-reflections -conj z included, and one reducer picks the worst residual over
+read S from a per-call table, and one reducer picks the worst residual over
 the sampled points together with the first point attaining it.
+
+Every evaluation of S at many points goes through one private kernel,
+``_s_batch``: it takes the numerator and denominator stacks of N points
+(built by ``_terms`` from T or by ``_zero_range_terms`` from the parameters)
+and returns S (N, 2, 2), the denominators' condition numbers and a singular
+mask, with singular rows set to NaN instead of raising.  Its determinant,
+condition estimate and adjugate are the stack forms of the ones in matrix2,
+so each row equals the one-point s_matrix / s_matrix_zero_range bit for bit.
+The one-point functions stay scalar: for a single point the batched path is
+1.7-2.6 times slower.
+
+A table (``_s_table``, ``_zero_range_table``) is given its points up front,
+reflections -conj z included where a check needs them, and fills from one
+kernel call at its first lookup.  Lookups stay lazy: a singular point raises
+the same :class:`SingularMatrixError` as the one-point route, when and where
+that point is looked up, and each check validates its points before looking
+them up, so invalid input fails in the same order as a per-point loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +62,9 @@ from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA3, KreinMetricParams,
                        metric, p_xi)
 from .errors import ArgumentError, _check_tol, _finite_complex
 from .extensions import ExtensionParams
-from .matrix2 import _adjugate, as_matrix, hermitian_eigenvalues, operator_norm
+from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
+                      _singular_error, as_matrix, hermitian_eigenvalues,
+                      operator_norm)
 
 DEFAULT_CONDITION_LIMIT = 1e12
 
@@ -127,15 +145,25 @@ def s_matrix_zero_range(e: ExtensionParams, z,
     well conditioned.
     """
     zz = _spectral_point(z)
+    sx, hyp = _zero_range_basis(e)
+    c0, c1, c2, c3 = _zero_range_coefficients(e, zz)
+    s, cond = _quotient(c0 * sx - c1 * hyp, c2 * sx - c3 * hyp, zz, condition_limit)
+    return ScatteringEvaluation(z=zz, s=s, condition_number=cond)
+
+
+def _zero_range_basis(e: ExtensionParams):
+    """P_xi and e^{chi i R P_xi} = cosh(chi) I + sinh(chi) i R P_xi."""
     sx = p_xi(e.metric.xi)
     chi = e.metric.chi
-    hyp = math.cosh(chi) * SIGMA0 + math.sinh(chi) * (1j * (SIGMA1 @ sx))
-    ap = 2.0 * (1.0 + 1j * zz)
-    am = 2.0 * (1.0 - 1j * zz)
-    num = (1.0 - ap * e.beta0) * sx - (ap * e.beta1) * hyp
-    den = (1.0 - am * e.beta0) * sx - (am * e.beta1) * hyp
-    s, cond = _quotient(num, den, zz, condition_limit)
-    return ScatteringEvaluation(z=zz, s=s, condition_number=cond)
+    return sx, math.cosh(chi) * SIGMA0 + math.sinh(chi) * (1j * (SIGMA1 @ sx))
+
+
+def _zero_range_coefficients(e: ExtensionParams, z):
+    """(c0, c1, c2, c3) with numerator c0 P_xi - c1 e^{chi i R P_xi} and
+    denominator c2 P_xi - c3 e^{chi i R P_xi} at the validated point z."""
+    ap = 2.0 * (1.0 + 1j * z)
+    am = 2.0 * (1.0 - 1j * z)
+    return 1.0 - ap * e.beta0, ap * e.beta1, 1.0 - am * e.beta0, am * e.beta1
 
 
 def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarray:
@@ -153,10 +181,75 @@ def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarr
     return t
 
 
-def _s_table(t):
-    """z -> s_matrix(t, z), evaluated once per distinct z; points equal as
-    complex numbers (0.0 and -0.0 parts) share one entry."""
-    return cache(lambda z: s_matrix(t, z))
+@np.errstate(all="ignore")
+def _s_batch(num, den):
+    """(S, cond, singular) for stacks num, den of shape (N, 2, 2):
+    S = num @ den^{-1} row by row, the denominators' condition numbers and a
+    mask of the rows past DEFAULT_CONDITION_LIMIT, whose S is NaN.  Each row
+    equals _quotient(num[i], den[i], z, DEFAULT_CONDITION_LIMIT) bit for bit."""
+    d, cond = _det_conditions(den)
+    singular = cond > DEFAULT_CONDITION_LIMIT
+    s = num @ _adjugates(den) / d[:, None, None]
+    s[singular] = complex(math.nan, math.nan)
+    return s, cond, singular
+
+
+def _terms(t, zs):
+    """Numerator and denominator stacks of s_matrix(t, z) over the validated
+    points zs; the per-point factors are the same Python complex arithmetic."""
+    a = as_matrix(t)
+    ap = np.array([2.0 * (1.0 + 1j * z) for z in zs])[:, None, None]
+    am = np.array([2.0 * (1.0 - 1j * z) for z in zs])[:, None, None]
+    return SIGMA0 - ap * a, SIGMA0 - am * a
+
+
+def _zero_range_terms(e: ExtensionParams, zs):
+    """Numerator and denominator stacks of s_matrix_zero_range(e, z) over the
+    validated points zs."""
+    sx, hyp = _zero_range_basis(e)
+    c = np.array([_zero_range_coefficients(e, z) for z in zs]).T[:, :, None, None]
+    return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
+
+
+def _table(terms, zs, reflected=()):
+    """z -> ScatteringEvaluation over the valid points of zs and of reflected,
+    the latter with their reflections -conj z; invalid points are left to
+    the validation of the caller.  S at every distinct point comes from one
+    kernel call on terms(points), made at the first lookup; a singular point
+    raises at each lookup, naming the looked-up z."""
+    points = {}
+    for group, reflect in ((zs, False), (reflected, True)):
+        for z in group:
+            try:
+                zz = _spectral_point(z)
+            except (TypeError, ValueError):
+                continue
+            points.setdefault(zz, len(points))
+            if reflect:
+                points.setdefault(-zz.conjugate(), len(points))
+    rows = []
+
+    def lookup(z):
+        if not rows:
+            s, cond, singular = _s_batch(*terms(list(points)))
+            rows.extend(zip(map(ScatteringEvaluation, points, s, cond.tolist()),
+                            singular.tolist()))
+        ev, singular = rows[points[z]]
+        if singular:
+            raise _singular_error(ev.condition_number, DEFAULT_CONDITION_LIMIT, z,
+                                  "denominator")
+        return ev
+    return lookup
+
+
+def _s_table(t, zs=(), reflected=()):
+    """The table of s_matrix(t, z); t is validated at the first lookup."""
+    return _table(partial(_terms, t), zs, reflected)
+
+
+def _zero_range_table(e: ExtensionParams, zs):
+    """The table of s_matrix_zero_range(e, z)."""
+    return _table(partial(_zero_range_terms, e), zs)
 
 
 def _worst(points, residual):
@@ -186,6 +279,11 @@ def _off_axis(z) -> complex:
 def _metric_defect(g, s) -> float:
     """Lowest eigenvalue of G - S* G S (negative where (a) fails)."""
     return hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
+
+
+def _metric_defects(g, s) -> np.ndarray:
+    """_metric_defect of each S of a stack (N, 2, 2)."""
+    return _hermitian_lows(g - s.conj().swapaxes(1, 2) @ g @ s)
 
 
 # One function per condition, holding its residual expression (larger is
@@ -227,13 +325,15 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     the witness is the point that produced it.
     """
     _check_tol(tol)
-    return _cond_a(_s_table(t), metric(p), zs, tol)
+    zs = list(zs)
+    return _cond_a(_s_table(t, zs), metric(p), zs, tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
-    return _cond_reflection(_s_table(t), metric(p), zs, tol)
+    zs = list(zs)
+    return _cond_reflection(_s_table(t, reflected=zs), metric(p), zs, tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -242,21 +342,22 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     Requires Re z != 0 and Im z < 0.
     """
     _check_tol(tol)
-    return _cond_c(_s_table(t), metric(p), [z], tol)
+    return _cond_c(_s_table(t, [z]), metric(p), [z], tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
     _check_tol(tol)
-    return _cond_reflection(_s_table(t), p_xi(xi), [z], tol)
+    return _cond_reflection(_s_table(t, reflected=[z]), p_xi(xi), [z], tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
-    return _cond_pt(_s_table(t), zs, tol)
+    zs = list(zs)
+    return _cond_pt(_s_table(t, reflected=zs), zs, tol)
 
 
 def _max_norm(s_of, zs) -> float:
@@ -265,7 +366,8 @@ def _max_norm(s_of, zs) -> float:
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    return _max_norm(_s_table(t), zs)
+    zs = list(zs)
+    return _max_norm(_s_table(t, zs), zs)
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -302,12 +404,15 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     conditions (c) and (d) are evaluated at the fixed ``witness`` and, for
     stronger evidence, at every admissible grid point, keeping the worst
     residual.  S is evaluated once per distinct point of
-    interior | boundary | {witness} and of its reflection -conj z, from one
-    table shared by all five checks; each condition's worst residual and
-    witness come from the one reducer the single checks use.
+    interior | boundary | {witness} and of its reflection -conj z, in one
+    batched call, into a table shared by all five checks; each condition's
+    worst residual and witness come from the one reducer the single checks
+    use.
     """
     _check_tol(tol)
-    return _report(_s_table(t), p, *_grids(interior, boundary), witness, tol)
+    interior, boundary = _grids(interior, boundary)
+    s_of = _s_table(t, reflected=interior + boundary + [witness])
+    return _report(s_of, p, interior, boundary, witness, tol)
 
 
 def _grids(interior, boundary) -> tuple[list, list]:

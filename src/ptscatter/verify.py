@@ -18,16 +18,17 @@ with its theory-expected outcome:
     as a violation (the failure set depends on (chi, xi) and need not meet a
     finite grid).
 
-Every S(z) a draw needs comes from one table that calls s_matrix once per
-distinct point; only the Mobius round trip evaluates S itself, at its own
-witness points.  A suite is *consistent* when every actual outcome equals
-its expected one; the random driver reports the first inconsistent draw in
-replayable form.
+Every S(z) a draw needs, the Mobius witness points included, comes from one
+table filled by one batched evaluation over the distinct points; the
+parametrized route it is compared with fills its own table the same way.
+A suite is *consistent* when every actual outcome equals its expected one;
+the random driver reports the first inconsistent draw in replayable form.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .errors import ArgumentError, _check_tol
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import operator_norm
-from .scattering import (_grids, _max_norm, _report, _s_table, s_matrix,
-                         s_matrix_zero_range, t_from_s)
+from .scattering import (_grids, _max_norm, _report, _s_table, _spectral_point,
+                         _zero_range_table, s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -94,7 +95,11 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
 def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
     t_from_s(s_matrix(t, z), z) over the witness points."""
-    recovered = [t_from_s(s_matrix(t, z).s, z) for z in zs]
+    return _round_trip(partial(s_matrix, t), t, zs)
+
+
+def _round_trip(s_of, t, zs) -> tuple[float, float]:
+    recovered = [t_from_s(s_of(z).s, z) for z in zs]
     recovery = max(operator_norm(r - t) for r in recovered)
     spread = max((operator_norm(r - recovered[0]) for r in recovered[1:]),
                  default=0.0)
@@ -103,11 +108,13 @@ def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S evaluation."""
-    return _route_gap(e, _s_table(t_from_betas(e)), zs)
+    zs = list(zs)
+    return _route_gap(e, _s_table(t_from_betas(e), zs), zs)
 
 
 def _route_gap(e, s_of, zs) -> float:
-    return max(operator_norm(s_matrix_zero_range(e, z).s - s_of(z).s) for z in zs)
+    zr = _zero_range_table(e, zs)
+    return max(operator_norm(zr(z).s - s_of(z).s) for z in map(_spectral_point, zs))
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -146,18 +153,19 @@ def _check_entry(check, expected_pass: bool) -> dict:
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
                         interior=None, boundary=None) -> dict:
     """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
-    the draw needs comes from one table, one s_matrix call per distinct z
-    (the Mobius round trip alone evaluates its witness points itself)."""
+    the draw needs, Mobius witnesses included, comes from one table filled by
+    one batched evaluation over the distinct points."""
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    s_of = _s_table(t)
+    s_of = _s_table(t, WITNESS_POINTS, interior + boundary + [1.0 - 1.0j])
     report = _report(s_of, e.metric, interior, boundary, 1.0 - 1.0j, tol)
-    recovery, spread = mobius_round_trip_residuals(t)
+    recovery, spread = _round_trip(s_of, t, WITNESS_POINTS)
     feq = _route_gap(e, s_of, interior)
-    worst_cond = max([1.0] + [s_of(z).condition_number for z in interior])
+    worst_cond = max([1.0] + [s_of(z).condition_number
+                              for z in map(_spectral_point, interior)])
     max_norm = _max_norm(s_of, interior)
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)

@@ -1,6 +1,7 @@
 """Exit codes, output schemas and determinism of the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptscatter import cli
+from ptscatter import (SingularMatrixError, cli, extension_params, metric,
+                       operator_norm, s_matrix_zero_range)
+from ptscatter.scattering import _metric_defect
+from ptscatter.verify import _pair
 
 
 def run(capsys, argv):
@@ -192,6 +196,143 @@ def test_sweep_overflowing_chi_flags_every_point(capsys):
     assert all(line.split(",")[2:] == ["nan"] * 10 for line in lines[1:5])
     assert lines[-1] == "# singular_points: 4/4"
     assert "singular" in err
+
+
+# The per-point sweep loop as first written, kept as the reference for the
+# batched pass: one s_matrix_zero_range, operator_norm and metric defect per
+# point, one record dict per row, one format call per cell.
+
+_NAN_S = np.full((2, 2), complex(np.nan, np.nan))
+
+
+def reference_sweep_rows(e, zs):
+    g = metric(e.metric)
+    rows = []
+    singular = 0
+    for z in zs:
+        try:
+            ev = s_matrix_zero_range(e, z)
+        except SingularMatrixError:
+            singular += 1
+            rows.append({"z": complex(z), "singular": True, "s": _NAN_S,
+                         "std_norm": float("nan"), "metric_defect": float("nan")})
+            continue
+        rows.append({"z": complex(z), "singular": False, "s": ev.s,
+                     "std_norm": operator_norm(ev.s), "metric_defect": _metric_defect(g, ev.s)})
+    return rows, singular
+
+
+def reference_rows_to_csv(rows, singular):
+    lines = [cli.CSV_HEADER]
+    for r in rows:
+        values = [r["z"]] + list(r["s"].ravel())
+        cells = [f"{float(x):.17g}" for v in values for x in (v.real, v.imag)]
+        cells += [f"{float(r['std_norm']):.17g}", f"{float(r['metric_defect']):.17g}"]
+        lines.append(",".join(cells))
+    lines.append(f"# singular_points: {singular}/{len(rows)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_rows_to_json(rows, singular, config):
+    records = []
+    for r in rows:
+        rec = {"z": _pair(r["z"]), "singular": r["singular"]}
+        if not r["singular"]:
+            s = r["s"]
+            rec.update({
+                "s11": _pair(s[0, 0]), "s12": _pair(s[0, 1]),
+                "s21": _pair(s[1, 0]), "s22": _pair(s[1, 1]),
+                "std_norm": r["std_norm"], "metric_defect": r["metric_defect"],
+            })
+        records.append(rec)
+    return {"config": config, "records": records,
+            "singular_points": singular, "total_points": len(rows)}
+
+
+def reference_run_points(args, zs, config, evaluate=None):
+    e = extension_params(args.beta0, args.beta1, args.chi, args.xi)
+    rows, singular = reference_sweep_rows(e, zs)
+    if args.format == "csv":
+        cli._emit(reference_rows_to_csv(rows, singular), args.output)
+    else:
+        cli._emit_json(reference_rows_to_json(rows, singular, config), args.output)
+    if singular == len(rows):
+        print("error: every grid point had a singular denominator", file=sys.stderr)
+        return cli.EXIT_ALL_SINGULAR
+    return cli.EXIT_OK
+
+
+def sweep_cases():
+    rng = np.random.default_rng(61)
+    cases = []
+    for k in range(50):
+        params = [f"--beta0={rng.uniform(-0.25, 0.75)!r}", f"--beta1={rng.uniform(-0.5, 0.5)!r}",
+                  f"--chi={rng.uniform(-3.0, 3.0)!r}", f"--xi={rng.uniform(0.0, 2 * math.pi)!r}"]
+        grid = ["--steps", "16"]
+        if k % 5 == 0:   # a random grid, reversed bounds excluded
+            re = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+            im = sorted(rng.uniform(-4.0, 0.0, 2).tolist())
+            grid += [f"--re-min={re[0]!r}", f"--re-max={re[1]!r}",
+                     f"--im-min={im[0]!r}", f"--im-max={im[1]!r}"]
+        cases.append(["sweep"] + params + grid)
+        cases.append(["smatrix"] + params + [f"--z-re={rng.uniform(-3, 3)!r}",
+                                             f"--z-im={rng.uniform(-3, 0)!r}"])
+    singular_rows = ["--beta0", "1", "--beta1", "0", "--re-min", "0", "--re-max", "1",
+                     "--im-min", "-0.5", "--im-max", "-0.5"]
+    cases += [
+        ["sweep"] + singular_rows + ["--steps", "2"],      # 2 of 4 rows singular
+        ["sweep"] + singular_rows + ["--steps", "3"],
+        # all singular: exit 4
+        ["sweep", "--beta0", "1", "--beta1", "0", "--re-min", "0", "--re-max", "0",
+         "--im-min", "-0.5", "--im-max", "-0.5", "--steps", "1"],
+        ["smatrix", "--beta0", "1", "--beta1", "0", "--z-im", "-0.5"],
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "400", "--steps", "4"],
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "20", "--steps", "16"],
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "-0.0", "--steps", "16"],
+        ["sweep", "--beta0", "0.25", "--beta1", "-0.0", "--xi", "3.141592653589793",
+         "--steps", "16"],
+        ["smatrix", "--beta0", "0.25", "--beta1", "0", "--z-im", "-1"],
+    ]
+    return [argv + ["--format", fmt] for argv in cases for fmt in ("csv", "json")]
+
+
+def test_sweep_and_smatrix_match_the_per_point_loop(capsys, monkeypatch):
+    for argv in sweep_cases():
+        got = run(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_run_points", reference_run_points)
+            want = run(capsys, argv)
+        assert got == want, argv
+
+
+def test_sweep_does_not_evaluate_point_by_point(capsys, monkeypatch):
+    import ptscatter.matrix2 as matrix2
+    import ptscatter.scattering as scattering
+
+    def per_point(*args, **kwargs):
+        raise AssertionError("sweep evaluated its grid one point at a time")
+
+    for module in (cli, scattering, matrix2):
+        for name in ("s_matrix", "s_matrix_zero_range", "operator_norm",
+                     "_metric_defect", "hermitian_eigenvalues"):
+            monkeypatch.setattr(module, name, per_point, raising=False)
+    code, out, err = run(capsys, ["sweep", "--beta0", "0.2", "--beta1", "0.1",
+                                  "--chi", "0.5", "--steps", "16"])
+    assert code == 0, err
+    assert out.count("\n") == 16 * 16 + 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--beta0", "0", "--beta1", "0", "--z-im", "-1"],
+    ["sweep", "--beta0", "0", "--beta1", "0", "--steps", "2"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_prints_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv + ["--output", str(tmp_path / "missing" / "x.out")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------- verify

@@ -1,6 +1,7 @@
 """The scattering matrix, its Mobius inverse and the characteristic checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        pauli_compose, property_report, real_axis_points,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
-from ptscatter.scattering import _quotient, _spectral_point
+from ptscatter.matrix2 import _operator_norms, _singular_error
+from ptscatter.scattering import (_metric_defect, _metric_defects, _quotient,
+                                  _s_batch, _spectral_point, _terms,
+                                  _zero_range_terms)
 from ptscatter.verify import WITNESS_POINTS, draw_extension_params
 
 TWO_PI = 2.0 * math.pi
@@ -108,16 +112,29 @@ def outcome(route, e, z):
         return (str(exc), exc.z)
 
 
-def test_zero_range_matches_reference_bit_for_bit():
+def bit_draws(chis=(0.0, -0.0, 6.0, -6.0, 20.0, -20.0)):
+    """200 draws, half out of region, the first 10 again with each chi, and
+    8 sets with beta1 = +-0."""
     rng = np.random.default_rng(42)
     params = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(200)]
     params += [extension_params(p.beta0, p.beta1, chi, p.metric.xi)
-               for chi in (0.0, -0.0, 6.0, -6.0, 20.0, -20.0) for p in params[:10]]
+               for chi in chis for p in params[:10]]
     # beta1 = +-0 gives S exact zero entries, whose signs must agree too
     params += [extension_params(0.25, beta1, chi, xi) for beta1 in (0.0, -0.0)
                for chi in (0.0, -0.0) for xi in (0.0, math.pi)]
+    return params
+
+
+def assert_same_bits(got, want):
+    """Equal arrays with equal sign bits in the real and imaginary parts."""
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def test_zero_range_matches_reference_bit_for_bit():
     singular = 0
-    for e in params:
+    for e in bit_draws():
         for z in GRID + REAL_AXIS:
             got = outcome(s_matrix_zero_range, e, z)
             want = outcome(reference_s_matrix_zero_range, e, z)
@@ -125,12 +142,72 @@ def test_zero_range_matches_reference_bit_for_bit():
                 singular += 1
                 assert got == want
                 continue
-            assert np.array_equal(got.s, want.s)
-            for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(got.s)), np.signbit(part(want.s)))
+            assert_same_bits(got.s, want.s)
             assert got.condition_number == want.condition_number
             assert got.z == want.z
     assert singular > 0   # chi = +-20 pushes the denominator past the limit
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+def scalar_outcomes(route, arg, zs):
+    """The one-point route over zs, stacked like the kernel's output: S and
+    condition numbers (NaN where the route raises) and the errors raised."""
+    s, cond, errors = [], [], {}
+    for i, z in enumerate(zs):
+        try:
+            ev = route(arg, z)
+        except SingularMatrixError as exc:
+            errors[i] = (str(exc), exc.z)
+            ev = ScatteringEvaluation(z, np.full((2, 2), complex(np.nan, np.nan)), np.nan)
+        s.append(ev.s)
+        cond.append(ev.condition_number)
+    return np.array(s), np.array(cond), errors
+
+
+def test_kernel_matches_scalar_routes_bit_for_bit():
+    grid16 = lower_half_plane_grid(steps=16)
+    draws = bit_draws(chis=(0.0, -0.0, 6.0, -6.0, 20.0, -20.0, 400.0))
+    singular_rows = 0
+    for k, e in enumerate(draws):
+        t = t_from_betas(e)
+        g = metric(e.metric)
+        # the 16x16 grid for the first 20 draws and every chi and beta1 = +-0 set
+        grids = (GRID, REAL_AXIS, grid16) if k < 20 or k >= 200 else (GRID, REAL_AXIS)
+        for zs in grids:
+            for route, terms, arg in ((s_matrix_zero_range, _zero_range_terms, e),
+                                      (s_matrix, _terms, t)):
+                s, cond, singular = _s_batch(*terms(arg, zs))
+                with np.errstate(all="ignore"):
+                    want_s, want_cond, errors = scalar_outcomes(route, arg, zs)
+                assert sorted(errors) == np.flatnonzero(singular).tolist()
+                for i, want in errors.items():
+                    err = _singular_error(cond[i], DEFAULT_CONDITION_LIMIT, zs[i], "denominator")
+                    assert (str(err), err.z) == want
+                singular_rows += len(errors)
+                assert np.isnan(s[singular]).all()
+                good = s[~singular]
+                assert_same_bits(good, want_s[~singular])
+                assert np.array_equal(cond[~singular], want_cond[~singular])
+                assert_same_bits(_operator_norms(good), [operator_norm(x) for x in good])
+                assert_same_bits(_metric_defects(g, good), [_metric_defect(g, x) for x in good])
+    assert singular_rows > 0   # chi = +-20 and 400 push denominators past the limit
+
+
+def test_kernel_emits_no_warnings():
+    cases = [(extension_params(0.2, 0.1, chi=400.0), GRID),      # overflowing rows
+             (extension_params(0.2, 0.1, chi=700.0), GRID),
+             (extension_params(1.0, 0.0), [-0.5j, 1 - 0.5j, 0.0])]  # singular at -i/2
+    tables = [(e, zs, t_from_betas(e), metric(e.metric)) for e, zs in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e, zs, t, g in tables:
+            for terms in (_zero_range_terms(e, zs), _terms(t, zs)):
+                s, _, singular = _s_batch(*terms)
+                assert singular.any()
+                _operator_norms(s)
+                _metric_defects(g, s)
 
 
 def test_numerator_and_denominator_commute():
@@ -422,18 +499,25 @@ def test_property_report_matches_per_point_loops():
 
 def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
     import ptscatter.scattering as scattering
-    calls = []
-    original = scattering.s_matrix
+    batches = []
+    original = scattering._terms
 
-    def counting(t, z, *args, **kwargs):
-        calls.append(complex(z))
-        return original(t, z, *args, **kwargs)
+    def recording(t, zs):
+        batches.append(list(zs))
+        return original(t, zs)
 
-    monkeypatch.setattr(scattering, "s_matrix", counting)
+    def per_point(*args, **kwargs):
+        raise AssertionError("the report evaluated S one point at a time")
+
+    monkeypatch.setattr(scattering, "_terms", recording)
+    monkeypatch.setattr(scattering, "s_matrix", per_point)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
     property_report(t_from_betas(e), e.metric)
-    # 49 grid points, 7 real-axis points and the witness 1-1j with its
-    # reflection -1-1j; the grid and the axis are their own reflections
+    # one batched evaluation over 49 grid points, 7 real-axis points and the
+    # witness 1-1j with its reflection -1-1j; the grid and the axis are their
+    # own reflections
+    assert len(batches) == 1
+    calls = batches[0]
     assert len(calls) == 58
     assert len(set(calls)) == 58
     assert 1 - 1j in calls and -1 - 1j in calls

@@ -179,19 +179,29 @@ def test_parameter_suite_matches_grid_loop_reference():
 
 def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
     import ptscatter.scattering as scattering
-    import ptscatter.verify as verify
-    calls = []
-    original = scattering.s_matrix
+    batches = {"generic": [], "zero_range": []}
 
-    def counting(t, z, *args, **kwargs):
-        calls.append(complex(z))
-        return original(t, z, *args, **kwargs)
+    def recording(name, original):
+        def record(arg, zs):
+            batches[name].append(list(zs))
+            return original(arg, zs)
+        return record
 
-    monkeypatch.setattr(scattering, "s_matrix", counting)
-    monkeypatch.setattr(verify, "s_matrix", counting)
+    def per_point(*args, **kwargs):
+        raise AssertionError("the suite evaluated S one point at a time")
+
+    monkeypatch.setattr(scattering, "_terms",
+                        recording("generic", scattering._terms))
+    monkeypatch.setattr(scattering, "_zero_range_terms",
+                        recording("zero_range", scattering._zero_range_terms))
+    for name in ("s_matrix", "s_matrix_zero_range"):
+        monkeypatch.setattr(scattering, name, per_point)
     run_parameter_suite(extension_params(0.2, 0.1, chi=0.5, xi=0.3))
-    # 58 points of the property report and the Mobius witnesses -1j, -2j,
-    # 1-1j and -0.5-0.3j, of which only 1-1j is evaluated twice
-    assert len(calls) == 62
-    assert len(set(calls)) == 61
-    assert calls.count(1 - 1j) == 2
+    # one batched evaluation over the 58 points of the property report and
+    # the Mobius witnesses -1j, -2j, 1-1j and -0.5-0.3j, of which only 1-1j
+    # is among the 58; one for the parametrized route on the 49 grid points
+    [generic] = batches["generic"]
+    assert len(generic) == len(set(generic)) == 61
+    assert all(z in generic for z in (-1j, -2j, 1 - 1j, -0.5 - 0.3j))
+    [zero_range] = batches["zero_range"]
+    assert zero_range == lower_half_plane_grid()
