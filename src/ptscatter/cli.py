@@ -36,7 +36,7 @@ import argparse
 import ast
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
 from .matrix2 import _operator_norms, as_matrix
-from .scattering import (_metric_defects, _s_batch, _spectral_point,
+from .scattering import (_metric_defects, _s_batch, _spectral_points,
                          _zero_range_terms, lower_half_plane_grid,
                          s_matrix_zero_range)
 from .symmetry import symmetry_report
@@ -144,7 +144,7 @@ def cmd_classify(args) -> int:
 def _grid_s(e, zs) -> tuple[np.ndarray, np.ndarray]:
     """S over the points zs in one batched pass, and the singular mask;
     singular rows are NaN."""
-    s, _, singular = _s_batch(*_zero_range_terms(e, [_spectral_point(z) for z in zs]))
+    s, _, singular = _s_batch(*_zero_range_terms(e, _spectral_points(zs).tolist()))
     return s, singular
 
 
@@ -242,7 +242,10 @@ def cmd_verify(parser, args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing keeps no
+    state in it, so every main call starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="ptscatter",
         description="PT-symmetric extension parameters and their scattering matrices")

@@ -28,9 +28,11 @@ single out scattering matrices of nonnegative metric-self-adjoint extensions
 plus the antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z), which
 holds exactly when T is PT-symmetric.
 
-Each condition is one residual expression in S (larger is worse).  The checks
-read S from a per-call table, and one reducer picks the worst residual over
-the sampled points together with the first point attaining it.
+Each condition is one residual expression in S (larger is worse), written
+once as a stack expression over the (N, 2, 2) array of S at the sampled
+points and reduced by one array form of ``_worst``: the largest residual
+wins, the first point attaining it is the witness, and NaN and -inf
+residuals are skipped.  A residual equals its one-point form bit for bit.
 
 Every evaluation of S at many points goes through one private kernel,
 ``_s_batch``: it takes the numerator and denominator stacks of N points
@@ -43,11 +45,12 @@ The one-point functions stay scalar: for a single point the batched path is
 1.7-2.6 times slower.
 
 A table (``_s_table``, ``_zero_range_table``) is given its points up front,
-reflections -conj z included where a check needs them, and fills from one
-kernel call at its first lookup.  Lookups stay lazy: a singular point raises
-the same :class:`SingularMatrixError` as the one-point route, when and where
-that point is looked up, and each check validates its points before looking
-them up, so invalid input fails in the same order as a per-point loop.
+reflections -conj z included where a check needs them, validates them as
+one array and fills from one kernel call at its first lookup; a lookup
+takes an array of points and returns their rows.  A check raises what a
+loop over its points would raise first: for each point in turn its
+validation error, then the :class:`SingularMatrixError` of S at z and then
+at -conj z, then a non-finite residual matrix.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA3, KreinMetricParams,
 from .errors import ArgumentError, _check_tol, _finite_complex
 from .extensions import ExtensionParams
 from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
-                      _singular_error, as_matrix, hermitian_eigenvalues,
-                      operator_norm)
+                      _operator_norms, _singular_error, as_matrix,
+                      hermitian_eigenvalues)
 
 DEFAULT_CONDITION_LIMIT = 1e12
 
@@ -80,6 +83,33 @@ def _spectral_point(z, interior: bool = False) -> complex:
 
 
 _interior_point = partial(_spectral_point, interior=True)
+
+_NAN = complex(math.nan, math.nan)
+
+
+def _complex_or_nan(z) -> complex:
+    try:
+        return complex(z)
+    except (TypeError, ValueError):
+        return _NAN
+
+
+def _spectral_array(zs, interior: bool = False) -> np.ndarray:
+    """complex(z) for each z of the sequence zs as one array, NaN where
+    _spectral_point(z, interior) rejects z."""
+    z = np.array([_complex_or_nan(x) for x in zs], dtype=complex)
+    ok = np.isfinite(z) & ((z.imag < 0) if interior else (z.imag <= 0))
+    return np.where(ok, z, _NAN)
+
+
+def _spectral_points(zs, interior: bool = False) -> np.ndarray:
+    """_spectral_point over the sequence zs as one array; the first rejected
+    point raises the scalar helper's error."""
+    z = _spectral_array(zs, interior)
+    bad = np.flatnonzero(np.isnan(z))
+    if bad.size:
+        _spectral_point(zs[bad[0]], interior)
+    return z
 
 
 @dataclass(frozen=True)
@@ -211,58 +241,93 @@ def _zero_range_terms(e: ExtensionParams, zs):
     return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
 
 
-def _table(terms, zs, reflected=()):
-    """z -> ScatteringEvaluation over the valid points of zs and of reflected,
-    the latter with their reflections -conj z; invalid points are left to
-    the validation of the caller.  S at every distinct point comes from one
-    kernel call on terms(points), made at the first lookup; a singular point
-    raises at each lookup, naming the looked-up z."""
-    points = {}
-    for group, reflect in ((zs, False), (reflected, True)):
-        for z in group:
-            try:
-                zz = _spectral_point(z)
-            except (TypeError, ValueError):
-                continue
-            points.setdefault(zz, len(points))
-            if reflect:
-                points.setdefault(-zz.conjugate(), len(points))
-    rows = []
+class _Table:
+    """S over the valid points of zs and of reflected, the latter with their
+    reflections -conj z; invalid points are left to the validation of the
+    caller.  S at every distinct point comes from one kernel call on
+    terms(points), made at the first lookup."""
 
-    def lookup(z):
-        if not rows:
-            s, cond, singular = _s_batch(*terms(list(points)))
-            rows.extend(zip(map(ScatteringEvaluation, points, s, cond.tolist()),
-                            singular.tolist()))
-        ev, singular = rows[points[z]]
-        if singular:
-            raise _singular_error(ev.condition_number, DEFAULT_CONDITION_LIMIT, z,
-                                  "denominator")
-        return ev
-    return lookup
+    def __init__(self, terms, zs=(), reflected=()):
+        r = _spectral_array(reflected)
+        points = np.concatenate([_spectral_array(zs), np.column_stack([r, -r.conj()]).ravel()])
+        distinct = dict.fromkeys(points[~np.isnan(points)].tolist())
+        self._index = {z: i for i, z in enumerate(distinct)}
+        self._terms = terms
+        self._rows = None
+
+    def lookup(self, zs):
+        """(S (N, 2, 2), cond (N,), singular (N,), fail) at the points zs
+        (an array; NaN rows where zs is NaN); fail(k) raises the
+        SingularMatrixError of a one-point evaluation at zs[k]."""
+        if self._rows is None:
+            s, cond, singular = _s_batch(*self._terms(list(self._index)))
+            self._rows = (np.append(s, np.full((1, 2, 2), _NAN), axis=0),
+                          np.append(cond, math.nan), np.append(singular, False))
+        idx = np.array([self._index[z] if z == z else -1 for z in zs.tolist()], dtype=int)
+        s, cond, singular = (a[idx] for a in self._rows)
+
+        def fail(k):
+            raise _singular_error(float(cond[k]), DEFAULT_CONDITION_LIMIT,
+                                  complex(zs[k]), "denominator")
+        return s, cond, singular, fail
+
+    def at(self, z) -> np.ndarray:
+        """S at the one valid point z, raising like a one-point evaluation."""
+        s, _, singular, fail = self.lookup(np.array([complex(z)]))
+        if singular[0]:
+            fail(0)
+        return s[0]
 
 
-def _s_table(t, zs=(), reflected=()):
+def _s_table(t, zs=(), reflected=()) -> _Table:
     """The table of s_matrix(t, z); t is validated at the first lookup."""
-    return _table(partial(_terms, t), zs, reflected)
+    return _Table(partial(_terms, t), zs, reflected)
 
 
-def _zero_range_table(e: ExtensionParams, zs):
+def _zero_range_table(e: ExtensionParams, zs) -> _Table:
     """The table of s_matrix_zero_range(e, z)."""
-    return _table(partial(_zero_range_terms, e), zs)
+    return _Table(partial(_zero_range_terms, e), zs)
 
 
-def _worst(points, residual):
-    """(largest residual(z), z) over the points; the first point attaining
-    the largest residual is the witness."""
-    worst, witness = -math.inf, None
-    for z in points:
-        res = residual(z)
-        if res > worst:
-            worst, witness = res, z
-    if witness is None:
-        raise ArgumentError("zs must be nonempty")
-    return worst, witness
+def _residuals(zs, z, validate, lookups, form, norm=_operator_norms) -> np.ndarray:
+    """norm(form(*stacks)): the residual at each point of zs, where z holds
+    the points validated (NaN where validate rejects zs[k]) and each
+    (table, points) of lookups gives one S stack.  Raises what a loop over
+    the points would raise first: at each point in turn validate's error,
+    the singular error of each lookup in order, then as_matrix's error for a
+    non-finite residual matrix.  No S is evaluated when zs is empty or
+    starts with an invalid point, as in that loop."""
+    if not len(z):
+        return np.empty(0)
+    invalid = np.isnan(z)
+    if invalid[0]:
+        validate(zs[0])
+    stages = [(invalid, lambda k: validate(zs[k]))]
+    stacks = []
+    for table, points in lookups:
+        s, _, singular, fail = table.lookup(points)
+        stacks.append(s)
+        stages.append((singular, fail))
+    m = form(*stacks)
+    stages.append((~np.isfinite(m).all(axis=(1, 2)), lambda k: as_matrix(m[k])))
+    hits = np.flatnonzero(np.column_stack([mask for mask, _ in stages]))
+    if hits.size:
+        k, stage = divmod(int(hits[0]), len(stages))
+        stages[stage][1](k)
+    return norm(m)
+
+
+def _worst(z, res):
+    """(largest residual, its point) over the points z and their residuals
+    res, both arrays: the first point attaining the maximum is the witness,
+    and NaN and -inf residuals are skipped, as a running ``res > worst``
+    skips them."""
+    if len(res):
+        kept = np.where(res > -math.inf, res, -math.inf)
+        i = int(np.argmax(kept))
+        if kept[i] > -math.inf:
+            return float(res[i]), complex(z[i])
+    raise ArgumentError("zs must be nonempty")
 
 
 def _check(residual, witness, tol) -> PropertyCheck:
@@ -276,6 +341,16 @@ def _off_axis(z) -> complex:
     return zz
 
 
+def _ct(s) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (N, 2, 2)."""
+    return s.conj().swapaxes(1, 2)
+
+
+def _metric_gaps(g, s) -> np.ndarray:
+    """G - S* G S for each S of a stack (N, 2, 2)."""
+    return g - _ct(s) @ g @ s
+
+
 def _metric_defect(g, s) -> float:
     """Lowest eigenvalue of G - S* G S (negative where (a) fails)."""
     return hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
@@ -283,39 +358,47 @@ def _metric_defect(g, s) -> float:
 
 def _metric_defects(g, s) -> np.ndarray:
     """_metric_defect of each S of a stack (N, 2, 2)."""
-    return _hermitian_lows(g - s.conj().swapaxes(1, 2) @ g @ s)
+    return _hermitian_lows(_metric_gaps(g, s))
 
 
 # One function per condition, holding its residual expression (larger is
-# worse) over an S table s_of; the public checks give each call its own
-# table, property_report and the verify suite share one per parameter.
+# worse) over the S stacks of a table s_of; the public checks give each call
+# its own table, property_report and the verify suite share one per
+# parameter.
 
 def _cond_a(s_of, g, zs, tol) -> PropertyCheck:
-    def residual(z):
-        return -_metric_defect(g, s_of(z).s)
-    worst, witness = _worst(map(_interior_point, zs), residual)
+    z = _spectral_array(zs, interior=True)
+    res = -_residuals(zs, z, _interior_point, [(s_of, z)], partial(_metric_gaps, g),
+                      _hermitian_lows)
+    worst, witness = _worst(z, res)
     return _check(max(0.0, worst), witness, tol)
 
 
 def _cond_reflection(s_of, j, zs, tol) -> PropertyCheck:
     """(b) with J = G, (d) with J = P_xi."""
-    def residual(z):
-        return operator_norm(j @ s_of(z).s - s_of(-z.conjugate()).s.conj().T @ j)
-    return _check(*_worst(map(_spectral_point, zs), residual), tol)
+    z = _spectral_array(zs)
+    res = _residuals(zs, z, _spectral_point, [(s_of, z), (s_of, -z.conj())],
+                     lambda s, sr: j @ s - _ct(sr) @ j)
+    return _check(*_worst(z, res), tol)
 
 
 def _cond_c(s_of, g, zs, tol) -> PropertyCheck:
-    def residual(z):
-        s = s_of(z).s
-        sh = s.conj().T
-        return operator_norm(z.real * (g - sh @ g @ s) - 1j * z.imag * (sh @ g - g @ s))
-    return _check(*_worst(map(_off_axis, zs), residual), tol)
+    z = _spectral_array(zs, interior=True)
+    z[z.real == 0.0] = _NAN
+    re = z.real[:, None, None]
+    im = (1j * z.imag)[:, None, None]
+
+    def form(s):
+        sh = _ct(s)
+        return re * (g - sh @ g @ s) - im * (sh @ g - g @ s)
+    return _check(*_worst(z, _residuals(zs, z, _off_axis, [(s_of, z)], form)), tol)
 
 
 def _cond_pt(s_of, zs, tol) -> PropertyCheck:
-    def residual(z):
-        return operator_norm(SIGMA3 @ np.conj(s_of(z).s) @ SIGMA3 - s_of(-z.conjugate()).s)
-    return _check(*_worst(map(_interior_point, zs), residual), tol)
+    z = _spectral_array(zs, interior=True)
+    res = _residuals(zs, z, _interior_point, [(s_of, z), (s_of, -z.conj())],
+                     lambda s, sr: SIGMA3 @ s.conj() @ SIGMA3 - sr)
+    return _check(*_worst(z, res), tol)
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -361,7 +444,8 @@ def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
 
 
 def _max_norm(s_of, zs) -> float:
-    return _worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z).s))[0]
+    z = _spectral_array(zs)
+    return _worst(z, _residuals(zs, z, _spectral_point, [(s_of, z)], lambda s: s))[0]
 
 
 def standard_contraction_norm(t, zs) -> float:
@@ -406,8 +490,8 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     residual.  S is evaluated once per distinct point of
     interior | boundary | {witness} and of its reflection -conj z, in one
     batched call, into a table shared by all five checks; each condition's
-    worst residual and witness come from the one reducer the single checks
-    use.
+    residuals are one stack expression, and its worst residual and witness
+    come from the one reducer the single checks use.
     """
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)

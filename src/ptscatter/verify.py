@@ -13,14 +13,17 @@ with its theory-expected outcome:
     recovered T must not depend on the witness;
   * the parametrized evaluation of S must match the generic one;
   * for beta1 = 0 the scattering matrix must be a plain-norm contraction on
-    the grid.  For beta1 != 0 the plain norm is expected to exceed 1
-    somewhere, but absence of a grid witness is reported rather than treated
-    as a violation (the failure set depends on (chi, xi) and need not meet a
-    finite grid).
+    the grid.  For beta1 != 0 and chi != 0 the plain norm is expected to
+    exceed 1 somewhere, but absence of a grid witness is reported rather
+    than treated as a violation (the failure set depends on (chi, xi) and
+    need not meet a finite grid).  At chi = 0 the spectral projections
+    (I +- C)/2 of T are orthogonal, so S is a plain-norm contraction for
+    every admissible beta1 and no witness is expected.
 
 Every S(z) a draw needs, the Mobius witness points included, comes from one
 table filled by one batched evaluation over the distinct points; the
 parametrized route it is compared with fills its own table the same way.
+Each residual over the grid is one stack expression over those tables.
 A suite is *consistent* when every actual outcome equals its expected one;
 the random driver reports the first inconsistent draw in replayable form.
 """
@@ -28,7 +31,6 @@ the random driver reports the first inconsistent draw in replayable form.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -36,9 +38,10 @@ from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
 from .errors import ArgumentError, _check_tol
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
-from .matrix2 import operator_norm
-from .scattering import (_grids, _max_norm, _report, _s_table, _spectral_point,
-                         _zero_range_table, s_matrix, t_from_s)
+from .matrix2 import _operator_norms, as_matrix
+from .scattering import (_grids, _max_norm, _report, _residuals, _s_table,
+                         _spectral_array, _spectral_point, _zero_range_table,
+                         s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -95,14 +98,24 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
 def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
     t_from_s(s_matrix(t, z), z) over the witness points."""
-    return _round_trip(partial(s_matrix, t), t, zs)
+    return _round_trip(lambda z: s_matrix(t, z).s, t, zs)
 
 
-def _round_trip(s_of, t, zs) -> tuple[float, float]:
-    recovered = [t_from_s(s_of(z).s, z) for z in zs]
-    recovery = max(operator_norm(r - t) for r in recovered)
-    spread = max((operator_norm(r - recovered[0]) for r in recovered[1:]),
-                 default=0.0)
+def _norms(m) -> list[float]:
+    """operator_norm of each matrix of the stack m; the first non-finite one
+    raises as operator_norm does."""
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        as_matrix(m[bad[0]])
+    return _operator_norms(m).tolist()
+
+
+def _round_trip(s_at, t, zs) -> tuple[float, float]:
+    """The recovery and spread of t_from_s over the points zs, with S at z
+    from s_at(z); t_from_s stays one point at a time."""
+    recovered = np.array([t_from_s(s_at(z), z) for z in zs]).reshape(-1, 2, 2)
+    recovery = max(_norms(recovered - t))
+    spread = max(_norms(recovered[1:] - recovered[:1]), default=0.0)
     return recovery, spread
 
 
@@ -113,8 +126,9 @@ def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
 
 
 def _route_gap(e, s_of, zs) -> float:
-    zr = _zero_range_table(e, zs)
-    return max(operator_norm(zr(z).s - s_of(z).s) for z in map(_spectral_point, zs))
+    z = _spectral_array(zs)
+    lookups = [(_zero_range_table(e, zs), z), (s_of, z)]
+    return max(_residuals(zs, z, _spectral_point, lookups, lambda zr, s: zr - s).tolist())
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -162,10 +176,10 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     metric_ok = check_metric_inequality(t, e.metric, tol)
     s_of = _s_table(t, WITNESS_POINTS, interior + boundary + [1.0 - 1.0j])
     report = _report(s_of, e.metric, interior, boundary, 1.0 - 1.0j, tol)
-    recovery, spread = _round_trip(s_of, t, WITNESS_POINTS)
+    recovery, spread = _round_trip(s_of.at, t, WITNESS_POINTS)
     feq = _route_gap(e, s_of, interior)
-    worst_cond = max([1.0] + [s_of(z).condition_number
-                              for z in map(_spectral_point, interior)])
+    # _report has validated the interior points and met its singular ones
+    worst_cond = max([1.0] + s_of.lookup(_spectral_array(interior))[1].tolist())
     max_norm = _max_norm(s_of, interior)
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
@@ -205,8 +219,8 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
         },
         "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
-        # informational: for beta1 != 0 the plain norm should exceed 1
-        # somewhere, but a missing grid witness is logged, not failed
+        # informational: for beta1 != 0 and chi != 0 the plain norm should
+        # exceed 1 somewhere, but a missing grid witness is logged, not failed
         "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
         "checks": checks,
         "consistent": bool(consistent),

@@ -335,6 +335,43 @@ def test_unwritable_output_prints_one_error_line(capsys, tmp_path, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# ---------------------------------------------------------------- one parser
+
+INTERLEAVED = [
+    ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "2", "--steps", "3"],
+    ["verify", "--random", "1", "--seed", "3"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1", "--xi", "0.5"],
+    ["classify", "--beta0", "0.25", "--beta1", "0.2"],
+    ["sweep", "--beta0", "0.2", "--bogus"],                   # argparse usage error
+    ["verify", "--random", "1", "--tolerance", "-1"],         # bad --tolerance
+    ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--steps", "2", "--format", "json"],
+    ["verify", "--random", "1"],                              # default seed again
+    ["verify", "--beta0", "0.1", "--beta1", "0.0"],           # default chi and xi
+    ["verify"],                                               # parser.error
+    ["classify", "--beta0", "0.1", "--beta1", "0.0", "--tolerance", "1e-6"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_interleaved_calls(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    got = [outcome(capsys, argv) for argv in INTERLEAVED * 2]
+    # the same calls, each with a parser of its own
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    want = [outcome(capsys, argv) for argv in INTERLEAVED * 2]
+    assert got == want
+    assert {code for code, _, _ in want} >= {0, 2, ("SystemExit", 2)}
+
+
 # ---------------------------------------------------------------- verify
 
 

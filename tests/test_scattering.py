@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.matrix2 import _operator_norms, _singular_error
-from ptscatter.scattering import (_metric_defect, _metric_defects, _quotient,
+from ptscatter.scattering import (_interior_point, _metric_defect,
+                                  _metric_defects, _off_axis, _quotient,
                                   _s_batch, _spectral_point, _terms,
                                   _zero_range_terms)
-from ptscatter.verify import WITNESS_POINTS, draw_extension_params
+from ptscatter.verify import (WITNESS_POINTS, draw_extension_params,
+                              run_parameter_suite)
 
 TWO_PI = 2.0 * math.pi
 GRID = lower_half_plane_grid()
@@ -521,3 +524,189 @@ def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
     assert len(calls) == 58
     assert len(set(calls)) == 58
     assert 1 - 1j in calls and -1 - 1j in calls
+
+
+# ---------------------------------------------------------------- error parity
+#
+# The checks as a loop over their points, kept as the reference for the
+# stacked residuals: per point, validate, look S up at z (and at -conj z),
+# form the residual matrix and take its norm, keeping the first largest
+# residual.  Whatever that loop raises first, the stacked checks must raise.
+
+
+def _loop_worst(points, residual):
+    worst, witness = -math.inf, None
+    for z in points:
+        res = residual(z)
+        if res > worst:
+            worst, witness = res, z
+    if witness is None:
+        raise ArgumentError("zs must be nonempty")
+    return worst, witness
+
+
+def _loop_check(residual, witness, tol):
+    return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
+
+
+def _loop_cond_a(s_of, g, zs, tol):
+    def residual(z):
+        return -_metric_defect(g, s_of(z).s)
+    worst, witness = _loop_worst(map(_interior_point, zs), residual)
+    return _loop_check(max(0.0, worst), witness, tol)
+
+
+def _loop_cond_reflection(s_of, j, zs, tol):
+    def residual(z):
+        return operator_norm(j @ s_of(z).s - s_of(-z.conjugate()).s.conj().T @ j)
+    return _loop_check(*_loop_worst(map(_spectral_point, zs), residual), tol)
+
+
+def _loop_cond_c(s_of, g, zs, tol):
+    def residual(z):
+        s = s_of(z).s
+        sh = s.conj().T
+        return operator_norm(z.real * (g - sh @ g @ s) - 1j * z.imag * (sh @ g - g @ s))
+    return _loop_check(*_loop_worst(map(_off_axis, zs), residual), tol)
+
+
+def _loop_cond_pt(s_of, zs, tol):
+    def residual(z):
+        return operator_norm(SIGMA3 @ np.conj(s_of(z).s) @ SIGMA3 - s_of(-z.conjugate()).s)
+    return _loop_check(*_loop_worst(map(_interior_point, zs), residual), tol)
+
+
+def _loop_max_norm(s_of, zs):
+    return _loop_worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z).s))[0]
+
+
+def _loop_report(s_of, p, interior, boundary, witness, tol):
+    witness = _interior_point(witness)
+    g = metric(p)
+    c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
+    return PropertyReport(
+        cond_a=_loop_cond_a(s_of, g, interior, tol),
+        cond_b=_loop_cond_reflection(s_of, g, interior + boundary, tol),
+        cond_c=_loop_cond_c(s_of, g, c_points, tol),
+        cond_d=_loop_cond_reflection(s_of, p_xi(p.xi), [witness] + interior + boundary, tol),
+        pt_criterion=_loop_cond_pt(s_of, interior, tol))
+
+
+TOL = 1e-10
+
+LOOP_CHECKS = {
+    check_condition_a: lambda t, p, zs: _loop_cond_a(partial(s_matrix, t), metric(p),
+                                                     list(zs), TOL),
+    check_condition_b: lambda t, p, zs: _loop_cond_reflection(partial(s_matrix, t),
+                                                              metric(p), list(zs), TOL),
+    check_condition_c: lambda t, p, z: _loop_cond_c(partial(s_matrix, t), metric(p),
+                                                    [z], TOL),
+    check_condition_d: lambda t, p, z: _loop_cond_reflection(partial(s_matrix, t),
+                                                             p_xi(p.xi), [z], TOL),
+    check_pt_criterion: lambda t, p, zs: _loop_cond_pt(partial(s_matrix, t), list(zs), TOL),
+    standard_contraction_norm: lambda t, p, zs: _loop_max_norm(partial(s_matrix, t),
+                                                               list(zs)),
+}
+
+
+def _public(check, t, p, zs):
+    if check is check_condition_d:
+        return check(t, p.xi, zs, TOL)
+    if check in (check_pt_criterion, standard_contraction_norm):
+        return check(t, zs)
+    return check(t, p, zs)
+
+
+def _parity(fn, *args, **kwargs):
+    """The result (with its repr, which keeps the sign of zero parts) or the
+    exception's type, message and z."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:   # every exception must match, its type included
+        z = getattr(exc, "z", None)
+        return type(exc), str(exc), z, repr(z)
+    return result, repr(result)
+
+
+NAN = complex(math.nan, -1.0)
+# T with a pole of S at 0.5-0.5j only: the reflection of -0.5-0.5j is singular
+POLE = np.diag([(1 + 1j) / 2, 0])
+# with chi = 700 the metric is ~5e303, and S = diag(-399, 1) at -1j makes
+# S* G S overflow; the second eigenvalue puts a pole at -0.995j
+BIG = np.diag([100.0, 0.0])
+P700 = KreinMetricParams(0.3, 700.0)
+P = KreinMetricParams(0.7, 1.2)
+
+PARITY_POINTS = [
+    [1 - 1j, -2 - 0.5j, 0.3 - 2j],            # valid
+    [1 - 1j, 0.5j, -1 - 1j],                  # upper half-plane
+    [NAN, 1 - 1j], [1 - 1j, NAN],             # NaN
+    [1 - 1j, "x"], ["1-1j", -2j], [None],     # a malformed string, a valid one
+    [-1j, 1 - 1j], [1 - 1j, -1j],             # Re z = 0, rejected by (c)
+    [1 - 1j, 2.0, -1 - 1j],                   # real axis: interior checks reject it
+    [0.5 - 0.5j, NAN], [NAN, 0.5 - 0.5j],     # singular before / after invalid
+    [1 - 1j, 0.5 - 0.5j, "x"], [1 - 1j, "x", 0.5 - 0.5j],
+    [-0.5 - 0.5j, 1 - 1j],                    # singular reflection
+    [-0.5j, 1 - 1j], [1 - 1j, -0.5j],         # the pole of T = I
+    [-1j, -0.995j], [-0.995j, -1j],           # overflow before / after a pole
+    [NAN, -1j], [-1j, NAN], [complex(math.inf, -1)],
+    [1 - 1j, 1 - 1j, -1 - 1j, 1 - 1j],        # tied maximum
+    [-2 - 1j, complex(-2, -1)],
+    [],
+]
+PARITY_TS = [np.zeros((2, 2)), SIGMA0, POLE, BIG,
+             t_from_betas(extension_params(0.3, -0.2, 0.8, 2.0)), np.full((2, 2), math.nan)]
+
+
+@pytest.mark.parametrize("check", list(LOOP_CHECKS), ids=lambda f: f.__name__)
+def test_checks_raise_what_the_per_point_loop_raises(check):
+    one_point = check in (check_condition_c, check_condition_d)
+    seen = set()
+    for t in PARITY_TS:
+        for p in (P, P700):
+            for zs in PARITY_POINTS:
+                args = [(t, p, z) for z in zs] if one_point else [(t, p, zs)]
+                for a in args:
+                    with np.errstate(all="ignore"):
+                        got = _parity(_public, check, *a)
+                        want = _parity(LOOP_CHECKS[check], *a)
+                    assert got == want, (check.__name__, a)
+                    seen.add(want[0] if isinstance(want[0], type) else "ok")
+    assert seen >= {"ok", ArgumentError, SingularMatrixError, ValueError}
+
+
+def test_property_report_raises_what_the_per_point_loop_raises():
+    cases = [((zs, [1.5, 0.0]), {}) for zs in PARITY_POINTS]
+    cases += [(([1 - 1j, -2j], bnd), {}) for bnd in ([1.5, NAN], [0.5j], ["x"], [])]
+    cases += [(([1 - 1j], [0.0]), {"witness": w}) for w in (-1j, 0.5 - 0.5j, NAN, 2.0)]
+    seen = set()
+    for t in PARITY_TS:
+        for p in (P, P700):
+            for args, kwargs in cases:
+                interior, boundary = (list(x) for x in args)
+                witness = kwargs.get("witness", 1.0 - 1.0j)
+                with np.errstate(all="ignore"):
+                    got = _parity(property_report, t, p, interior, boundary, witness, TOL)
+                    want = _parity(_loop_report, partial(s_matrix, t), p, interior,
+                                   boundary, witness, TOL)
+                assert got == want, (t, p, args, kwargs)
+                seen.add(want[0] if isinstance(want[0], type) else "ok")
+    assert seen >= {"ok", ArgumentError, SingularMatrixError, ValueError, TypeError}
+
+
+def test_nothing_is_evaluated_point_by_point(monkeypatch):
+    import ptscatter.scattering as scattering
+    import ptscatter.verify as verify
+
+    def per_point(*args, **kwargs):
+        raise AssertionError("a residual was evaluated one point at a time")
+
+    # the Mobius round trip keeps its 4 scalar t_from_s calls; t_from_s
+    # takes no norm, so every norm and defect patched here stays unused
+    for module, name in ((scattering, "operator_norm"), (scattering, "_metric_defect"),
+                         (verify, "operator_norm")):
+        monkeypatch.setattr(module, name, per_point, raising=False)
+    e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
+    report = property_report(t_from_betas(e), e.metric)
+    assert report.cond_b.passed
+    assert run_parameter_suite(e)["consistent"]

@@ -86,6 +86,20 @@ def test_random_suite_consistent_and_deterministic():
     assert c != a
 
 
+def test_chi_zero_draws_have_no_contraction_witness():
+    # at chi = 0 the spectral projections (I +- C)/2 of T are orthogonal, so
+    # S is a plain-norm contraction although beta1 != 0; the witness margin
+    # (not the contraction slack) absorbs operator_norm's rounding
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        d = draw_extension_params(rng, admissible=True, min_beta1=0.01)
+        e = extension_params(d.beta0, d.beta1, chi=0.0, xi=d.metric.xi)
+        suite = run_parameter_suite(e)
+        assert e.beta1 != 0.0 and suite["consistent"]
+        assert suite["standard_norm_max"] <= 1.0 + CONTRACTION_WITNESS_MARGIN
+        assert suite["contraction_witness_found"] is False
+
+
 # ------------------------------------------- reference: one S call per use
 
 
