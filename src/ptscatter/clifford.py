@@ -109,11 +109,11 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     With xi = 0: a0 = (m00+m11)/2, a1 = (m00-m11)/2, a2 = (m01+m10)/2,
     a3 = i(m01-m10)/2.  General xi rotates the (a1, a3) pair by -xi.
     """
-    a = as_matrix(m)
-    a0 = (a[0, 0] + a[1, 1]) / 2.0
-    s1 = (a[0, 0] - a[1, 1]) / 2.0
-    s2 = (a[0, 1] + a[1, 0]) / 2.0
-    s3 = 1j * (a[0, 1] - a[1, 0]) / 2.0
+    m00, m01, m10, m11 = as_matrix(m).ravel().tolist()
+    a0 = (m00 + m11) / 2.0
+    s1 = (m00 - m11) / 2.0
+    s2 = (m01 + m10) / 2.0
+    s3 = 1j * (m01 - m10) / 2.0
     x = _finite_real("xi", xi)
     if x == 0.0:
         return PauliCoefficients(a0, s1, s2, s3)

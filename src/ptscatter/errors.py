@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the validators raising them.
 
 The split follows the usual numerics convention: :class:`ArgumentError` flags
-inputs that are malformed regardless of their values (wrong shape, NaN/Inf,
-out-of-range configuration), while :class:`AssumptionError` flags structurally
-valid inputs that fail a mathematical precondition (a matrix that is not an
-involution, a spectral point on the wrong side of the real axis, ...).
+inputs that are malformed regardless of their values (wrong shape, entries
+that are not numbers, NaN/Inf, out-of-range configuration), while
+:class:`AssumptionError` flags structurally valid inputs that fail a
+mathematical precondition (a matrix that is not an involution, a spectral
+point on the wrong side of the real axis, ...).
 """
 
 import math

@@ -5,17 +5,34 @@ Every norm, inverse and eigenvalue used in this package reduces to an exact
 iterative LAPACK routine.  That keeps all tolerance checks deterministic and
 platform independent.
 
+The one-matrix forms read the four entries once, as Python complex numbers
+(``a.ravel().tolist()``), and do their closed-form arithmetic on Python
+floats and complex numbers: a numpy call on a 4-entry array costs more than
+the arithmetic.  They keep the bits of the numpy expressions they replace,
+which rules out three shortcuts:
+
+* the entry moduli of ``operator_norm`` stay ``np.abs(a)``: numpy's complex
+  ``abs`` on arrays rounds differently from Python's ``abs`` (libm
+  ``hypot``), and the stack form uses ``np.abs``;
+* ``math.hypot`` has an algorithm of its own; ``np.hypot(x, y)`` on two
+  floats is written ``_hypot(x, y)``, Python's ``abs(complex(x, y))``;
+* matrix products stay ``@`` (BLAS accumulates them its own way), and so
+  do complex array-by-scalar products and quotients: numpy's loops fuse the
+  multiply-adds (and divide through a reciprocal) where Python rounds each
+  step.
+
 The underscored stack forms (``_det_conditions``, ``_adjugates``,
 ``_operator_norms``, ``_hermitian_lows``) apply the same formulas to arrays of
 shape (N, 2, 2) and reproduce the one-matrix results bit for bit: products of
 complex entries are formed from real parts (numpy's complex array multiply
-may fuse them, the scalar one does not), moduli come from ``np.hypot`` like
-Python's ``abs``, and the four-entry sums add in the order ``np.sum`` uses on
-one 2x2 matrix.
+may fuse them, Python's does not), moduli come from ``np.hypot`` like
+Python's ``abs``, and the four-entry sums add left to right, as ``np.sum``
+does on one 2x2 matrix.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -25,10 +42,14 @@ from .errors import ArgumentError, SingularMatrixError, _check_tol
 
 def _finite_array(x, shape, name) -> np.ndarray:
     """Coerce to a complex ndarray of the given shape with finite entries."""
-    a = np.asarray(x, dtype=complex)
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArgumentError(f"expected a {name} of shape {shape} with numeric entries: "
+                            f"{exc}") from exc
     if a.shape != shape:
         raise ArgumentError(f"expected a {name} of shape {shape}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
         raise ArgumentError(f"{name} entries must be finite")
     return a
 
@@ -43,7 +64,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def _det(a) -> complex:
-    return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    p, q, r, s = a.ravel().tolist()
+    return p * s - q * r
 
 
 def det(m) -> complex:
@@ -53,10 +75,11 @@ def det(m) -> complex:
 def operator_norm(m) -> float:
     """Largest singular value, from the eigenvalues of m* m."""
     a = as_matrix(m)
-    t = float(np.sum(np.abs(a) ** 2))  # tr(m* m)
-    absd = abs(det(a))                 # det(m* m) = absd * absd
+    x0, x1, x2, x3 = np.abs(a).ravel().tolist()
+    t = ((x0 * x0 + x1 * x1) + x2 * x2) + x3 * x3  # tr(m* m)
+    absd = abs(det(a))                               # det(m* m) = absd * absd
     disc = max(t * t / 4.0 - absd * absd, 0.0)
-    return float(np.sqrt(t / 2.0 + np.sqrt(disc)))
+    return math.sqrt(t / 2.0 + math.sqrt(disc))
 
 
 def _sum4(x) -> np.ndarray:
@@ -90,11 +113,13 @@ def _det_condition(a) -> tuple[complex, float]:
     the direct eigenvalue formula suffers for ill-conditioned input.  An
     estimate that overflows to inf or NaN counts as singular.
     """
-    d = _det(a)
+    p, q, r, s = a.ravel().tolist()
+    d = p * s - q * r
     absd = abs(d)
     if absd == 0.0:
         return d, math.inf
-    frob = float((a.real ** 2 + a.imag ** 2).sum())  # tr(a* a)
+    frob = (((p.real * p.real + p.imag * p.imag) + (q.real * q.real + q.imag * q.imag))
+            + (r.real * r.real + r.imag * r.imag)) + (s.real * s.real + s.imag * s.imag)
     disc = max(frob * frob / 4.0 - absd * absd, 0.0)
     cond = max((frob / 2.0 + math.sqrt(disc)) / absd, 1.0)
     return d, cond if cond < math.inf else math.inf
@@ -135,7 +160,8 @@ def _adjugate(a, condition_limit, z=None, name="matrix"):
     err = _singular_error(cond, condition_limit, z, name)
     if err is not None:
         raise err
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]), d, cond
+    p, q, r, s = a.ravel().tolist()
+    return np.array([[s, -q], [-r, p]]), d, cond
 
 
 def _adjugates(a) -> np.ndarray:
@@ -169,6 +195,15 @@ def is_hermitian(m, tol: float) -> bool:
     return operator_norm(a - a.conj().T) <= tol
 
 
+def _hypot(x: float, y: float) -> float:
+    """np.hypot(x, y) for two floats: libm hypot, inf where it overflows
+    (Python's abs of a complex raises there)."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+
+
 def hermitian_eigenvalues(m) -> tuple[float, float]:
     """Eigenvalues (ascending) of a Hermitian 2x2 matrix, closed form.
 
@@ -176,12 +211,11 @@ def hermitian_eigenvalues(m) -> tuple[float, float]:
     enter, so an almost-Hermitian matrix is quietly projected; callers that
     need a hard Hermiticity guarantee must check :func:`is_hermitian` first.
     """
-    a = as_matrix(m)
-    p = a[0, 0].real
-    q = a[1, 1].real
-    mid = (p + q) / 2.0
-    rad = float(np.hypot((p - q) / 2.0, abs(a[0, 1])))
-    return (float(mid - rad), float(mid + rad))
+    p, q, _, s = as_matrix(m).ravel().tolist()
+    p, s = p.real, s.real
+    mid = (p + s) / 2.0
+    rad = _hypot((p - s) / 2.0, _hypot(q.real, q.imag))
+    return (mid - rad, mid + rad)
 
 
 def _hermitian_lows(m) -> np.ndarray:

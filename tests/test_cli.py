@@ -478,6 +478,10 @@ def test_bad_tolerance_exits_2_on_every_subcommand(capsys, argv, tol):
     ["decompose", "1"],
     ["decompose", "[[1,0],[0,'a']]"],
     ["decompose", "{1: 2}"],
+    ["decompose", "'abc'"],
+    ["decompose", "[[1,2],[3]]"],
+    ["decompose", "[[1,2],[3,{}]]"],
+    pytest.param(["decompose", "[[1%s,0],[0,1]]" % ("0" * 400)], id="decompose 10**400"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_prints_one_error_line(capsys, argv):
     # each input is rejected by the library function it enters

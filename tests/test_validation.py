@@ -54,3 +54,27 @@ def test_bad_tol_raises(name, tol):
     with pytest.raises(pts.ArgumentError, match="tol must be positive"):
         CALLS[name](tol)
 
+
+
+# a non-numeric, ragged or unrepresentable matrix is malformed: as_matrix,
+# and every function validating through it, raises ArgumentError
+MALFORMED = ["abc", [[1, 2], [3]], object(), [[1, 2], [3, {}]], [[10 ** 400, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("m", MALFORMED, ids=["string", "ragged", "object", "dict-entry",
+                                              "huge-int"])
+@pytest.mark.parametrize("f", [pts.matrix2.as_matrix, pts.operator_norm, pts.condition_number,
+                               pts.pauli_decompose, pts.betas_from_t,
+                               lambda m: pts.s_matrix(m, -1j)],
+                         ids=["as_matrix", "operator_norm", "condition_number",
+                              "pauli_decompose", "betas_from_t", "s_matrix"])
+def test_malformed_matrix_raises_argument_error(f, m):
+    with pytest.raises(pts.ArgumentError, match=r"expected a matrix of shape \(2, 2\) "
+                                                r"with numeric entries"):
+        f(m)
+
+
+def test_malformed_vector_raises_argument_error():
+    for v in ("ab", [[1], 2], [1, {}]):
+        with pytest.raises(pts.ArgumentError, match="expected a vector of shape"):
+            pts.pt_apply(v)
