@@ -144,7 +144,7 @@ def cmd_classify(args) -> int:
 def _grid_s(e, zs) -> tuple[np.ndarray, np.ndarray]:
     """S over the points zs in one batched pass, and the singular mask;
     singular rows are NaN."""
-    s, _, singular = _s_batch(*_zero_range_terms(e, _spectral_points(zs)))
+    s, _, singular = _s_batch(*_zero_range_terms(e, _spectral_points(zs).tolist()))
     return s, singular
 
 

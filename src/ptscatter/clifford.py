@@ -110,15 +110,20 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     a3 = i(m01-m10)/2.  General xi rotates the (a1, a3) pair by -xi.
     """
     m00, m01, m10, m11 = as_matrix(m).ravel().tolist()
-    a0 = (m00 + m11) / 2.0
-    s1 = (m00 - m11) / 2.0
-    s2 = (m01 + m10) / 2.0
-    s3 = 1j * (m01 - m10) / 2.0
+    # Real factors enter as complex(x, 0.0), as numpy promotes them: from
+    # Python 3.14 a float times or over a complex skips the zero imaginary
+    # part, which can flip the sign of a zero.
+    two = complex(2.0, 0.0)
+    a0 = (m00 + m11) / two
+    s1 = (m00 - m11) / two
+    s2 = (m01 + m10) / two
+    s3 = 1j * (m01 - m10) / two
     x = _finite_real("xi", xi)
     if x == 0.0:
         return PauliCoefficients(a0, s1, s2, s3)
     c, s = math.cos(x), math.sin(x)
-    return PauliCoefficients(a0, c * s1 + s * s3, s2, -s * s1 + c * s3)
+    c, s, ms = complex(c, 0.0), complex(s, 0.0), complex(-s, 0.0)
+    return PauliCoefficients(a0, c * s1 + s * s3, s2, ms * s1 + c * s3)
 
 
 def c_operator(params: KreinMetricParams) -> np.ndarray:

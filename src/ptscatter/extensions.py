@@ -31,7 +31,8 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
 from .errors import (ArgumentError, AssumptionError, _check_tol,
                      _finite_complex, _finite_real)
-from .matrix2 import as_matrix, hermitian_eigenvalues, is_hermitian, operator_norm
+from .matrix2 import (_det, as_matrix, hermitian_eigenvalues, is_hermitian,
+                      operator_norm)
 from .symmetry import c_params_from_matrix
 
 
@@ -113,12 +114,12 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
     """
     _check_tol(tol)
     a = as_matrix(t)
-    p, q, r, s = a.ravel().tolist()
+    p, _, _, s = a.ravel().tolist()
     tr = p + s
     if abs(tr.imag) > tol:
         raise AssumptionError("tr(t) is not real: t is not beta0 I + beta1 C")
     beta0 = tr.real / 2.0
-    disc = beta0 * beta0 - (p * s - q * r)  # beta0^2 - det(t)
+    disc = beta0 * beta0 - _det(a)
     if abs(disc.imag) > tol:
         raise AssumptionError("det(t) is not real: t is not beta0 I + beta1 C")
     b1_sq = disc.real

@@ -113,11 +113,11 @@ def _det_condition(a) -> tuple[complex, float]:
     the direct eigenvalue formula suffers for ill-conditioned input.  An
     estimate that overflows to inf or NaN counts as singular.
     """
-    p, q, r, s = a.ravel().tolist()
-    d = p * s - q * r
+    d = _det(a)
     absd = abs(d)
     if absd == 0.0:
         return d, math.inf
+    p, q, r, s = a.ravel().tolist()
     frob = (((p.real * p.real + p.imag * p.imag) + (q.real * q.real + q.imag * q.imag))
             + (r.real * r.real + r.imag * r.imag)) + (s.real * s.real + s.imag * s.imag)
     disc = max(frob * frob / 4.0 - absd * absd, 0.0)

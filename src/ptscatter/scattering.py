@@ -42,8 +42,8 @@ mask, with singular rows set to NaN instead of raising.  Its determinant,
 condition estimate and adjugate are the stack forms of the ones in matrix2,
 so each row equals the one-point s_matrix / s_matrix_zero_range bit for bit.
 The one-point functions stay scalar: for a single point the batched path is
-about 4.5 times slower (72 against 16 us for s_matrix, 131 against 29 us for
-s_matrix_zero_range, medians on a 2-core host).  Their matrix arithmetic
+about 3-5 times slower (67 against 14 us for s_matrix, 87 against 29 us for
+s_matrix_zero_range, medians of four timeit runs on a 2-core host).  Their matrix arithmetic
 (T scaled by 2(1 +- iz), num @ adj / det in ``_quotient``) stays numpy:
 numpy's complex array-by-scalar products and quotients round differently
 from Python's, and building num and den as one stacked product measured
@@ -239,39 +239,12 @@ def _terms(t, zs):
     return SIGMA0 - ap * a, SIGMA0 - am * a
 
 
-_SIGNS = np.array([[1.0], [-1.0]])
-
-
-def _mul(a, b):
-    """Python's complex product a * b on (real, imag) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
 def _zero_range_terms(e: ExtensionParams, zs):
     """Numerator and denominator stacks of s_matrix_zero_range(e, z) over the
-    validated points zs.  The coefficients of _zero_range_coefficients are
-    formed from real and imaginary parts, step by step as Python's complex
-    arithmetic forms them: a float operand b enters as complex(b, 0.0), so
-    the x * 0.0 terms of each mixed product stay and decide signed zeros."""
+    validated points zs."""
     sx, hyp = _zero_range_basis(e)
-    z = np.asarray(zs, dtype=complex)
-    iz = _mul((0.0, 1.0), (z.real, z.imag))
-    # rows 2(1 + iz) and 2(1 - iz); 1 - w is 1 + (-w) bit for bit
-    a = _mul((2.0, 0.0), _add((1.0, 0.0), (_SIGNS * iz[0], _SIGNS * iz[1])))
-    c = np.empty((2, 2, len(z), 1, 1), dtype=complex)  # [c0, c2] and [c1, c3]
-    for row, (re, im) in zip(c, (_sub((1.0, 0.0), _mul(a, (e.beta0, 0.0))),
-                                 _mul(a, (e.beta1, 0.0)))):
-        row.real[..., 0, 0], row.imag[..., 0, 0] = re, im
-    num, den = c[0] * sx - c[1] * hyp
-    return num, den
+    c = np.array([_zero_range_coefficients(e, z) for z in zs]).T[:, :, None, None]
+    return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
 
 
 class _Table:

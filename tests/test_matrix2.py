@@ -8,8 +8,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ptscatter import (DEFAULT_CONDITION_LIMIT, DEFAULT_TOL, SIGMA0,
                        ArgumentError, AssumptionError, ExtensionParams,
@@ -17,14 +15,11 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, DEFAULT_TOL, SIGMA0,
                        SingularMatrixError, betas_from_t,
                        c_params_from_matrix, extension_params,
                        pauli_decompose, s_matrix, t_from_betas, t_from_s)
-from ptscatter.matrix2 import (_adjugate, _adjugates, _det_condition,
-                               _det_conditions, _hermitian_lows,
-                               _operator_norms, _singular_error, as_matrix,
-                               condition_number, det, hermitian_eigenvalues,
-                               inverse, is_hermitian, operator_norm)
-from ptscatter.scattering import (_interior_point, _spectral_point,
-                                  _zero_range_basis, _zero_range_coefficients,
-                                  _zero_range_terms)
+from ptscatter.matrix2 import (_adjugate, _det_condition, _singular_error,
+                               as_matrix, condition_number, det,
+                               hermitian_eigenvalues, inverse, is_hermitian,
+                               operator_norm)
+from ptscatter.scattering import _interior_point, _spectral_point
 
 
 def random_matrix(rng, scale=1.0):
@@ -386,12 +381,6 @@ def ref_t_from_s(s, z):
     return ref_quotient(SIGMA0 - sm, a * SIGMA0 - b * sm, zz, DEFAULT_CONDITION_LIMIT)[0]
 
 
-def ref_zero_range_terms(e, zs):
-    sx, hyp = _zero_range_basis(e)
-    c = np.array([_zero_range_coefficients(e, z) for z in zs]).T[:, :, None, None]
-    return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
-
-
 def scan_draws(rng, n):
     """(beta0, beta1, chi, xi) inside and outside the nonnegativity diamond,
     |chi| up to 6, with beta0 = +-0, beta1 = +-0 and tiny beta1 among them."""
@@ -426,45 +415,6 @@ def test_scan_path_keeps_the_bits_of_its_numpy_references():
                     s = s_matrix(t, z).s
                     assert outcome(t_from_s, s, z) == outcome(ref_t_from_s, s, z)
     assert kinds == {"ok", AssumptionError}
-
-
-def test_zero_range_terms_keep_the_bits_of_the_per_point_loop():
-    # 300 parameter sets x 256 points, plus points with +-0 parts
-    rng = np.random.default_rng(14)
-    signed = [complex(x, y) for x in (0.0, -0.0, 1.5) for y in (0.0, -0.0, -1.0, -2.0)]
-    for b0, b1, chi, xi in scan_draws(rng, 300).tolist():
-        e = extension_params(b0, b1, chi, xi)
-        zs = (rng.uniform(-3, 3, 256) + 1j * rng.uniform(-3, 0, 256)).tolist() + signed
-        for got, want in zip(_zero_range_terms(e, zs), ref_zero_range_terms(e, zs)):
-            assert bits(got) == bits(want)
-
-
-# ---------------------------------------------------------------- scalar vs stack
-
-finite = st.floats(min_value=-1e150, max_value=1e150)
-tenths = st.integers(-9, 9).map(lambda k: k / 10)
-entries = st.one_of(st.builds(complex, finite, finite), st.builds(complex, tenths, tenths))
-stacks = st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=16).map(
-    lambda rows: np.array(rows, dtype=complex).reshape(-1, 2, 2))
-
-
-@given(stacks)
-@example(np.array([[[-0.9, -0.3], [0.4 - 0.8j, -0.3 - 0.8j]]]))  # math.hypot rounds it apart
-@example(np.array([[[0.6 - 0.6j, -0.8 + 0.6j], [-0.6 + 0.7j, -0.5 + 0.2j]]]))  # Python abs does
-@settings(max_examples=200, deadline=None)
-def test_scalar_forms_equal_their_stack_forms(a):
-    with np.errstate(all="ignore"):
-        norms = _operator_norms(a)
-        dets, conds = _det_conditions(a)
-        lows = _hermitian_lows(a)
-        adjs = _adjugates(a)
-    for k, m in enumerate(a):
-        assert bits(operator_norm(m)) == bits(float(norms[k]))
-        d, cond = _det_condition(m)
-        assert bits((d, cond)) == bits((complex(dets[k]), float(conds[k])))
-        assert bits(hermitian_eigenvalues(m)[0]) == bits(float(lows[k]))
-        if cond < math.inf:
-            assert bits(_adjugate(m, None)[0]) == bits(adjs[k])
 
 
 # ---------------------------------------------------------------- dispatch-free
