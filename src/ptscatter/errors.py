@@ -9,6 +9,7 @@ point on the wrong side of the real axis, ...).
 """
 
 import math
+import operator
 
 
 class ArgumentError(ValueError):
@@ -39,13 +40,28 @@ def _finite_complex(name, value) -> complex:
 
 
 def _finite_real(name, value) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArgumentError(f"{name} must be a real number: {exc}") from exc
     if not math.isfinite(x):
         raise ArgumentError(f"{name} must be finite, got {value!r}")
     return x
 
 
+def _integer(name, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_tol(tol):
-    """Reject a tolerance that is not a positive number (NaN included)."""
-    if not tol > 0:
+    """Reject a tolerance that is not a positive number (NaN and non-numbers
+    included)."""
+    try:
+        positive = tol > 0
+    except TypeError:
+        positive = False
+    if not positive:
         raise ArgumentError("tol must be positive")

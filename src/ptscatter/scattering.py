@@ -50,26 +50,42 @@ from Python's, and building num and den as one stacked product measured
 slower (4.1 against 3.3 us).  The determinant, condition number and
 adjugate inside ``_quotient`` run on Python scalars (matrix2).
 
-A table (``_s_table``, ``_zero_range_table``) is given its points up front,
-reflections -conj z included where a check needs them, validates them as
-one array and fills from one kernel call at its first lookup; a lookup
-takes an array of points and returns their rows.  A check raises what a
-loop over its points would raise first: for each point in turn its
-validation error, then the :class:`SingularMatrixError` of S at z and then
-at -conj z, then a non-finite residual matrix.
+A table (``_s_table``, ``_zero_range_table``) is the evaluation plan of one
+parameter.  It is given its point lists up front, each plain or with its
+reflections -conj z, validates each list once (``_Points``: the points as
+given, their validated array and their table rows at z and -conj z) and
+fills from one kernel call; the checks gather their S rows by those rows.
+The products several conditions share (G S, S* G, (S* G) S, P_xi S and
+S* P_xi) are formed once over the table rows and associate as each
+condition writes them, so every gathered row keeps its bits; the PT image
+sigma_3 conj(S) sigma_3 is conj(S) with its off-diagonal entries negated,
+which differs from the two products only in the sign of zero entries.  All
+residuals of a report (with those the verify suite adds) are normed in one
+``_operator_norms`` call, (a) in one ``_hermitian_lows`` call, and each
+check's share is reduced by ``_worst``.  A check raises what a loop over its
+points would raise first: for each point in turn its validation error, then
+the error of S at z and then at -conj z (the :class:`SingularMatrixError`,
+or a malformed T's error), then a non-finite residual matrix; a report's
+checks raise in the order (a), (b), (c), (d), PT.  Numpy's floating-point
+warnings are off while residuals are formed and normed: an overflow there
+ends in that non-finite error or in a NaN residual.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA3, KreinMetricParams,
-                       metric, p_xi)
-from .errors import ArgumentError, _check_tol, _finite_complex
+from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, KreinMetricParams, metric,
+                       p_xi)
+from .errors import (ArgumentError, _check_tol, _finite_complex, _finite_real,
+                     _integer)
 from .extensions import ExtensionParams
 from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
                       _operator_norms, _singular_error, as_matrix,
@@ -100,21 +116,20 @@ def _complex_or_nan(z) -> complex:
         return _NAN
 
 
-def _spectral_array(zs, interior: bool = False) -> np.ndarray:
+def _spectral_array(zs) -> np.ndarray:
     """complex(z) for each z of the sequence zs as one array, NaN where
-    _spectral_point(z, interior) rejects z."""
+    _spectral_point(z) rejects z."""
     z = np.array([_complex_or_nan(x) for x in zs], dtype=complex)
-    ok = np.isfinite(z) & ((z.imag < 0) if interior else (z.imag <= 0))
-    return np.where(ok, z, _NAN)
+    return np.where(np.isfinite(z) & (z.imag <= 0), z, _NAN)
 
 
-def _spectral_points(zs, interior: bool = False) -> np.ndarray:
+def _spectral_points(zs) -> np.ndarray:
     """_spectral_point over the sequence zs as one array; the first rejected
     point raises the scalar helper's error."""
-    z = _spectral_array(zs, interior)
+    z = _spectral_array(zs)
     bad = np.flatnonzero(np.isnan(z))
     if bad.size:
-        _spectral_point(zs[bad[0]], interior)
+        _spectral_point(zs[bad[0]])
     return z
 
 
@@ -247,80 +262,136 @@ def _zero_range_terms(e: ExtensionParams, zs):
     return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
 
 
-class _Table:
-    """S over the valid points of zs and of reflected, the latter with their
-    reflections -conj z; invalid points are left to the validation of the
-    caller.  S at every distinct point comes from one kernel call on
-    terms(points), made at the first lookup."""
+class _Points(NamedTuple):
+    """A point list validated once: zs as given, z = complex(z) for each point
+    (NaN where the closed lower half-plane rejects it) and, once a table
+    holds the list, the table rows of z (``at``) and of -conj z (``mirror``,
+    for a list taken with its reflections); a NaN point reads the NaN row."""
 
-    def __init__(self, terms, zs=(), reflected=()):
-        r = _spectral_array(reflected)
-        points = np.concatenate([_spectral_array(zs), np.column_stack([r, -r.conj()]).ravel()])
+    zs: list
+    z: np.ndarray
+    at: np.ndarray | None = None
+    mirror: np.ndarray | None = None
+
+
+def _points(zs) -> _Points:
+    zs = list(zs)
+    return _Points(zs, _spectral_array(zs))
+
+
+def _join(*lists) -> _Points:
+    """The point lists one after another."""
+    return _Points(list(chain.from_iterable(p.zs for p in lists)),
+                   *(np.concatenate([getattr(p, name) for p in lists])
+                     for name in ("z", "at", "mirror")))
+
+
+def _take(p, keep) -> _Points:
+    """The points of p where the mask keep holds."""
+    return _Points(list(compress(p.zs, keep.tolist())), p.z[keep], p.at[keep], p.mirror[keep])
+
+
+class _Table:
+    """S at the distinct valid points of some validated point lists, from one
+    kernel call on terms(points) made when the table is built.  The lists
+    come in plain or with their reflections -conj z and are kept in
+    ``points`` with their rows; ``s``, ``cond`` and ``singular`` hold one row
+    per distinct point and a NaN row last.  When terms raises (a malformed
+    T) the error is kept and every row reads as singular, so that a check
+    raises it where a loop over its points would: at its first valid point."""
+
+    def __init__(self, terms, plain=(), reflected=()):
+        mirrored = [np.column_stack([p.z, -p.z.conj()]).ravel() for p in reflected]
+        points = np.concatenate([p.z for p in plain] + mirrored)
         distinct = dict.fromkeys(points[~np.isnan(points)].tolist())
         self._index = {z: i for i, z in enumerate(distinct)}
-        self._terms = terms
-        self._rows = None
+        n = len(self._index)
+        rows = np.array([self._index.get(z, n) for z in points.tolist()], dtype=int)
+        ends = list(accumulate([len(p.z) for p in plain] + [len(m) for m in mirrored]))
+        rows = [rows[i:j] for i, j in zip([0] + ends, ends)]
+        self.points = ([p._replace(at=r) for p, r in zip(plain, rows)]
+                       + [p._replace(at=r[0::2], mirror=r[1::2])
+                          for p, r in zip(reflected, rows[len(plain):])])
+        self.s = np.full((n + 1, 2, 2), _NAN)
+        self.cond = np.full(n + 1, math.nan)
+        self.singular = np.zeros(n + 1, dtype=bool)
+        self._error = None
+        if n:
+            try:
+                self.s[:n], self.cond[:n], self.singular[:n] = _s_batch(*terms(list(self._index)))
+            except ArgumentError as exc:
+                self._error = exc
+                self.singular[:n] = True
 
-    def lookup(self, zs):
-        """(S (N, 2, 2), cond (N,), singular (N,), fail) at the points zs
-        (an array; NaN rows where zs is NaN); fail(k) raises the
-        SingularMatrixError of a one-point evaluation at zs[k]."""
-        if self._rows is None:
-            s, cond, singular = _s_batch(*self._terms(list(self._index)))
-            self._rows = (np.append(s, np.full((1, 2, 2), _NAN), axis=0),
-                          np.append(cond, math.nan), np.append(singular, False))
-        idx = np.array([self._index[z] if z == z else -1 for z in zs.tolist()], dtype=int)
-        s, cond, singular = (a[idx] for a in self._rows)
-
-        def fail(k):
-            raise _singular_error(float(cond[k]), DEFAULT_CONDITION_LIMIT,
-                                  complex(zs[k]), "denominator")
-        return s, cond, singular, fail
+    def fail(self, rows, z, k):
+        """Raise what a one-point evaluation at z[k] raises, S being read at
+        row rows[k]."""
+        if self._error is not None:
+            raise self._error
+        raise _singular_error(float(self.cond[rows[k]]), DEFAULT_CONDITION_LIMIT,
+                              complex(z[k]), "denominator")
 
     def at(self, z) -> np.ndarray:
-        """S at the one valid point z, raising like a one-point evaluation."""
-        s, _, singular, fail = self.lookup(np.array([complex(z)]))
-        if singular[0]:
-            fail(0)
-        return s[0]
+        """S at the point z of a plain list, raising like a one-point evaluation."""
+        i = self._index[complex(z)]
+        if self.singular[i]:
+            self.fail([i], [z], 0)
+        return self.s[i]
 
 
-def _s_table(t, zs=(), reflected=()) -> _Table:
-    """The table of s_matrix(t, z); t is validated at the first lookup."""
-    return _Table(partial(_terms, t), zs, reflected)
+def _s_table(t, plain=(), reflected=()) -> _Table:
+    """The table of s_matrix(t, z) over the point lists plain and reflected,
+    each validated once."""
+    return _Table(partial(_terms, t), [_points(zs) for zs in plain],
+                  [_points(zs) for zs in reflected])
 
 
-def _zero_range_table(e: ExtensionParams, zs) -> _Table:
-    """The table of s_matrix_zero_range(e, z)."""
-    return _Table(partial(_zero_range_terms, e), zs)
+def _zero_range_table(e: ExtensionParams, points) -> _Table:
+    """The table of s_matrix_zero_range(e, z) over the validated lists points."""
+    return _Table(partial(_zero_range_terms, e), points)
 
 
-def _residuals(zs, z, validate, lookups, form, norm=_operator_norms) -> np.ndarray:
-    """norm(form(*stacks)): the residual at each point of zs, where z holds
-    the points validated (NaN where validate rejects zs[k]) and each
-    (table, points) of lookups gives one S stack.  Raises what a loop over
-    the points would raise first: at each point in turn validate's error,
-    the singular error of each lookup in order, then as_matrix's error for a
-    non-finite residual matrix.  No S is evaluated when zs is empty or
-    starts with an invalid point, as in that loop."""
-    if not len(z):
-        return np.empty(0)
-    invalid = np.isnan(z)
-    if invalid[0]:
-        validate(zs[0])
-    stages = [(invalid, lambda k: validate(zs[k]))]
-    stacks = []
-    for table, points in lookups:
-        s, _, singular, fail = table.lookup(points)
-        stacks.append(s)
-        stages.append((singular, fail))
-    m = form(*stacks)
+class _Residuals(NamedTuple):
+    """The residual matrices m of one check at its points z, and fault: None,
+    or a callable raising the first fault a loop over the points meets."""
+
+    z: np.ndarray
+    m: np.ndarray
+    fault: Callable | None
+
+    def checked(self, res):
+        """The residuals res of m, once the fault (if any) is raised."""
+        if self.fault is not None:
+            self.fault()
+        return res
+
+
+@np.errstate(all="ignore")
+def _residuals(points, valid, validate, lookups, form) -> _Residuals:
+    """form() at the points (_Points), with the first fault a loop over them
+    would raise: at each point in turn validate's error where valid is False,
+    the error of S at each (table, rows, z) of lookups in order, then
+    as_matrix's error for a non-finite residual matrix.  Overflow in form()
+    ends in that error or in a NaN residual, so numpy's warnings are off."""
+    m = form()
+    stages = [(~valid, lambda k: validate(points.zs[k]))]
+    stages += [(table.singular[rows], partial(table.fail, rows, z)) for table, rows, z in lookups]
     stages.append((~np.isfinite(m).all(axis=(1, 2)), lambda k: as_matrix(m[k])))
-    hits = np.flatnonzero(np.column_stack([mask for mask, _ in stages]))
-    if hits.size:
-        k, stage = divmod(int(hits[0]), len(stages))
-        stages[stage][1](k)
-    return norm(m)
+    hits = np.array([mask for mask, _ in stages])
+    fault = None
+    if hits.any():
+        k, stage = divmod(int(np.flatnonzero(hits.T)[0]), len(stages))
+        fault = partial(stages[stage][1], k)
+    return _Residuals(points.z, m, fault)
+
+
+@np.errstate(all="ignore")
+def _normed(checks) -> list[np.ndarray]:
+    """The operator norms of each check's residual matrices, from one call on
+    their concatenation."""
+    res = _operator_norms(np.concatenate([c.m for c in checks]))
+    ends = list(accumulate(len(c.m) for c in checks))
+    return [res[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def _worst(z, res):
@@ -340,6 +411,24 @@ def _check(residual, witness, tol) -> PropertyCheck:
     return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
 
 
+def _verdict(r, res, tol) -> PropertyCheck:
+    """The check of the residuals r with norms res."""
+    return _check(*_worst(r.z, r.checked(res)), tol)
+
+
+def _alone(r, tol) -> PropertyCheck:
+    """_verdict of the residuals r normed on their own."""
+    return _verdict(r, *_normed([r]), tol)
+
+
+@np.errstate(all="ignore")
+def _verdict_a(r, tol) -> PropertyCheck:
+    """Condition (a) from its metric gaps r: the residual is minus the lowest
+    eigenvalue, clamped at 0."""
+    worst, witness = _worst(r.z, r.checked(-_hermitian_lows(r.m)))
+    return _check(max(0.0, worst), witness, tol)
+
+
 def _off_axis(z) -> complex:
     zz = _interior_point(z)
     if zz.real == 0.0:
@@ -352,11 +441,6 @@ def _ct(s) -> np.ndarray:
     return s.conj().swapaxes(1, 2)
 
 
-def _metric_gaps(g, s) -> np.ndarray:
-    """G - S* G S for each S of a stack (N, 2, 2)."""
-    return g - _ct(s) @ g @ s
-
-
 def _metric_defect(g, s) -> float:
     """Lowest eigenvalue of G - S* G S (negative where (a) fails)."""
     return hermitian_eigenvalues(g - s.conj().T @ g @ s)[0]
@@ -364,47 +448,75 @@ def _metric_defect(g, s) -> float:
 
 def _metric_defects(g, s) -> np.ndarray:
     """_metric_defect of each S of a stack (N, 2, 2)."""
-    return _hermitian_lows(_metric_gaps(g, s))
+    return _hermitian_lows(g - _ct(s) @ g @ s)
+
+
+def _pt_images(s) -> np.ndarray:
+    """sigma_3 conj(S) sigma_3 for each S of a stack (N, 2, 2): conj(S) with
+    its off-diagonal entries negated.  The two-product form differs from it
+    only in the sign of zero entries, which no norm sees."""
+    c = s.conj()
+    c[:, 0, 1] = -c[:, 0, 1]
+    c[:, 1, 0] = -c[:, 1, 0]
+    return c
+
+
+class _Products:
+    """J S, S* J and (S* J) S over the S rows of a table, each formed on first
+    use and shared by the checks reading it.  They associate as the checks
+    write them, so every row a check gathers keeps its bits."""
+
+    def __init__(self, s, j):
+        self.s, self.j = s, j
+
+    @cached_property
+    def js(self) -> np.ndarray:
+        return self.j @ self.s
+
+    @cached_property
+    def sj(self) -> np.ndarray:
+        return _ct(self.s) @ self.j
+
+    @cached_property
+    def sjs(self) -> np.ndarray:
+        return self.sj @ self.s
 
 
 # One function per condition, holding its residual expression (larger is
-# worse) over the S stacks of a table s_of; the public checks give each call
-# its own table, property_report and the verify suite share one per
-# parameter.
+# worse) over the rows of a table s_of at its validated points p; the public
+# checks give each call a one-list table, property_report and the verify
+# suite share one table per parameter.
 
-def _cond_a(s_of, g, zs, tol) -> PropertyCheck:
-    z = _spectral_array(zs, interior=True)
-    res = -_residuals(zs, z, _interior_point, [(s_of, z)], partial(_metric_gaps, g),
-                      _hermitian_lows)
-    worst, witness = _worst(z, res)
-    return _check(max(0.0, worst), witness, tol)
+def _cond_a(s_of, p, g) -> _Residuals:
+    """The metric gaps G - S* G S, g holding the products with G."""
+    return _residuals(p, p.z.imag < 0, _interior_point, [(s_of, p.at, p.z)],
+                      lambda: g.j - g.sjs[p.at])
 
 
-def _cond_reflection(s_of, j, zs, tol) -> PropertyCheck:
-    """(b) with J = G, (d) with J = P_xi."""
-    z = _spectral_array(zs)
-    res = _residuals(zs, z, _spectral_point, [(s_of, z), (s_of, -z.conj())],
-                     lambda s, sr: j @ s - _ct(sr) @ j)
-    return _check(*_worst(z, res), tol)
+def _cond_reflection(s_of, p, j) -> _Residuals:
+    """(b) with J = G, (d) with J = P_xi; j holds the products with J."""
+    return _residuals(p, ~np.isnan(p.z), _spectral_point,
+                      [(s_of, p.at, p.z), (s_of, p.mirror, -p.z.conj())],
+                      lambda: j.js[p.at] - j.sj[p.mirror])
 
 
-def _cond_c(s_of, g, zs, tol) -> PropertyCheck:
-    z = _spectral_array(zs, interior=True)
-    z[z.real == 0.0] = _NAN
-    re = z.real[:, None, None]
-    im = (1j * z.imag)[:, None, None]
-
-    def form(s):
-        sh = _ct(s)
-        return re * (g - sh @ g @ s) - im * (sh @ g - g @ s)
-    return _check(*_worst(z, _residuals(zs, z, _off_axis, [(s_of, z)], form)), tol)
+def _cond_c(s_of, p, g) -> _Residuals:
+    re = p.z.real[:, None, None]
+    im = (1j * p.z.imag)[:, None, None]
+    return _residuals(p, (p.z.imag < 0) & (p.z.real != 0.0), _off_axis, [(s_of, p.at, p.z)],
+                      lambda: re * (g.j - g.sjs[p.at]) - im * (g.sj[p.at] - g.js[p.at]))
 
 
-def _cond_pt(s_of, zs, tol) -> PropertyCheck:
-    z = _spectral_array(zs, interior=True)
-    res = _residuals(zs, z, _interior_point, [(s_of, z), (s_of, -z.conj())],
-                     lambda s, sr: SIGMA3 @ s.conj() @ SIGMA3 - sr)
-    return _check(*_worst(z, res), tol)
+def _cond_pt(s_of, p) -> _Residuals:
+    return _residuals(p, p.z.imag < 0, _interior_point,
+                      [(s_of, p.at, p.z), (s_of, p.mirror, -p.z.conj())],
+                      lambda: _pt_images(s_of.s[p.at]) - s_of.s[p.mirror])
+
+
+def _plain_norms(s_of, p) -> _Residuals:
+    """S itself, whose norm is the plain C^2 norm."""
+    return _residuals(p, ~np.isnan(p.z), _spectral_point, [(s_of, p.at, p.z)],
+                      lambda: s_of.s[p.at])
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -414,15 +526,15 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     the witness is the point that produced it.
     """
     _check_tol(tol)
-    zs = list(zs)
-    return _cond_a(_s_table(t, zs), metric(p), zs, tol)
+    s_of = _s_table(t, [zs])
+    return _verdict_a(_cond_a(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
-    zs = list(zs)
-    return _cond_reflection(_s_table(t, reflected=zs), metric(p), zs, tol)
+    s_of = _s_table(t, reflected=[zs])
+    return _alone(_cond_reflection(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -431,43 +543,43 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     Requires Re z != 0 and Im z < 0.
     """
     _check_tol(tol)
-    return _cond_c(_s_table(t, [z]), metric(p), [z], tol)
+    s_of = _s_table(t, [[z]])
+    return _alone(_cond_c(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
     _check_tol(tol)
-    return _cond_reflection(_s_table(t, reflected=[z]), p_xi(xi), [z], tol)
+    s_of = _s_table(t, reflected=[[z]])
+    return _alone(_cond_reflection(s_of, *s_of.points, _Products(s_of.s, p_xi(xi))), tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
-    zs = list(zs)
-    return _cond_pt(_s_table(t, reflected=zs), zs, tol)
-
-
-def _max_norm(s_of, zs) -> float:
-    z = _spectral_array(zs)
-    return _worst(z, _residuals(zs, z, _spectral_point, [(s_of, z)], lambda s: s))[0]
+    s_of = _s_table(t, reflected=[zs])
+    return _alone(_cond_pt(s_of, *s_of.points), tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    zs = list(zs)
-    return _max_norm(_s_table(t, zs), zs)
+    s_of = _s_table(t, [zs])
+    r = _plain_norms(s_of, *s_of.points)
+    return _worst(r.z, r.checked(*_normed([r])))[0]
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
                           im_min: float = -3.0, im_max: float = -0.1,
                           steps: int = 7) -> list[complex]:
     """steps x steps points, row-major: imaginary part outer (ascending),
-    real part inner (ascending); reversed bounds raise :class:`ArgumentError`.
-    The defaults give the standard 49-point grid of the verification suites."""
-    if steps < 1:
-        raise ArgumentError("steps must be >= 1")
+    real part inner (ascending); reversed or non-finite bounds and a steps
+    that is not an integer >= 1 raise :class:`ArgumentError`.  The defaults
+    give the standard 49-point grid of the verification suites."""
+    steps = _steps(steps)
+    re_min, re_max = _finite_real("re_min", re_min), _finite_real("re_max", re_max)
+    im_min, im_max = _finite_real("im_min", im_min), _finite_real("im_max", im_max)
     if im_max > 0:
         raise ArgumentError("grid must stay in the closed lower half-plane")
     if re_min > re_max or im_min > im_max:
@@ -477,10 +589,18 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
     return [complex(x, y) for y in ims for x in res]
 
 
-def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[complex]:
-    """Boundary-value sample points on the real axis."""
+def _steps(steps) -> int:
+    steps = _integer("steps", steps)
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
+    return steps
+
+
+def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[complex]:
+    """Boundary-value sample points on the real axis; non-finite bounds and a
+    steps that is not an integer >= 1 raise :class:`ArgumentError`."""
+    steps = _steps(steps)
+    lo, hi = _finite_real("lo", lo), _finite_real("hi", hi)
     return [complex(x, 0.0) for x in np.linspace(lo, hi, steps)]
 
 
@@ -496,13 +616,14 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     residual.  S is evaluated once per distinct point of
     interior | boundary | {witness} and of its reflection -conj z, in one
     batched call, into a table shared by all five checks; each condition's
-    residuals are one stack expression, and its worst residual and witness
-    come from the one reducer the single checks use.
+    residuals are one stack expression, the norms of all of them come from
+    one call, and each worst residual and witness from the one reducer the
+    single checks use.
     """
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
-    s_of = _s_table(t, reflected=interior + boundary + [witness])
-    return _report(s_of, p, interior, boundary, witness, tol)
+    s_of = _s_table(t, reflected=[interior, boundary, [witness]])
+    return _report(s_of, p, *s_of.points, tol)[0]
 
 
 def _grids(interior, boundary) -> tuple[list, list]:
@@ -511,13 +632,23 @@ def _grids(interior, boundary) -> tuple[list, list]:
             list(boundary) if boundary is not None else real_axis_points())
 
 
-def _report(s_of, p, interior, boundary, witness, tol) -> PropertyReport:
-    witness = _interior_point(witness)
-    g = metric(p)
-    c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
-    return PropertyReport(
-        cond_a=_cond_a(s_of, g, interior, tol),
-        cond_b=_cond_reflection(s_of, g, interior + boundary, tol),
-        cond_c=_cond_c(s_of, g, c_points, tol),
-        cond_d=_cond_reflection(s_of, p_xi(p.xi), [witness] + interior + boundary, tol),
-        pt_criterion=_cond_pt(s_of, interior, tol))
+def _report(s_of, p, interior, boundary, witness, tol, extra=()):
+    """(PropertyReport, norms of extra) over the table s_of and its lists
+    interior, boundary and witness (the one-point list).  The products of S
+    with G and P_xi are formed once; (a) takes one _hermitian_lows call, and
+    (b), (c), (d), PT and the residuals extra take one _operator_norms call.
+    The checks raise in order, each what its per-point loop raises first;
+    the faults of extra are left to the caller."""
+    _interior_point(witness.zs[0])
+    g = _Products(s_of.s, metric(p))
+    off_axis = np.array([complex(z).real != 0.0 for z in interior.zs], dtype=bool)
+    a = _cond_a(s_of, interior, g)
+    checks = [_cond_reflection(s_of, _join(interior, boundary), g),
+              _cond_c(s_of, _join(witness, _take(interior, off_axis)), g),
+              _cond_reflection(s_of, _join(witness, interior, boundary),
+                               _Products(s_of.s, p_xi(p.xi))),
+              _cond_pt(s_of, interior), *extra]
+    res = _normed(checks)
+    report = PropertyReport(_verdict_a(a, tol),
+                            *(_verdict(r, n, tol) for r, n in zip(checks[:4], res)))
+    return report, res[4:]

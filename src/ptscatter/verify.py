@@ -20,10 +20,12 @@ with its theory-expected outcome:
     (I +- C)/2 of T are orthogonal, so S is a plain-norm contraction for
     every admissible beta1 and no witness is expected.
 
-Every S(z) a draw needs, the Mobius witness points included, comes from one
-table filled by one batched evaluation over the distinct points; the
-parametrized route it is compared with fills its own table the same way.
-Each residual over the grid is one stack expression over those tables.
+A draw runs on one evaluation plan: one table holds S at every distinct
+point the draw needs, the Mobius witness points included, from one batched
+evaluation, with each point list validated once and indexed into it; the
+parametrized route it is compared with fills its own table over the same
+validated grid.  The report's residuals, the gap between the two routes and
+the plain norms of S are normed in one call and reduced check by check.
 A suite is *consistent* when every actual outcome equals its expected one;
 the random driver reports the first inconsistent draw in replayable form.
 """
@@ -35,12 +37,12 @@ import math
 import numpy as np
 
 from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
-from .errors import ArgumentError, _check_tol
+from .errors import ArgumentError, _check_tol, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import _operator_norms, as_matrix
-from .scattering import (_grids, _max_norm, _report, _residuals, _s_table,
-                         _spectral_array, _spectral_point, _zero_range_table,
+from .scattering import (_grids, _normed, _plain_norms, _report, _residuals,
+                         _s_table, _spectral_point, _worst, _zero_range_table,
                          s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
@@ -121,14 +123,18 @@ def _round_trip(s_at, t, zs) -> tuple[float, float]:
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S evaluation."""
-    zs = list(zs)
-    return _route_gap(e, _s_table(t_from_betas(e), zs), zs)
+    s_of = _s_table(t_from_betas(e), [zs])
+    gap = _route_gap(e, s_of, *s_of.points)
+    return max(gap.checked(*_normed([gap])).tolist())
 
 
-def _route_gap(e, s_of, zs) -> float:
-    z = _spectral_array(zs)
-    lookups = [(_zero_range_table(e, zs), z), (s_of, z)]
-    return max(_residuals(zs, z, _spectral_point, lookups, lambda zr, s: zr - s).tolist())
+def _route_gap(e, s_of, p):
+    """The residuals S_zero_range - S at the validated points p of the table
+    s_of, the parametrized S from its own table over the same points."""
+    zr = _zero_range_table(e, [p])
+    at = zr.points[0].at
+    return _residuals(p, ~np.isnan(p.z), _spectral_point, [(zr, at, p.z), (s_of, p.at, p.z)],
+                      lambda: zr.s[at] - s_of.s[p.at])
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -168,19 +174,23 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
                         interior=None, boundary=None) -> dict:
     """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
     the draw needs, Mobius witnesses included, comes from one table filled by
-    one batched evaluation over the distinct points."""
+    one batched evaluation over the distinct points, and every norm of a
+    residual over the grid from one call."""
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    s_of = _s_table(t, WITNESS_POINTS, interior + boundary + [1.0 - 1.0j])
-    report = _report(s_of, e.metric, interior, boundary, 1.0 - 1.0j, tol)
+    s_of = _s_table(t, [WITNESS_POINTS], [interior, boundary, [1.0 - 1.0j]])
+    _, grid, axis, witness = s_of.points
+    gap, top = _route_gap(e, s_of, grid), _plain_norms(s_of, grid)
+    report, (gap_norms, top_norms) = _report(s_of, e.metric, grid, axis, witness, tol,
+                                             [gap, top])
     recovery, spread = _round_trip(s_of.at, t, WITNESS_POINTS)
-    feq = _route_gap(e, s_of, interior)
+    feq = max(gap.checked(gap_norms).tolist())
     # _report has validated the interior points and met its singular ones
-    worst_cond = max([1.0] + s_of.lookup(_spectral_array(interior))[1].tolist())
-    max_norm = _max_norm(s_of, interior)
+    worst_cond = max([1.0] + s_of.cond[grid.at].tolist())
+    max_norm = _worst(top.z, top.checked(top_norms))[0]
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
     quad = _quadratic_gap(e, cls)
@@ -231,6 +241,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
 def run_random_suite(n: int, seed: int, tol: float = DEFAULT_TOL) -> dict:
     """Deterministic random battery: draw i is admissible for even i and
     deliberately out-of-region for odd i."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 1:
         raise ArgumentError("n must be >= 1")
     if seed < 0:

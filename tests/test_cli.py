@@ -491,6 +491,14 @@ def test_bad_input_prints_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("flag", ["--re-min", "--re-max", "--im-min", "--im-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_sweep_bound_is_named(capsys, flag, value):
+    code, out, err = run(capsys, ["sweep", "--beta0", "0.2", "--beta1", "0.1", f"{flag}={value}"])
+    name = flag[2:].replace("-", "_")
+    assert (code, out, err) == (2, "", f"error: {name} must be finite, got {value}\n")
+
+
 def run_process(argv):
     """The CLI in a fresh interpreter, so numpy warnings reach real stderr."""
     src = Path(__file__).resolve().parent.parent / "src"

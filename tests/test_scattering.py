@@ -710,3 +710,63 @@ def test_nothing_is_evaluated_point_by_point(monkeypatch):
     report = property_report(t_from_betas(e), e.metric)
     assert report.cond_b.passed
     assert run_parameter_suite(e)["consistent"]
+
+
+def test_pt_images_keep_every_norm_bit():
+    # sigma_3 conj(S) sigma_3 as conj(S) with negated off-diagonal entries
+    # differs from the two products only in the sign of zero entries
+    from ptscatter.scattering import _pt_images
+    rng = np.random.default_rng(83)
+    n = 120_000
+
+    def stack():
+        s = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        s *= np.where(rng.random((n, 1, 1)) < 0.5,
+                      np.exp(rng.uniform(-300.0, 300.0, (n, 1, 1))), 1.0)
+        parts = s.view(float).reshape(n, 2, 2, 2)
+        zero = (rng.random(parts.shape) < 0.3) | (rng.random((n, 1, 1, 1)) < 0.01)
+        parts[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+        s[rng.random(n) < 0.01] = complex(math.nan, math.nan)
+        return s
+
+    s, sr = stack(), stack()
+    with np.errstate(all="ignore"):
+        two_products = SIGMA3 @ s.conj() @ SIGMA3
+        norms = [_operator_norms(m) for m in (_pt_images(s), two_products,
+                                              _pt_images(s) - sr, two_products - sr)]
+    for got, want in (norms[:2], norms[2:]):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    want = norms[1]
+    for kind in (np.isnan(want), want == 0.0, want > 1e100, (want < 1e-100) & (want > 0.0)):
+        assert kind.any()
+
+
+def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypatch):
+    import ptscatter.scattering as scattering
+    import ptscatter.verify as verify
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = 0
+
+        def count(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    for module, name in ((scattering, "_spectral_array"), (scattering, "_operator_norms"),
+                         (scattering, "_hermitian_lows"), (verify, "_operator_norms")):
+        counting(module, name)
+    e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
+    assert run_parameter_suite(e)["consistent"]
+    # the point lists are WITNESS_POINTS, the interior grid, the real axis and
+    # the witness 1-1j; the two verify norms are the Mobius round trip's
+    assert calls == {"scattering._spectral_array": 4, "scattering._operator_norms": 1,
+                     "scattering._hermitian_lows": 1, "verify._operator_norms": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    property_report(t_from_betas(e), e.metric)
+    assert calls == {"scattering._spectral_array": 3, "scattering._operator_norms": 1,
+                     "scattering._hermitian_lows": 1, "verify._operator_norms": 0}

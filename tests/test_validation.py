@@ -2,6 +2,9 @@
 
 import inspect
 import math
+import re
+
+import numpy as np
 
 import pytest
 
@@ -48,7 +51,7 @@ def test_table_covers_every_public_function_taking_tol():
     assert takes_tol == set(CALLS)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x", None, 1j])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_bad_tol_raises(name, tol):
     with pytest.raises(pts.ArgumentError, match="tol must be positive"):
@@ -78,3 +81,41 @@ def test_malformed_vector_raises_argument_error():
     for v in ("ab", [[1], 2], [1, {}]):
         with pytest.raises(pts.ArgumentError, match="expected a vector of shape"):
             pts.pt_apply(v)
+
+
+# a parameter that float() rejects is malformed too, and the error names it
+@pytest.mark.parametrize("make, name", [
+    (lambda: pts.extension_params("x", 0.1), "beta0"),
+    (lambda: pts.extension_params(0.1, None), "beta1"),
+    (lambda: pts.KreinMetricParams(None, 0.0), "xi"),
+    (lambda: pts.KreinMetricParams(0.0, "1e"), "chi"),
+    (lambda: pts.extension_params(10 ** 400, 0.0), "beta0"),
+], ids=["string", "none", "none-xi", "string-chi", "huge-int"])
+def test_non_real_parameter_raises_argument_error(make, name):
+    with pytest.raises(pts.ArgumentError, match=f"^{name} must be a real number: "):
+        make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.lower_half_plane_grid(steps=2.5), "steps must be an integer, got 2.5"),
+    (lambda: pts.lower_half_plane_grid(steps="3"), "steps must be an integer, got '3'"),
+    (lambda: pts.lower_half_plane_grid(re_min=math.nan), "re_min must be finite, got nan"),
+    (lambda: pts.lower_half_plane_grid(re_max=math.inf), "re_max must be finite, got inf"),
+    (lambda: pts.lower_half_plane_grid(im_min=-math.inf), "im_min must be finite, got -inf"),
+    (lambda: pts.lower_half_plane_grid(im_max=math.nan), "im_max must be finite, got nan"),
+    (lambda: pts.real_axis_points(steps=2.5), "steps must be an integer, got 2.5"),
+    (lambda: pts.real_axis_points(lo=math.nan), "lo must be finite, got nan"),
+    (lambda: pts.real_axis_points(hi=math.inf), "hi must be finite, got inf"),
+    (lambda: pts.run_random_suite(2.5, 0), "n must be an integer, got 2.5"),
+    (lambda: pts.run_random_suite(1, 2.5), "seed must be an integer, got 2.5"),
+    (lambda: pts.run_random_suite(1, "7"), "seed must be an integer, got '7'"),
+])
+def test_malformed_grid_and_count_raise_argument_error(call, message):
+    with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integral_counts_of_any_integer_type_are_accepted():
+    assert pts.lower_half_plane_grid(steps=np.int64(2)) == pts.lower_half_plane_grid(steps=2)
+    assert pts.real_axis_points(-1, 1, np.int32(3)) == [-1 + 0j, 0j, 1 + 0j]
+    assert pts.run_random_suite(np.int64(1), np.uint8(3)) == pts.run_random_suite(1, 3)

@@ -1,0 +1,77 @@
+"""Compare the ptscatter command line of two source trees, byte for byte.
+
+    python3 tools/compare_cli.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a ``ptscatter`` package (for
+example ``src`` of two checkouts).  Each command of COMMANDS runs as
+``python3 -m ptscatter ...`` in a fresh interpreter, once with each tree on
+``PYTHONPATH``; the tool prints one line per command and then every command
+whose stdout, stderr or exit code differs, and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+POLE_REPLAY = ["--beta0", "-0.24876168095150114", "--beta1", "-0.0012823971079812813",
+               "--chi", "-1.4354489678740707", "--xi", "2.929887110558113"]
+PARAMS = ["--beta0", "0.2", "--beta1", "0.1"]
+
+COMMANDS = [
+    ["verify", "--random", "200", "--seed", "42"],
+    *(["verify", "--random", "1", "--seed", str(7919 * k)] for k in range(1, 21)),
+    ["verify", *POLE_REPLAY],                                       # exit 5
+    ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "6"],  # exit 5
+    ["verify", *PARAMS, "--chi", "700"],
+    ["sweep", *PARAMS],
+    ["sweep", *PARAMS, "--chi", "1.5", "--xi", "0.7", "--steps", "16"],
+    ["sweep", "--beta0", "0.25", "--beta1", "0", "--steps", "9"],
+    ["sweep", *POLE_REPLAY, "--steps", "16"],
+    ["sweep", "--beta0", "0.6", "--beta1", "-0.3", "--chi", "-2", "--xi", "4",
+     "--re-min", "-1", "--re-max", "2", "--im-min", "-2", "--im-max", "0", "--steps", "5"],
+    ["sweep", *PARAMS, "--chi", "0.5", "--xi", "0.3", "--steps", "16", "--format", "json"],
+    ["sweep", *PARAMS, "--chi", "400", "--steps", "2"],
+    ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
+    ["decompose", "[[1,0],[0,-1]]"],
+    ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
+]
+
+
+def run(src: Path, argv: list) -> tuple[bytes, bytes, int]:
+    """(stdout, stderr, exit code) of ``python3 -m ptscatter argv`` with src
+    first on PYTHONPATH, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ptscatter", *argv], env=env,
+                          capture_output=True, timeout=600)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in args)
+    differing = []
+    for command in COMMANDS:
+        a, b = run(old, command), run(new, command)
+        same = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b) if x == y]
+        status = "same" if len(same) == 3 else "DIFFERS"
+        print(f"{status:8} exit {a[2]}/{b[2]}  ptscatter {' '.join(command)}")
+        if len(same) < 3:
+            differing.append((command, a, b))
+    for command, a, b in differing:
+        print(f"\n== ptscatter {' '.join(command)}")
+        for name, x, y in zip(("stdout", "stderr", "exit"), a, b):
+            if x != y:
+                print(f"-- {name}: old {x[-400:] if isinstance(x, bytes) else x!r}\n"
+                      f"   {' ' * len(name)}  new {y[-400:] if isinstance(y, bytes) else y!r}")
+    print(f"\n{len(COMMANDS) - len(differing)} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
