@@ -51,34 +51,33 @@ slower (4.1 against 3.3 us).  The determinant, condition number and
 adjugate inside ``_quotient`` run on Python scalars (matrix2).
 
 A table (``_s_table``, ``_zero_range_table``) is the evaluation plan of one
-parameter.  It is given its point lists up front, each plain or with its
-reflections -conj z, validates each list once (``_Points``: the points as
-given, their validated array and their table rows at z and -conj z) and
-fills from one kernel call; the checks gather their S rows by those rows.
-The products several conditions share (G S, S* G, (S* G) S, P_xi S and
+parameter.  It keeps the point lists it is given end to end as flat arrays:
+the points as given, their validated values and their rows of S at z and at
+-conj z.  It fills S from one kernel call over the distinct points, and
+``_s_table`` returns each list's positions, so a check's points are an index
+array.  The products the conditions share (G S, S* G, G - S* G S, P_xi S and
 S* P_xi) are formed once over the table rows and associate as each
 condition writes them, so every gathered row keeps its bits; the PT image
 sigma_3 conj(S) sigma_3 is conj(S) with its off-diagonal entries negated,
-which differs from the two products only in the sign of zero entries.  All
-residuals of a report (with those the verify suite adds) are normed in one
-``_operator_norms`` call, (a) in one ``_hermitian_lows`` call, and each
-check's share is reduced by ``_worst``.  A check raises what a loop over its
-points would raise first: for each point in turn its validation error, then
-the error of S at z and then at -conj z (the :class:`SingularMatrixError`,
-or a malformed T's error), then a non-finite residual matrix; a report's
-checks raise in the order (a), (b), (c), (d), PT.  Numpy's floating-point
-warnings are off while residuals are formed and normed: an overflow there
-ends in that non-finite error or in a NaN residual.
+which differs from the two products only in the sign of zero entries.  One
+verdict pass, ``_worsts``, norms all residuals of a report (with those the
+verify suite adds) in one ``_operator_norms`` call and reduces each check's
+share by ``_worst``; (a) takes one ``_hermitian_lows`` call.  A check raises
+what a loop over its points would raise first: for each point in turn its
+validation error, then the error of S at z and then at -conj z (the
+:class:`SingularMatrixError`, or a malformed T's error), then a non-finite
+residual matrix.  Each check raises its fault just before its verdict, so a
+report's checks raise in the order (a), (b), (c), (d), PT.  Numpy's
+floating-point warnings are off while residuals are formed and normed: an
+overflow there ends in that non-finite error or in a NaN residual.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import accumulate, chain, compress
-from typing import NamedTuple
+from functools import partial
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -262,56 +261,31 @@ def _zero_range_terms(e: ExtensionParams, zs):
     return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
 
 
-class _Points(NamedTuple):
-    """A point list validated once: zs as given, z = complex(z) for each point
-    (NaN where the closed lower half-plane rejects it) and, once a table
-    holds the list, the table rows of z (``at``) and of -conj z (``mirror``,
-    for a list taken with its reflections); a NaN point reads the NaN row."""
-
-    zs: list
-    z: np.ndarray
-    at: np.ndarray | None = None
-    mirror: np.ndarray | None = None
-
-
-def _points(zs) -> _Points:
-    zs = list(zs)
-    return _Points(zs, _spectral_array(zs))
-
-
-def _join(*lists) -> _Points:
-    """The point lists one after another."""
-    return _Points(list(chain.from_iterable(p.zs for p in lists)),
-                   *(np.concatenate([getattr(p, name) for p in lists])
-                     for name in ("z", "at", "mirror")))
-
-
-def _take(p, keep) -> _Points:
-    """The points of p where the mask keep holds."""
-    return _Points(list(compress(p.zs, keep.tolist())), p.z[keep], p.at[keep], p.mirror[keep])
-
-
 class _Table:
-    """S at the distinct valid points of some validated point lists, from one
-    kernel call on terms(points) made when the table is built.  The lists
-    come in plain or with their reflections -conj z and are kept in
-    ``points`` with their rows; ``s``, ``cond`` and ``singular`` hold one row
-    per distinct point and a NaN row last.  When terms raises (a malformed
-    T) the error is kept and every row reads as singular, so that a check
-    raises it where a loop over its points would: at its first valid point."""
+    """S at the distinct valid points of a flat point array z, from one
+    kernel call on terms(points) made when the table is built.  ``zs`` holds
+    the points as given and ``z`` their validated values (NaN where the
+    closed lower half-plane rejects a point); the first ``plain`` points are
+    taken alone and each later one with its reflection -conj z.  ``row`` and
+    ``mirror`` are each point's table rows at z and at -conj z; a NaN point,
+    and the mirror of a plain one, read the NaN row.  ``s``, ``cond`` and
+    ``singular`` hold one row per distinct point and the NaN row last.  The
+    distinct points are keyed in the order plain points first, then each
+    point followed by its reflection: +0 and -0 share a key, so the first
+    one met is the one evaluated.  When terms raises (a malformed T) the
+    error is kept and every row reads as singular, so that a check raises it
+    where a loop over its points would: at its first valid point."""
 
-    def __init__(self, terms, plain=(), reflected=()):
-        mirrored = [np.column_stack([p.z, -p.z.conj()]).ravel() for p in reflected]
-        points = np.concatenate([p.z for p in plain] + mirrored)
-        distinct = dict.fromkeys(points[~np.isnan(points)].tolist())
-        self._index = {z: i for i, z in enumerate(distinct)}
+    def __init__(self, terms, z, plain, zs=()):
+        tail = z[plain:]
+        keys = np.concatenate([z[:plain], np.column_stack([tail, -tail.conj()]).ravel()])
+        distinct = dict.fromkeys(keys[~np.isnan(keys)].tolist())
+        self._index = {p: i for i, p in enumerate(distinct)}
         n = len(self._index)
-        rows = np.array([self._index.get(z, n) for z in points.tolist()], dtype=int)
-        ends = list(accumulate([len(p.z) for p in plain] + [len(m) for m in mirrored]))
-        rows = [rows[i:j] for i, j in zip([0] + ends, ends)]
-        self.points = ([p._replace(at=r) for p, r in zip(plain, rows)]
-                       + [p._replace(at=r[0::2], mirror=r[1::2])
-                          for p, r in zip(reflected, rows[len(plain):])])
+        rows = np.array([self._index.get(p, n) for p in keys.tolist()], dtype=int)
+        self.zs, self.z = zs, z
+        self.row = np.concatenate([rows[:plain], rows[plain::2]])
+        self.mirror = np.concatenate([np.full(plain, n), rows[plain + 1::2]])
         self.s = np.full((n + 1, 2, 2), _NAN)
         self.cond = np.full(n + 1, math.nan)
         self.singular = np.zeros(n + 1, dtype=bool)
@@ -332,49 +306,39 @@ class _Table:
                               complex(z[k]), "denominator")
 
     def at(self, z) -> np.ndarray:
-        """S at the point z of a plain list, raising like a one-point evaluation."""
+        """S at a plain point z, raising like a one-point evaluation."""
         i = self._index[complex(z)]
         if self.singular[i]:
             self.fail([i], [z], 0)
         return self.s[i]
 
 
-def _s_table(t, plain=(), reflected=()) -> _Table:
+def _s_table(t, plain=(), reflected=()):
     """The table of s_matrix(t, z) over the point lists plain and reflected,
-    each validated once."""
-    return _Table(partial(_terms, t), [_points(zs) for zs in plain],
-                  [_points(zs) for zs in reflected])
+    each validated once, followed by each list's positions in the table."""
+    lists = [list(zs) for zs in (*plain, *reflected)]
+    ends = list(accumulate(map(len, lists)))
+    table = _Table(partial(_terms, t), np.concatenate([_spectral_array(zs) for zs in lists]),
+                   sum(map(len, lists[:len(plain)])), list(chain.from_iterable(lists)))
+    return (table, *(np.arange(i, j) for i, j in zip([0] + ends, ends)))
 
 
-def _zero_range_table(e: ExtensionParams, points) -> _Table:
-    """The table of s_matrix_zero_range(e, z) over the validated lists points."""
-    return _Table(partial(_zero_range_terms, e), points)
-
-
-class _Residuals(NamedTuple):
-    """The residual matrices m of one check at its points z, and fault: None,
-    or a callable raising the first fault a loop over the points meets."""
-
-    z: np.ndarray
-    m: np.ndarray
-    fault: Callable | None
-
-    def checked(self, res):
-        """The residuals res of m, once the fault (if any) is raised."""
-        if self.fault is not None:
-            self.fault()
-        return res
+def _zero_range_table(e: ExtensionParams, z) -> _Table:
+    """The table of s_matrix_zero_range(e, z) over the validated points z."""
+    return _Table(partial(_zero_range_terms, e), z, len(z))
 
 
 @np.errstate(all="ignore")
-def _residuals(points, valid, validate, lookups, form) -> _Residuals:
-    """form() at the points (_Points), with the first fault a loop over them
-    would raise: at each point in turn validate's error where valid is False,
-    the error of S at each (table, rows, z) of lookups in order, then
-    as_matrix's error for a non-finite residual matrix.  Overflow in form()
-    ends in that error or in a NaN residual, so numpy's warnings are off."""
+def _residuals(s_of, i, valid, validate, lookups, form):
+    """(z, m, fault) for the points i of the table s_of: their validated
+    values z, the residual matrices m = form() and fault, None or a callable
+    raising the first fault a loop over the points meets.  That is, at each
+    point in turn, validate's error where valid is False, the error of S at
+    each (table, rows, z) of lookups in order, then as_matrix's error for a
+    non-finite residual matrix.  Overflow in form() ends in that error or in
+    a NaN residual, so numpy's warnings are off."""
     m = form()
-    stages = [(~valid, lambda k: validate(points.zs[k]))]
+    stages = [(~valid, lambda k: validate(s_of.zs[i[k]]))]
     stages += [(table.singular[rows], partial(table.fail, rows, z)) for table, rows, z in lookups]
     stages.append((~np.isfinite(m).all(axis=(1, 2)), lambda k: as_matrix(m[k])))
     hits = np.array([mask for mask, _ in stages])
@@ -382,21 +346,12 @@ def _residuals(points, valid, validate, lookups, form) -> _Residuals:
     if hits.any():
         k, stage = divmod(int(np.flatnonzero(hits.T)[0]), len(stages))
         fault = partial(stages[stage][1], k)
-    return _Residuals(points.z, m, fault)
-
-
-@np.errstate(all="ignore")
-def _normed(checks) -> list[np.ndarray]:
-    """The operator norms of each check's residual matrices, from one call on
-    their concatenation."""
-    res = _operator_norms(np.concatenate([c.m for c in checks]))
-    ends = list(accumulate(len(c.m) for c in checks))
-    return [res[i:j] for i, j in zip([0] + ends, ends)]
+    return s_of.z[i], m, fault
 
 
 def _worst(z, res):
-    """(largest residual, its point) over the points z and their residuals
-    res, both arrays: the first point attaining the maximum is the witness,
+    """(largest residual, its point) over the points z and the array of their
+    residuals res: the first point attaining the maximum is the witness,
     and NaN and -inf residuals are skipped, as a running ``res > worst``
     skips them."""
     if len(res):
@@ -411,21 +366,27 @@ def _check(residual, witness, tol) -> PropertyCheck:
     return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
 
 
-def _verdict(r, res, tol) -> PropertyCheck:
-    """The check of the residuals r with norms res."""
-    return _check(*_worst(r.z, r.checked(res)), tol)
-
-
-def _alone(r, tol) -> PropertyCheck:
-    """_verdict of the residuals r normed on their own."""
-    return _verdict(r, *_normed([r]), tol)
+def _worsts(checks):
+    """_worst of each check (z, m, fault) in turn, its fault raised first;
+    the residuals are the operator norms of m, all from one call."""
+    with np.errstate(all="ignore"):
+        res = _operator_norms(np.concatenate([m for _, m, _ in checks]))
+    start = 0
+    for z, m, fault in checks:
+        if fault is not None:
+            fault()
+        yield _worst(z, res[start:start + len(m)])
+        start += len(m)
 
 
 @np.errstate(all="ignore")
 def _verdict_a(r, tol) -> PropertyCheck:
-    """Condition (a) from its metric gaps r: the residual is minus the lowest
-    eigenvalue, clamped at 0."""
-    worst, witness = _worst(r.z, r.checked(-_hermitian_lows(r.m)))
+    """Condition (a) from its metric gaps r = (z, m, fault): the residual is
+    minus the lowest eigenvalue, clamped at 0."""
+    z, m, fault = r
+    if fault is not None:
+        fault()
+    worst, witness = _worst(z, -_hermitian_lows(m))
     return _check(max(0.0, worst), witness, tol)
 
 
@@ -461,62 +422,53 @@ def _pt_images(s) -> np.ndarray:
     return c
 
 
-class _Products:
-    """J S, S* J and (S* J) S over the S rows of a table, each formed on first
-    use and shared by the checks reading it.  They associate as the checks
-    write them, so every row a check gathers keeps its bits."""
-
-    def __init__(self, s, j):
-        self.s, self.j = s, j
-
-    @cached_property
-    def js(self) -> np.ndarray:
-        return self.j @ self.s
-
-    @cached_property
-    def sj(self) -> np.ndarray:
-        return _ct(self.s) @ self.j
-
-    @cached_property
-    def sjs(self) -> np.ndarray:
-        return self.sj @ self.s
+@np.errstate(all="ignore")
+def _products(s, j):
+    """J S, S* J and J - (S* J) S over a stack of S, associated as the
+    conditions write them, so every row a check gathers keeps its bits."""
+    sj = _ct(s) @ j
+    return j @ s, sj, j - sj @ s
 
 
 # One function per condition, holding its residual expression (larger is
-# worse) over the rows of a table s_of at its validated points p; the public
-# checks give each call a one-list table, property_report and the verify
-# suite share one table per parameter.
+# worse) at the points i of a table s_of, from products formed once over
+# the table's rows; the public checks give each call a one-list table,
+# property_report and the verify suite share one table per parameter.
 
-def _cond_a(s_of, p, g) -> _Residuals:
-    """The metric gaps G - S* G S, g holding the products with G."""
-    return _residuals(p, p.z.imag < 0, _interior_point, [(s_of, p.at, p.z)],
-                      lambda: g.j - g.sjs[p.at])
-
-
-def _cond_reflection(s_of, p, j) -> _Residuals:
-    """(b) with J = G, (d) with J = P_xi; j holds the products with J."""
-    return _residuals(p, ~np.isnan(p.z), _spectral_point,
-                      [(s_of, p.at, p.z), (s_of, p.mirror, -p.z.conj())],
-                      lambda: j.js[p.at] - j.sj[p.mirror])
+def _cond_a(s_of, i, gap):
+    """The metric gaps G - S* G S, gap holding them over the table rows."""
+    z, row = s_of.z[i], s_of.row[i]
+    return _residuals(s_of, i, z.imag < 0, _interior_point, [(s_of, row, z)], lambda: gap[row])
 
 
-def _cond_c(s_of, p, g) -> _Residuals:
-    re = p.z.real[:, None, None]
-    im = (1j * p.z.imag)[:, None, None]
-    return _residuals(p, (p.z.imag < 0) & (p.z.real != 0.0), _off_axis, [(s_of, p.at, p.z)],
-                      lambda: re * (g.j - g.sjs[p.at]) - im * (g.sj[p.at] - g.js[p.at]))
+def _cond_reflection(s_of, i, js, sj):
+    """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
+    z, row, mirror = s_of.z[i], s_of.row[i], s_of.mirror[i]
+    return _residuals(s_of, i, ~np.isnan(z), _spectral_point,
+                      [(s_of, row, z), (s_of, mirror, -z.conj())],
+                      lambda: js[row] - sj[mirror])
 
 
-def _cond_pt(s_of, p) -> _Residuals:
-    return _residuals(p, p.z.imag < 0, _interior_point,
-                      [(s_of, p.at, p.z), (s_of, p.mirror, -p.z.conj())],
-                      lambda: _pt_images(s_of.s[p.at]) - s_of.s[p.mirror])
+def _cond_c(s_of, i, gs, sg, gap):
+    z, row = s_of.z[i], s_of.row[i]
+    re = z.real[:, None, None]
+    im = (1j * z.imag)[:, None, None]
+    return _residuals(s_of, i, (z.imag < 0) & (z.real != 0.0), _off_axis, [(s_of, row, z)],
+                      lambda: re * gap[row] - im * (sg[row] - gs[row]))
 
 
-def _plain_norms(s_of, p) -> _Residuals:
+def _cond_pt(s_of, i):
+    z, row, mirror = s_of.z[i], s_of.row[i], s_of.mirror[i]
+    return _residuals(s_of, i, z.imag < 0, _interior_point,
+                      [(s_of, row, z), (s_of, mirror, -z.conj())],
+                      lambda: _pt_images(s_of.s[row]) - s_of.s[mirror])
+
+
+def _plain_norms(s_of, i):
     """S itself, whose norm is the plain C^2 norm."""
-    return _residuals(p, ~np.isnan(p.z), _spectral_point, [(s_of, p.at, p.z)],
-                      lambda: s_of.s[p.at])
+    z, row = s_of.z[i], s_of.row[i]
+    return _residuals(s_of, i, ~np.isnan(z), _spectral_point, [(s_of, row, z)],
+                      lambda: s_of.s[row])
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -526,15 +478,16 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     the witness is the point that produced it.
     """
     _check_tol(tol)
-    s_of = _s_table(t, [zs])
-    return _verdict_a(_cond_a(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
+    s_of, i = _s_table(t, [zs])
+    return _verdict_a(_cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
-    s_of = _s_table(t, reflected=[zs])
-    return _alone(_cond_reflection(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
+    s_of, i = _s_table(t, reflected=[zs])
+    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2])
+    return _check(*next(_worsts([r])), tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -543,31 +496,31 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     Requires Re z != 0 and Im z < 0.
     """
     _check_tol(tol)
-    s_of = _s_table(t, [[z]])
-    return _alone(_cond_c(s_of, *s_of.points, _Products(s_of.s, metric(p))), tol)
+    s_of, i = _s_table(t, [[z]])
+    return _check(*next(_worsts([_cond_c(s_of, i, *_products(s_of.s, metric(p)))])), tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
     _check_tol(tol)
-    s_of = _s_table(t, reflected=[[z]])
-    return _alone(_cond_reflection(s_of, *s_of.points, _Products(s_of.s, p_xi(xi))), tol)
+    s_of, i = _s_table(t, reflected=[[z]])
+    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2])
+    return _check(*next(_worsts([r])), tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
-    s_of = _s_table(t, reflected=[zs])
-    return _alone(_cond_pt(s_of, *s_of.points), tol)
+    s_of, i = _s_table(t, reflected=[zs])
+    return _check(*next(_worsts([_cond_pt(s_of, i)])), tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    s_of = _s_table(t, [zs])
-    r = _plain_norms(s_of, *s_of.points)
-    return _worst(r.z, r.checked(*_normed([r])))[0]
+    s_of, i = _s_table(t, [zs])
+    return next(_worsts([_plain_norms(s_of, i)]))[0]
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -622,8 +575,8 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     """
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
-    s_of = _s_table(t, reflected=[interior, boundary, [witness]])
-    return _report(s_of, p, *s_of.points, tol)[0]
+    s_of, *points = _s_table(t, reflected=[interior, boundary, [witness]])
+    return _report(s_of, p, *points, tol)[0]
 
 
 def _grids(interior, boundary) -> tuple[list, list]:
@@ -633,22 +586,24 @@ def _grids(interior, boundary) -> tuple[list, list]:
 
 
 def _report(s_of, p, interior, boundary, witness, tol, extra=()):
-    """(PropertyReport, norms of extra) over the table s_of and its lists
-    interior, boundary and witness (the one-point list).  The products of S
-    with G and P_xi are formed once; (a) takes one _hermitian_lows call, and
-    (b), (c), (d), PT and the residuals extra take one _operator_norms call.
-    The checks raise in order, each what its per-point loop raises first;
-    the faults of extra are left to the caller."""
-    _interior_point(witness.zs[0])
-    g = _Products(s_of.s, metric(p))
-    off_axis = np.array([complex(z).real != 0.0 for z in interior.zs], dtype=bool)
-    a = _cond_a(s_of, interior, g)
-    checks = [_cond_reflection(s_of, _join(interior, boundary), g),
-              _cond_c(s_of, _join(witness, _take(interior, off_axis)), g),
-              _cond_reflection(s_of, _join(witness, interior, boundary),
-                               _Products(s_of.s, p_xi(p.xi))),
-              _cond_pt(s_of, interior), *extra]
-    res = _normed(checks)
+    """(PropertyReport, the worsts of the residuals extra) over the table s_of
+    and its positions interior, boundary and witness (one point).  G S, S* G,
+    G - S* G S, P_xi S and S* P_xi are formed once over the table rows; (a)
+    takes one _hermitian_lows call, and (b), (c), (d), PT and extra one
+    _operator_norms call.  The checks raise in order, each what its
+    per-point loop raises first; the worsts of extra are left to the caller
+    to draw in turn, each raising its fault first."""
+    _interior_point(s_of.zs[witness[0]])
+    gs, sg, gap = _products(s_of.s, metric(p))
+    off_axis = np.array([complex(s_of.zs[k]).real != 0.0 for k in interior], dtype=bool)
+    px = p_xi(p.xi)
+    with np.errstate(all="ignore"):
+        ps, sp = px @ s_of.s, _ct(s_of.s) @ px
+    a = _cond_a(s_of, interior, gap)
+    worsts = _worsts([_cond_reflection(s_of, np.r_[interior, boundary], gs, sg),
+                      _cond_c(s_of, np.r_[witness, interior[off_axis]], gs, sg, gap),
+                      _cond_reflection(s_of, np.r_[witness, interior, boundary], ps, sp),
+                      _cond_pt(s_of, interior), *extra])
     report = PropertyReport(_verdict_a(a, tol),
-                            *(_verdict(r, n, tol) for r, n in zip(checks[:4], res)))
-    return report, res[4:]
+                            *(_check(*next(worsts), tol) for _ in range(4)))
+    return report, worsts

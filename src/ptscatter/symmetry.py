@@ -134,8 +134,11 @@ def krein_selfadjoint_reduction(m, alpha, tol: float = DEFAULT_TOL) -> float:
     """
     _check_tol(tol)
     a = as_matrix(m)
-    al = np.asarray(alpha, dtype=float)
-    if al.shape != (3,) or not np.all(np.isfinite(al)):
+    try:
+        al = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        al = None
+    if al is None or al.shape != (3,) or not np.all(np.isfinite(al)):
         raise ArgumentError("alpha must be a finite 3-vector")
     if abs(float(al @ al) - 1.0) > 1e-8:
         raise ArgumentError("alpha must be a unit vector")

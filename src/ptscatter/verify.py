@@ -22,10 +22,11 @@ with its theory-expected outcome:
 
 A draw runs on one evaluation plan: one table holds S at every distinct
 point the draw needs, the Mobius witness points included, from one batched
-evaluation, with each point list validated once and indexed into it; the
-parametrized route it is compared with fills its own table over the same
-validated grid.  The report's residuals, the gap between the two routes and
-the plain norms of S are normed in one call and reduced check by check.
+evaluation, with each point list validated once and laid end to end in it;
+the parametrized route it is compared with fills its own table over the
+same validated grid.  The report's residuals, the gap between the two
+routes and the plain norms of S are normed in one call, and one verdict
+pass takes each check's worst residual in turn, raising its fault first.
 A suite is *consistent* when every actual outcome equals its expected one;
 the random driver reports the first inconsistent draw in replayable form.
 """
@@ -37,12 +38,12 @@ import math
 import numpy as np
 
 from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
-from .errors import ArgumentError, _check_tol, _integer
+from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import _operator_norms, as_matrix
-from .scattering import (_grids, _normed, _plain_norms, _report, _residuals,
-                         _s_table, _spectral_point, _worst, _zero_range_table,
+from .scattering import (_grids, _plain_norms, _report, _residuals, _s_table,
+                         _spectral_point, _worst, _worsts, _zero_range_table,
                          s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
@@ -71,6 +72,8 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
     chi is uniform over [-2, 2] (optionally with |chi| >= min_chi) and xi
     uniform over [0, 2*pi).
     """
+    min_beta1 = _finite_real("min_beta1", min_beta1)
+    min_chi = _finite_real("min_chi", min_chi)
     if not 0.0 <= min_beta1 < 0.25:
         raise ArgumentError("min_beta1 must lie in [0, 0.25)")
     if not 0.0 <= min_chi < 2.0:
@@ -103,38 +106,38 @@ def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     return _round_trip(lambda z: s_matrix(t, z).s, t, zs)
 
 
-def _norms(m) -> list[float]:
+def _norms(m) -> np.ndarray:
     """operator_norm of each matrix of the stack m; the first non-finite one
     raises as operator_norm does."""
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
         as_matrix(m[bad[0]])
-    return _operator_norms(m).tolist()
+    return _operator_norms(m)
 
 
 def _round_trip(s_at, t, zs) -> tuple[float, float]:
     """The recovery and spread of t_from_s over the points zs, with S at z
     from s_at(z); t_from_s stays one point at a time."""
+    zs = list(zs)
     recovered = np.array([t_from_s(s_at(z), z) for z in zs]).reshape(-1, 2, 2)
-    recovery = max(_norms(recovered - t))
-    spread = max(_norms(recovered[1:] - recovered[:1]), default=0.0)
+    recovery = _worst(zs, _norms(recovered - t))[0]
+    spread = max(_norms(recovered[1:] - recovered[:1]).tolist(), default=0.0)
     return recovery, spread
 
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S evaluation."""
-    s_of = _s_table(t_from_betas(e), [zs])
-    gap = _route_gap(e, s_of, *s_of.points)
-    return max(gap.checked(*_normed([gap])).tolist())
+    s_of, i = _s_table(t_from_betas(e), [zs])
+    return next(_worsts([_route_gap(e, s_of, i)]))[0]
 
 
-def _route_gap(e, s_of, p):
-    """The residuals S_zero_range - S at the validated points p of the table
-    s_of, the parametrized S from its own table over the same points."""
-    zr = _zero_range_table(e, [p])
-    at = zr.points[0].at
-    return _residuals(p, ~np.isnan(p.z), _spectral_point, [(zr, at, p.z), (s_of, p.at, p.z)],
-                      lambda: zr.s[at] - s_of.s[p.at])
+def _route_gap(e, s_of, i):
+    """The residuals S_zero_range - S at the points i of the table s_of, the
+    parametrized S from its own table over the same validated points."""
+    z, row = s_of.z[i], s_of.row[i]
+    zr = _zero_range_table(e, z)
+    return _residuals(s_of, i, ~np.isnan(z), _spectral_point, [(zr, zr.row, z), (s_of, row, z)],
+                      lambda: zr.s[zr.row] - s_of.s[row])
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -181,16 +184,14 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    s_of = _s_table(t, [WITNESS_POINTS], [interior, boundary, [1.0 - 1.0j]])
-    _, grid, axis, witness = s_of.points
-    gap, top = _route_gap(e, s_of, grid), _plain_norms(s_of, grid)
-    report, (gap_norms, top_norms) = _report(s_of, e.metric, grid, axis, witness, tol,
-                                             [gap, top])
+    s_of, _, grid, axis, witness = _s_table(t, [WITNESS_POINTS],
+                                            [interior, boundary, [1.0 - 1.0j]])
+    report, rest = _report(s_of, e.metric, grid, axis, witness, tol,
+                           [_route_gap(e, s_of, grid), _plain_norms(s_of, grid)])
     recovery, spread = _round_trip(s_of.at, t, WITNESS_POINTS)
-    feq = max(gap.checked(gap_norms).tolist())
+    (feq, _), (max_norm, _) = rest
     # _report has validated the interior points and met its singular ones
-    worst_cond = max([1.0] + s_of.cond[grid.at].tolist())
-    max_norm = _worst(top.z, top.checked(top_norms))[0]
+    worst_cond = max([1.0] + s_of.cond[s_of.row[grid]].tolist())
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
     quad = _quadratic_gap(e, cls)

@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private helper is used somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ptscatter"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ptscatter"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -20,3 +23,45 @@ def test_no_unused_imports(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _names(tree):
+    """Every name tree reads, assigns, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level function, class and assignment
+    whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_is_used():
+    # a helper counts as used when the package names it outside its own
+    # definition, or when a test imports it as the reference for a stack form
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    package = Counter(name for tree in trees.values() for name in _names(tree))
+    tests = {a.name for p in (ROOT / "tests").glob("*.py")
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ptscatter")
+             for a in node.names}
+    unused = [f"{module}.{name}" for module, tree in sorted(trees.items())
+              for name, node in _private_definitions(tree)
+              if package[name] == Counter(_names(node))[name] and name not in tests]
+    assert unused == []

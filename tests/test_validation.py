@@ -90,7 +90,10 @@ def test_malformed_vector_raises_argument_error():
     (lambda: pts.KreinMetricParams(None, 0.0), "xi"),
     (lambda: pts.KreinMetricParams(0.0, "1e"), "chi"),
     (lambda: pts.extension_params(10 ** 400, 0.0), "beta0"),
-], ids=["string", "none", "none-xi", "string-chi", "huge-int"])
+    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_beta1="x"), "min_beta1"),
+    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=None), "min_chi"),
+], ids=["string", "none", "none-xi", "string-chi", "huge-int", "string-min-beta1",
+        "none-min-chi"])
 def test_non_real_parameter_raises_argument_error(make, name):
     with pytest.raises(pts.ArgumentError, match=f"^{name} must be a real number: "):
         make()
@@ -109,6 +112,14 @@ def test_non_real_parameter_raises_argument_error(make, name):
     (lambda: pts.run_random_suite(2.5, 0), "n must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, 2.5), "seed must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, "7"), "seed must be an integer, got '7'"),
+    (lambda: pts.formula_equivalence_residual(E, []), "zs must be nonempty"),
+    (lambda: pts.mobius_round_trip_residuals(T, []), "zs must be nonempty"),
+    (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, "abc"),
+     "alpha must be a finite 3-vector"),
+    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_beta1=0.3),
+     "min_beta1 must lie in [0, 0.25)"),
+    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=-1),
+     "min_chi must lie in [0, 2)"),
 ])
 def test_malformed_grid_and_count_raise_argument_error(call, message):
     with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
