@@ -44,11 +44,11 @@ from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
 from .matrix2 import _operator_norms, as_matrix
-from .scattering import (_metric_defects, _s_batch, _spectral_points,
-                         _zero_range_terms, lower_half_plane_grid,
-                         s_matrix_zero_range)
+from .scattering import (_metric_defects, _s_batch, _zero_range_terms,
+                         lower_half_plane_grid, s_matrix_zero_range)
 from .symmetry import symmetry_report
-from .verify import _pair, run_parameter_suite, run_random_suite
+from .verify import (_classification, _pair, run_parameter_suite,
+                     run_random_suite)
 
 CSV_HEADER = ("z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,"
               "s22_re,s22_im,std_norm,metric_defect")
@@ -122,17 +122,8 @@ def cmd_decompose(args) -> int:
 def cmd_classify(args) -> int:
     e = extension_params(args.beta0, args.beta1, args.chi, args.xi)
     cls = classify_nonnegative(e, args.tolerance)
-    out = {
-        "beta0": args.beta0,
-        "beta1": args.beta1,
-        "chi": args.chi,
-        "xi": args.xi,
-        "nonnegative": cls.nonnegative,
-        "closed_form_verdict": cls.closed_form_verdict,
-        "oracle_verdict": cls.oracle_verdict,
-        "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
-        "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper],
-    }
+    out = {"beta0": args.beta0, "beta1": args.beta1, "chi": args.chi, "xi": args.xi,
+           **_classification(cls)}
     _emit_json(out, args.output)
     if cls.closed_form_verdict != cls.oracle_verdict:
         print("error: closed-form verdict disagrees with the eigenvalue oracle",
@@ -142,9 +133,9 @@ def cmd_classify(args) -> int:
 
 
 def _grid_s(e, zs) -> tuple[np.ndarray, np.ndarray]:
-    """S over the points zs in one batched pass, and the singular mask;
-    singular rows are NaN."""
-    s, _, singular = _s_batch(*_zero_range_terms(e, _spectral_points(zs).tolist()))
+    """S over the points zs of a lower_half_plane_grid, which are valid as
+    built, in one batched pass, and the singular mask; singular rows are NaN."""
+    s, _, singular = _s_batch(*_zero_range_terms(e, zs))
     return s, singular
 
 

@@ -8,6 +8,7 @@ mathematical precondition (a matrix that is not an involution, a spectral
 point on the wrong side of the real axis, ...).
 """
 
+import cmath
 import math
 import operator
 
@@ -33,8 +34,11 @@ class SingularMatrixError(AssumptionError):
 
 
 def _finite_complex(name, value) -> complex:
-    c = complex(value)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+    try:
+        c = complex(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArgumentError(f"{name} must be a complex number: {exc}") from exc
+    if not cmath.isfinite(c):
         raise ArgumentError(f"{name} must be finite, got {value!r}")
     return c
 

@@ -89,6 +89,7 @@ from .extensions import ExtensionParams
 from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
                       _operator_norms, _singular_error, as_matrix,
                       hermitian_eigenvalues)
+from .symmetry import _pt_images
 
 DEFAULT_CONDITION_LIMIT = 1e12
 
@@ -108,28 +109,16 @@ _interior_point = partial(_spectral_point, interior=True)
 _NAN = complex(math.nan, math.nan)
 
 
-def _complex_or_nan(z) -> complex:
-    try:
-        return complex(z)
-    except (TypeError, ValueError):
-        return _NAN
-
-
 def _spectral_array(zs) -> np.ndarray:
-    """complex(z) for each z of the sequence zs as one array, NaN where
-    _spectral_point(z) rejects z."""
-    z = np.array([_complex_or_nan(x) for x in zs], dtype=complex)
-    return np.where(np.isfinite(z) & (z.imag <= 0), z, _NAN)
-
-
-def _spectral_points(zs) -> np.ndarray:
-    """_spectral_point over the sequence zs as one array; the first rejected
-    point raises the scalar helper's error."""
-    z = _spectral_array(zs)
-    bad = np.flatnonzero(np.isnan(z))
-    if bad.size:
-        _spectral_point(zs[bad[0]])
-    return z
+    """_spectral_point(z) for each z of the sequence zs as one array, NaN
+    where it rejects z."""
+    z = []
+    for x in zs:
+        try:
+            z.append(_spectral_point(x))
+        except ArgumentError:
+            z.append(_NAN)
+    return np.array(z, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -161,28 +150,28 @@ class PropertyReport:
     pt_criterion: PropertyCheck
 
 
-def _quotient(num, den, z, condition_limit):
-    """num @ den^{-1} and the denominator's condition number."""
-    adj, d, cond = _adjugate(den, condition_limit, z, "denominator")
+def _quotient(num, den, z):
+    """num @ den^{-1} and the denominator's condition number; a condition
+    number past DEFAULT_CONDITION_LIMIT raises :class:`SingularMatrixError`."""
+    adj, d, cond = _adjugate(den, DEFAULT_CONDITION_LIMIT, z, "denominator")
     return num @ adj / d, cond
 
 
-def s_matrix(t, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> ScatteringEvaluation:
+def s_matrix(t, z) -> ScatteringEvaluation:
     """Evaluate S(z) = (I - 2(1+iz) t)(I - 2(1-iz) t)^{-1}.
 
     Raises :class:`SingularMatrixError` when the denominator's condition
-    number exceeds ``condition_limit``.
+    number exceeds ``DEFAULT_CONDITION_LIMIT``.
     """
     a = as_matrix(t)
     zz = _spectral_point(z)
     num = SIGMA0 - 2.0 * (1.0 + 1j * zz) * a
     den = SIGMA0 - 2.0 * (1.0 - 1j * zz) * a
-    s, cond = _quotient(num, den, zz, condition_limit)
+    s, cond = _quotient(num, den, zz)
     return ScatteringEvaluation(z=zz, s=s, condition_number=cond)
 
 
-def s_matrix_zero_range(e: ExtensionParams, z,
-                        condition_limit: float = DEFAULT_CONDITION_LIMIT) -> ScatteringEvaluation:
+def s_matrix_zero_range(e: ExtensionParams, z) -> ScatteringEvaluation:
     """Evaluate S(z) from (beta0, beta1, chi, xi) without assembling T.
 
     Numerator and denominator are built directly from P_xi and the
@@ -197,7 +186,7 @@ def s_matrix_zero_range(e: ExtensionParams, z,
     zz = _spectral_point(z)
     sx, hyp = _zero_range_basis(e)
     c0, c1, c2, c3 = _zero_range_coefficients(e, zz)
-    s, cond = _quotient(c0 * sx - c1 * hyp, c2 * sx - c3 * hyp, zz, condition_limit)
+    s, cond = _quotient(c0 * sx - c1 * hyp, c2 * sx - c3 * hyp, zz)
     return ScatteringEvaluation(z=zz, s=s, condition_number=cond)
 
 
@@ -216,7 +205,7 @@ def _zero_range_coefficients(e: ExtensionParams, z):
     return 1.0 - ap * e.beta0, ap * e.beta1, 1.0 - am * e.beta0, am * e.beta1
 
 
-def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarray:
+def t_from_s(s, z) -> np.ndarray:
     """Recover T from one interior sample of the scattering matrix.
 
     Requires Im z < 0 strictly; the recovered T does not depend on which
@@ -227,7 +216,7 @@ def t_from_s(s, z, condition_limit: float = DEFAULT_CONDITION_LIMIT) -> np.ndarr
     zz = _interior_point(z)
     a = 2.0 * (1.0 + 1j * zz)
     b = 2.0 * (1.0 - 1j * zz)
-    t, _ = _quotient(SIGMA0 - sm, a * SIGMA0 - b * sm, zz, condition_limit)
+    t, _ = _quotient(SIGMA0 - sm, a * SIGMA0 - b * sm, zz)
     return t
 
 
@@ -236,7 +225,7 @@ def _s_batch(num, den):
     """(S, cond, singular) for stacks num, den of shape (N, 2, 2):
     S = num @ den^{-1} row by row, the denominators' condition numbers and a
     mask of the rows past DEFAULT_CONDITION_LIMIT, whose S is NaN.  Each row
-    equals _quotient(num[i], den[i], z, DEFAULT_CONDITION_LIMIT) bit for bit."""
+    equals _quotient(num[i], den[i], z) bit for bit."""
     d, cond = _det_conditions(den)
     singular = cond > DEFAULT_CONDITION_LIMIT
     s = num @ _adjugates(den) / d[:, None, None]
@@ -307,7 +296,7 @@ class _Table:
 
     def at(self, z) -> np.ndarray:
         """S at a plain point z, raising like a one-point evaluation."""
-        i = self._index[complex(z)]
+        i = self._index[z]
         if self.singular[i]:
             self.fail([i], [z], 0)
         return self.s[i]
@@ -410,16 +399,6 @@ def _metric_defect(g, s) -> float:
 def _metric_defects(g, s) -> np.ndarray:
     """_metric_defect of each S of a stack (N, 2, 2)."""
     return _hermitian_lows(g - _ct(s) @ g @ s)
-
-
-def _pt_images(s) -> np.ndarray:
-    """sigma_3 conj(S) sigma_3 for each S of a stack (N, 2, 2): conj(S) with
-    its off-diagonal entries negated.  The two-product form differs from it
-    only in the sign of zero entries, which no norm sees."""
-    c = s.conj()
-    c[:, 0, 1] = -c[:, 0, 1]
-    c[:, 1, 0] = -c[:, 1, 0]
-    return c
 
 
 @np.errstate(all="ignore")
@@ -527,9 +506,10 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
                           im_min: float = -3.0, im_max: float = -0.1,
                           steps: int = 7) -> list[complex]:
     """steps x steps points, row-major: imaginary part outer (ascending),
-    real part inner (ascending); reversed or non-finite bounds and a steps
-    that is not an integer >= 1 raise :class:`ArgumentError`.  The defaults
-    give the standard 49-point grid of the verification suites."""
+    real part inner (ascending), each finite and in the closed lower
+    half-plane; reversed or non-finite bounds, an overflowing span and a
+    steps that is not an integer >= 1 raise :class:`ArgumentError`.  The
+    defaults give the standard 49-point grid of the verification suites."""
     steps = _steps(steps)
     re_min, re_max = _finite_real("re_min", re_min), _finite_real("re_max", re_max)
     im_min, im_max = _finite_real("im_min", im_min), _finite_real("im_max", im_max)
@@ -537,9 +517,20 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
         raise ArgumentError("grid must stay in the closed lower half-plane")
     if re_min > re_max or im_min > im_max:
         raise ArgumentError("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
-    res = np.linspace(re_min, re_max, steps)
-    ims = np.linspace(im_min, im_max, steps)
+    res = _axis("re_min", re_min, "re_max", re_max, steps)
+    ims = _axis("im_min", im_min, "im_max", im_max, steps)
     return [complex(x, y) for y in ims for x in res]
+
+
+def _axis(lo_name, lo, hi_name, hi, steps) -> np.ndarray:
+    """steps values from lo to hi; a span hi - lo that overflows leaves a
+    non-finite value and raises :class:`ArgumentError` naming the bounds."""
+    with np.errstate(all="ignore"):
+        axis = np.linspace(lo, hi, steps)
+    if not np.isfinite(axis).all():
+        raise ArgumentError(f"{hi_name} - {lo_name} must be finite, "
+                            f"got {lo_name}={lo!r}, {hi_name}={hi!r}")
+    return axis
 
 
 def _steps(steps) -> int:
@@ -550,11 +541,12 @@ def _steps(steps) -> int:
 
 
 def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[complex]:
-    """Boundary-value sample points on the real axis; non-finite bounds and a
-    steps that is not an integer >= 1 raise :class:`ArgumentError`."""
+    """Boundary-value sample points on the real axis; non-finite bounds, an
+    overflowing span and a steps that is not an integer >= 1 raise
+    :class:`ArgumentError`."""
     steps = _steps(steps)
     lo, hi = _finite_real("lo", lo), _finite_real("hi", hi)
-    return [complex(x, 0.0) for x in np.linspace(lo, hi, steps)]
+    return [complex(x, 0.0) for x in _axis("lo", lo, "hi", hi, steps)]
 
 
 def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
@@ -595,13 +587,14 @@ def _report(s_of, p, interior, boundary, witness, tol, extra=()):
     to draw in turn, each raising its fault first."""
     _interior_point(s_of.zs[witness[0]])
     gs, sg, gap = _products(s_of.s, metric(p))
-    off_axis = np.array([complex(s_of.zs[k]).real != 0.0 for k in interior], dtype=bool)
     px = p_xi(p.xi)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
     a = _cond_a(s_of, interior, gap)
+    # (a) raises first for a bad interior point, so (c) reads validated values
+    off_axis = interior[s_of.z[interior].real != 0.0]
     worsts = _worsts([_cond_reflection(s_of, np.r_[interior, boundary], gs, sg),
-                      _cond_c(s_of, np.r_[witness, interior[off_axis]], gs, sg, gap),
+                      _cond_c(s_of, np.r_[witness, off_axis], gs, sg, gap),
                       _cond_reflection(s_of, np.r_[witness, interior, boundary], ps, sp),
                       _cond_pt(s_of, interior), *extra])
     report = PropertyReport(_verdict_a(a, tol),

@@ -25,7 +25,7 @@ import numpy as np
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA2, SIGMA3, TWO_PI,
                        KreinMetricParams, c_operator, p_xi, pauli_decompose)
 from .errors import ArgumentError, AssumptionError, _check_tol
-from .matrix2 import as_matrix, as_vector, operator_norm
+from .matrix2 import _finite_array, as_matrix, as_vector, operator_norm
 
 
 def pt_apply(v) -> np.ndarray:
@@ -33,10 +33,19 @@ def pt_apply(v) -> np.ndarray:
     return SIGMA3 @ np.conj(as_vector(v))
 
 
+def _pt_images(s) -> np.ndarray:
+    """sigma_3 conj(S) sigma_3 for a matrix or each S of a stack (..., 2, 2):
+    conj(S) with its off-diagonal entries negated.  The two-product form
+    differs from it only in the sign of zero entries, which no norm sees."""
+    c = s.conj()
+    c[..., 0, 1] = -c[..., 0, 1]
+    c[..., 1, 0] = -c[..., 1, 0]
+    return c
+
+
 def pt_conjugate(m) -> np.ndarray:
     """The operator m' with (PT) m = m' (PT), i.e. sigma_3 conj(m) sigma_3."""
-    a = as_matrix(m)
-    return SIGMA3 @ np.conj(a) @ SIGMA3
+    return _pt_images(as_matrix(m))
 
 
 def pt_defect(m) -> float:
@@ -134,12 +143,10 @@ def krein_selfadjoint_reduction(m, alpha, tol: float = DEFAULT_TOL) -> float:
     """
     _check_tol(tol)
     a = as_matrix(m)
-    try:
-        al = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        al = None
-    if al is None or al.shape != (3,) or not np.all(np.isfinite(al)):
-        raise ArgumentError("alpha must be a finite 3-vector")
+    al = _finite_array(alpha, (3,), "vector")
+    if al.imag.any():
+        raise ArgumentError("alpha must be real, got a nonzero imaginary part")
+    al = al.real.copy()
     if abs(float(al @ al) - 1.0) > 1e-8:
         raise ArgumentError("alpha must be a unit vector")
     a1, a2, a3 = (float(x) for x in al)

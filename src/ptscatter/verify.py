@@ -168,6 +168,15 @@ def _entry(passed, residual, expected_pass: bool = True, **extra) -> dict:
             "consistent": bool(passed) == bool(expected_pass)}
 
 
+def _classification(cls) -> dict:
+    """The JSON record of a SpectraClassification."""
+    return {"nonnegative": bool(cls.nonnegative),
+            "closed_form_verdict": bool(cls.closed_form_verdict),
+            "oracle_verdict": bool(cls.oracle_verdict),
+            "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
+            "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper]}
+
+
 def _check_entry(check, expected_pass: bool) -> dict:
     return _entry(check.passed, check.residual, expected_pass,
                   witness_z=_pair(check.witness_z))
@@ -221,13 +230,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
             "chi": float(e.metric.chi),
             "xi": float(e.metric.xi),
         },
-        "classification": {
-            "nonnegative": bool(cls.nonnegative),
-            "closed_form_verdict": bool(cls.closed_form_verdict),
-            "oracle_verdict": bool(cls.oracle_verdict),
-            "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
-            "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper],
-        },
+        "classification": _classification(cls),
         "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
         # informational: for beta1 != 0 and chi != 0 the plain norm should

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,16 @@ def test_sweep_rejects_bad_grid(capsys):
         assert code == 2, grid
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_sweep_overflowing_span_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["sweep", "--beta0", "0.2", "--beta1", "0.1",
+                                      "--re-min=-1e308", "--re-max=1e308"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: re_max - re_min must be finite, got re_min=-1e+308, re_max=1e+308\n"
 
 
 def test_sweep_all_singular_exits_4(capsys):

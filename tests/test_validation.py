@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 
@@ -115,7 +116,10 @@ def test_non_real_parameter_raises_argument_error(make, name):
     (lambda: pts.formula_equivalence_residual(E, []), "zs must be nonempty"),
     (lambda: pts.mobius_round_trip_residuals(T, []), "zs must be nonempty"),
     (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, "abc"),
-     "alpha must be a finite 3-vector"),
+     "expected a vector of shape (3,) with numeric entries: "
+     "complex() arg is a malformed string"),
+    (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, np.array([1 + 1j, 0, 0])),
+     "alpha must be real, got a nonzero imaginary part"),
     (lambda: pts.draw_extension_params(np.random.default_rng(0), min_beta1=0.3),
      "min_beta1 must lie in [0, 0.25)"),
     (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=-1),
@@ -124,6 +128,36 @@ def test_non_real_parameter_raises_argument_error(make, name):
 def test_malformed_grid_and_count_raise_argument_error(call, message):
     with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# a point or coefficient that complex() rejects is malformed, and the error
+# names it
+@pytest.mark.parametrize("make, name", [
+    (lambda: pts.s_matrix(T, None), "z"),
+    (lambda: pts.s_matrix(T, "x"), "z"),
+    (lambda: pts.BoundaryData(None, 0, 0, 0), "f_plus"),
+    (lambda: pts.PauliCoefficients(None, 0, 0, 0), "a0"),
+    (lambda: pts.exp_involution("x", pts.SIGMA3), "theta"),
+], ids=["s_matrix-none", "s_matrix-string", "boundary-data", "pauli-coefficients",
+        "exp-involution"])
+def test_non_complex_value_raises_argument_error(make, name):
+    with pytest.raises(pts.ArgumentError, match=f"^{name} must be a complex number: "):
+        make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.lower_half_plane_grid(-1e308, 1e308),
+     "re_max - re_min must be finite, got re_min=-1e+308, re_max=1e+308"),
+    (lambda: pts.lower_half_plane_grid(-1e308, 1e308, steps=1),
+     "re_max - re_min must be finite, got re_min=-1e+308, re_max=1e+308"),
+    (lambda: pts.real_axis_points(-1e308, 1e308),
+     "hi - lo must be finite, got lo=-1e+308, hi=1e+308"),
+], ids=["grid", "grid-one-step", "real-axis"])
+def test_overflowing_grid_span_raises_without_warnings(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_integral_counts_of_any_integer_type_are_accepted():

@@ -34,6 +34,7 @@ COMMANDS = [
      "--re-min", "-1", "--re-max", "2", "--im-min", "-2", "--im-max", "0", "--steps", "5"],
     ["sweep", *PARAMS, "--chi", "0.5", "--xi", "0.3", "--steps", "16", "--format", "json"],
     ["sweep", *PARAMS, "--chi", "400", "--steps", "2"],
+    ["sweep", *PARAMS, "--re-min=-1e308", "--re-max=1e308"],       # exit 2
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
     ["decompose", "[[1,0],[0,-1]]"],
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
