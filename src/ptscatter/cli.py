@@ -10,8 +10,10 @@ sweep     --beta0 ... grid flags            S(z) over a z-grid, CSV or JSON
 verify    --beta0 ... | --random N --seed S full property suite, JSON
 
 Exit codes: 0 success, 2 usage or configuration error, 3 internal verdict
-disagreement, 4 every sweep point singular, 5 property violation.  Each input
-is validated by the library function it enters; exit 2 prints one
+disagreement, 4 every sweep point singular, 5 property violation.  A pole of
+S on a grid is not an error: sweep flags its row and verify skips it in
+every check and lists it in the result's singular_z.  Each input is
+validated by the library function it enters; exit 2 prints one
 ``error: <message>`` line on stderr and nothing on stdout.  The only
 exceptions are argparse's own usage errors (an unknown flag, a non-numeric
 value, a missing required flag, and a verify run with neither --random nor

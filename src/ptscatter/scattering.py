@@ -32,7 +32,9 @@ Each condition is one residual expression in S (larger is worse), written
 once as a stack expression over the (N, 2, 2) array of S at the sampled
 points and reduced by one array form of ``_worst``: the largest residual
 wins, the first point attaining it is the witness, and NaN and -inf
-residuals are skipped.  A residual equals its one-point form bit for bit.
+residuals are skipped (a list with no other residual raises
+:class:`ArgumentError`).  A residual equals its one-point form bit for
+bit.
 
 Every evaluation of S at many points goes through one private kernel,
 ``_s_batch``: it takes the numerator and denominator stacks of N points
@@ -51,25 +53,31 @@ slower (4.1 against 3.3 us).  The determinant, condition number and
 adjugate inside ``_quotient`` run on Python scalars (matrix2).
 
 A table (``_s_table``, ``_zero_range_table``) is the evaluation plan of one
-parameter.  It keeps the point lists it is given end to end as flat arrays:
-the points as given, their validated values and their rows of S at z and at
--conj z.  It fills S from one kernel call over the distinct points, and
-``_s_table`` returns each list's positions, so a check's points are an index
-array.  The products the conditions share (G S, S* G, G - S* G S, P_xi S and
-S* P_xi) are formed once over the table rows and associate as each
-condition writes them, so every gathered row keeps its bits; the PT image
-sigma_3 conj(S) sigma_3 is conj(S) with its off-diagonal entries negated,
-which differs from the two products only in the sign of zero entries.  One
-verdict pass, ``_worsts``, norms all residuals of a report (with those the
-verify suite adds) in one ``_operator_norms`` call and reduces each check's
-share by ``_worst``; (a) takes one ``_hermitian_lows`` call.  A check raises
-what a loop over its points would raise first: for each point in turn its
-validation error, then the error of S at z and then at -conj z (the
-:class:`SingularMatrixError`, or a malformed T's error), then a non-finite
-residual matrix.  Each check raises its fault just before its verdict, so a
-report's checks raise in the order (a), (b), (c), (d), PT.  Numpy's
-floating-point warnings are off while residuals are formed and normed: an
-overflow there ends in that non-finite error or in a NaN residual.
+parameter.  It keeps the point lists it is given end to end as one flat
+array of validated points, with their rows of S at z and at -conj z, and
+fills S from one kernel call over the distinct points; ``_s_table`` returns
+each list's positions, so a check's points are an index array.  T is
+validated first and then each list, by its own validator (interior, closed
+half-plane or off-axis), so a malformed T raises before any point and a
+malformed point before any check runs.
+
+A pole of S is a property of the parameter, not bad input: a check skips
+every point at which the kernel marks S singular, at z or, for a check that
+reads it, at -conj z.  Only a check left with no point raises, with the
+:class:`SingularMatrixError` of its first point, so a one-point check at a
+pole raises what s_matrix raises there.  The products the conditions share
+(G S, S* G, G - S* G S, P_xi S and S* P_xi) are formed once over the table
+rows and associate as each condition writes them, so every gathered row
+keeps its bits; the PT image sigma_3 conj(S) sigma_3 is conj(S) with its
+off-diagonal entries negated, which differs from the two products only in
+the sign of zero entries.  One verdict pass, ``_worsts``, norms all
+residuals of a report (with those the verify suite adds) in one
+``_operator_norms`` call and reduces each check's share by ``_worst``; (a)
+takes one ``_hermitian_lows`` call.  Every check picks its points before
+any verdict is drawn, so a check left with none raises first; the verdicts
+then come in the order (a), (b), (c), (d), PT, each first raising for its
+check's first non-finite residual matrix.  Numpy's floating-point warnings are off while residuals are formed and
+normed: an overflow there ends in that error or in a NaN residual.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,19 +114,12 @@ def _spectral_point(z, interior: bool = False) -> complex:
 
 _interior_point = partial(_spectral_point, interior=True)
 
-_NAN = complex(math.nan, math.nan)
 
-
-def _spectral_array(zs) -> np.ndarray:
-    """_spectral_point(z) for each z of the sequence zs as one array, NaN
-    where it rejects z."""
-    z = []
-    for x in zs:
-        try:
-            z.append(_spectral_point(x))
-        except ArgumentError:
-            z.append(_NAN)
-    return np.array(z, dtype=complex)
+def _off_axis(z) -> complex:
+    zz = _interior_point(z)
+    if zz.real == 0.0:
+        raise ArgumentError("condition (c) needs a point with Re z != 0")
+    return zz
 
 
 @dataclass(frozen=True)
@@ -233,10 +234,10 @@ def _s_batch(num, den):
     return s, cond, singular
 
 
-def _terms(t, zs):
-    """Numerator and denominator stacks of s_matrix(t, z) over the validated
-    points zs; the per-point factors are the same Python complex arithmetic."""
-    a = as_matrix(t)
+def _terms(a, zs):
+    """Numerator and denominator stacks of s_matrix(a, z) over the validated
+    matrix a and points zs; the per-point factors are the same Python
+    complex arithmetic."""
     ap = np.array([2.0 * (1.0 + 1j * z) for z in zs])[:, None, None]
     am = np.array([2.0 * (1.0 - 1j * z) for z in zs])[:, None, None]
     return SIGMA0 - ap * a, SIGMA0 - am * a
@@ -244,72 +245,55 @@ def _terms(t, zs):
 
 def _zero_range_terms(e: ExtensionParams, zs):
     """Numerator and denominator stacks of s_matrix_zero_range(e, z) over the
-    validated points zs."""
+    validated points zs; an empty zs gives empty stacks."""
     sx, hyp = _zero_range_basis(e)
-    c = np.array([_zero_range_coefficients(e, z) for z in zs]).T[:, :, None, None]
+    c = np.array([_zero_range_coefficients(e, z) for z in zs]).reshape(-1, 4).T[..., None, None]
     return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
 
 
 class _Table:
-    """S at the distinct valid points of a flat point array z, from one
-    kernel call on terms(points) made when the table is built.  ``zs`` holds
-    the points as given and ``z`` their validated values (NaN where the
-    closed lower half-plane rejects a point); the first ``plain`` points are
-    taken alone and each later one with its reflection -conj z.  ``row`` and
-    ``mirror`` are each point's table rows at z and at -conj z; a NaN point,
-    and the mirror of a plain one, read the NaN row.  ``s``, ``cond`` and
-    ``singular`` hold one row per distinct point and the NaN row last.  The
-    distinct points are keyed in the order plain points first, then each
+    """S at the distinct points of a flat array z of validated points, from
+    one kernel call on terms(points) made when the table is built.  The
+    first ``plain`` points are taken alone and each later one with its
+    reflection -conj z.  ``row`` and ``mirror`` are each point's table rows
+    at z and at -conj z (a plain point's mirror is its own row, which no
+    check reads).  ``points``, ``s``, ``cond`` and ``singular`` hold one row
+    per distinct point, keyed in the order plain points first, then each
     point followed by its reflection: +0 and -0 share a key, so the first
-    one met is the one evaluated.  When terms raises (a malformed T) the
-    error is kept and every row reads as singular, so that a check raises it
-    where a loop over its points would: at its first valid point."""
+    one met is the one evaluated."""
 
-    def __init__(self, terms, z, plain, zs=()):
+    def __init__(self, terms, z, plain):
         tail = z[plain:]
         keys = np.concatenate([z[:plain], np.column_stack([tail, -tail.conj()]).ravel()])
-        distinct = dict.fromkeys(keys[~np.isnan(keys)].tolist())
-        self._index = {p: i for i, p in enumerate(distinct)}
-        n = len(self._index)
-        rows = np.array([self._index.get(p, n) for p in keys.tolist()], dtype=int)
-        self.zs, self.z = zs, z
+        index = {p: i for i, p in enumerate(dict.fromkeys(keys.tolist()))}
+        rows = np.array([index[p] for p in keys.tolist()], dtype=int)
+        self.z, self.points = z, list(index)
         self.row = np.concatenate([rows[:plain], rows[plain::2]])
-        self.mirror = np.concatenate([np.full(plain, n), rows[plain + 1::2]])
-        self.s = np.full((n + 1, 2, 2), _NAN)
-        self.cond = np.full(n + 1, math.nan)
-        self.singular = np.zeros(n + 1, dtype=bool)
-        self._error = None
-        if n:
-            try:
-                self.s[:n], self.cond[:n], self.singular[:n] = _s_batch(*terms(list(self._index)))
-            except ArgumentError as exc:
-                self._error = exc
-                self.singular[:n] = True
+        self.mirror = np.concatenate([rows[:plain], rows[plain + 1::2]])
+        self.s, self.cond, self.singular = _s_batch(*terms(self.points))
 
-    def fail(self, rows, z, k):
-        """Raise what a one-point evaluation at z[k] raises, S being read at
-        row rows[k]."""
-        if self._error is not None:
-            raise self._error
-        raise _singular_error(float(self.cond[rows[k]]), DEFAULT_CONDITION_LIMIT,
-                              complex(z[k]), "denominator")
-
-    def at(self, z) -> np.ndarray:
-        """S at a plain point z, raising like a one-point evaluation."""
-        i = self._index[z]
-        if self.singular[i]:
-            self.fail([i], [z], 0)
-        return self.s[i]
+    def at(self, i, mirror=False):
+        """The read (table, rows, points) of S at the points i, or at their
+        reflections -conj z when mirror."""
+        if mirror:
+            return self, self.mirror[i], -self.z[i].conj()
+        return self, self.row[i], self.z[i]
 
 
 def _s_table(t, plain=(), reflected=()):
     """The table of s_matrix(t, z) over the point lists plain and reflected,
-    each validated once, followed by each list's positions in the table."""
-    lists = [list(zs) for zs in (*plain, *reflected)]
+    each a pair (points, validator), followed by each list's positions in
+    the table.  T is validated first, then each list in order."""
+    a = as_matrix(t)
+    lists = [_validated(*pair) for pair in (*plain, *reflected)]
     ends = list(accumulate(map(len, lists)))
-    table = _Table(partial(_terms, t), np.concatenate([_spectral_array(zs) for zs in lists]),
-                   sum(map(len, lists[:len(plain)])), list(chain.from_iterable(lists)))
+    table = _Table(partial(_terms, a), np.concatenate(lists), sum(map(len, lists[:len(plain)])))
     return (table, *(np.arange(i, j) for i, j in zip([0] + ends, ends)))
+
+
+def _validated(zs, check) -> np.ndarray:
+    """check(z) for each point z of the sequence zs, as one array."""
+    return np.array([check(z) for z in zs], dtype=complex)
 
 
 def _zero_range_table(e: ExtensionParams, z) -> _Table:
@@ -317,73 +301,67 @@ def _zero_range_table(e: ExtensionParams, z) -> _Table:
     return _Table(partial(_zero_range_terms, e), z, len(z))
 
 
-@np.errstate(all="ignore")
-def _residuals(s_of, i, valid, validate, lookups, form):
-    """(z, m, fault) for the points i of the table s_of: their validated
-    values z, the residual matrices m = form() and fault, None or a callable
-    raising the first fault a loop over the points meets.  That is, at each
-    point in turn, validate's error where valid is False, the error of S at
-    each (table, rows, z) of lookups in order, then as_matrix's error for a
-    non-finite residual matrix.  Overflow in form() ends in that error or in
-    a NaN residual, so numpy's warnings are off."""
-    m = form()
-    stages = [(~valid, lambda k: validate(s_of.zs[i[k]]))]
-    stages += [(table.singular[rows], partial(table.fail, rows, z)) for table, rows, z in lookups]
-    stages.append((~np.isfinite(m).all(axis=(1, 2)), lambda k: as_matrix(m[k])))
-    hits = np.array([mask for mask, _ in stages])
-    fault = None
-    if hits.any():
-        k, stage = divmod(int(np.flatnonzero(hits.T)[0]), len(stages))
-        fault = partial(stages[stage][1], k)
-    return s_of.z[i], m, fault
+def _kept(i, reads):
+    """The positions i at which every read (table, rows, points) of
+    _Table.at finds S regular.  When a nonempty i keeps none, its first
+    point raises the SingularMatrixError of its first singular read."""
+    bad = [table.singular[rows] for table, rows, _ in reads]
+    keep = ~np.logical_or.reduce(bad)
+    if len(i) and not keep.any():
+        table, rows, z = next(read for read, b in zip(reads, bad) if b[0])
+        raise _singular_error(float(table.cond[rows[0]]), DEFAULT_CONDITION_LIMIT,
+                              complex(z[0]), "denominator")
+    return i[keep]
+
+
+def _finite(m) -> np.ndarray:
+    """The residual stack m, after raising as_matrix's error for its first
+    non-finite matrix."""
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        as_matrix(m[bad[0]])
+    return m
 
 
 def _worst(z, res):
     """(largest residual, its point) over the points z and the array of their
     residuals res: the first point attaining the maximum is the witness,
     and NaN and -inf residuals are skipped, as a running ``res > worst``
-    skips them."""
-    if len(res):
-        kept = np.where(res > -math.inf, res, -math.inf)
-        i = int(np.argmax(kept))
-        if kept[i] > -math.inf:
-            return float(res[i]), complex(z[i])
-    raise ArgumentError("zs must be nonempty")
+    skips them; a list whose every residual is skipped raises."""
+    if not len(res):
+        raise ArgumentError("zs must be nonempty")
+    kept = np.where(res > -math.inf, res, -math.inf)
+    i = int(np.argmax(kept))
+    if kept[i] == -math.inf:
+        raise ArgumentError("the residual norm overflowed at every point")
+    return float(res[i]), complex(z[i])
 
 
 def _check(residual, witness, tol) -> PropertyCheck:
     return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
 
 
-def _worsts(checks):
-    """_worst of each check (z, m, fault) in turn, its fault raised first;
-    the residuals are the operator norms of m, all from one call."""
+def _worsts(s_of, checks):
+    """_worst of each check (i, m) in turn, i being the check's positions in
+    the table s_of and m their residual matrices, each check's first
+    non-finite matrix raised first; the residuals are the operator norms of
+    m, all from one call."""
     with np.errstate(all="ignore"):
-        res = _operator_norms(np.concatenate([m for _, m, _ in checks]))
+        res = _operator_norms(np.concatenate([m for _, m in checks]))
     start = 0
-    for z, m, fault in checks:
-        if fault is not None:
-            fault()
-        yield _worst(z, res[start:start + len(m)])
+    for i, m in checks:
+        _finite(m)
+        yield _worst(s_of.z[i], res[start:start + len(m)])
         start += len(m)
 
 
 @np.errstate(all="ignore")
-def _verdict_a(r, tol) -> PropertyCheck:
-    """Condition (a) from its metric gaps r = (z, m, fault): the residual is
-    minus the lowest eigenvalue, clamped at 0."""
-    z, m, fault = r
-    if fault is not None:
-        fault()
-    worst, witness = _worst(z, -_hermitian_lows(m))
+def _verdict_a(s_of, r, tol) -> PropertyCheck:
+    """Condition (a) from its metric gaps r = (i, m): the residual is minus
+    the lowest eigenvalue, clamped at 0."""
+    i, m = r
+    worst, witness = _worst(s_of.z[i], -_hermitian_lows(_finite(m)))
     return _check(max(0.0, worst), witness, tol)
-
-
-def _off_axis(z) -> complex:
-    zz = _interior_point(z)
-    if zz.real == 0.0:
-        raise ArgumentError("condition (c) needs a point with Re z != 0")
-    return zz
 
 
 def _ct(s) -> np.ndarray:
@@ -409,45 +387,43 @@ def _products(s, j):
     return j @ s, sj, j - sj @ s
 
 
-# One function per condition, holding its residual expression (larger is
-# worse) at the points i of a table s_of, from products formed once over
-# the table's rows; the public checks give each call a one-list table,
+# One function per condition: the points i of a table s_of it keeps and its
+# residual expression there (larger is worse), from products formed once
+# over the table's rows; the public checks give each call a one-list table,
 # property_report and the verify suite share one table per parameter.
 
 def _cond_a(s_of, i, gap):
     """The metric gaps G - S* G S, gap holding them over the table rows."""
-    z, row = s_of.z[i], s_of.row[i]
-    return _residuals(s_of, i, z.imag < 0, _interior_point, [(s_of, row, z)], lambda: gap[row])
+    i = _kept(i, [s_of.at(i)])
+    return i, gap[s_of.row[i]]
 
 
+@np.errstate(all="ignore")
 def _cond_reflection(s_of, i, js, sj):
     """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
-    z, row, mirror = s_of.z[i], s_of.row[i], s_of.mirror[i]
-    return _residuals(s_of, i, ~np.isnan(z), _spectral_point,
-                      [(s_of, row, z), (s_of, mirror, -z.conj())],
-                      lambda: js[row] - sj[mirror])
+    i = _kept(i, [s_of.at(i), s_of.at(i, mirror=True)])
+    return i, js[s_of.row[i]] - sj[s_of.mirror[i]]
 
 
+@np.errstate(all="ignore")
 def _cond_c(s_of, i, gs, sg, gap):
+    i = _kept(i, [s_of.at(i)])
     z, row = s_of.z[i], s_of.row[i]
     re = z.real[:, None, None]
     im = (1j * z.imag)[:, None, None]
-    return _residuals(s_of, i, (z.imag < 0) & (z.real != 0.0), _off_axis, [(s_of, row, z)],
-                      lambda: re * gap[row] - im * (sg[row] - gs[row]))
+    return i, re * gap[row] - im * (sg[row] - gs[row])
 
 
+@np.errstate(all="ignore")
 def _cond_pt(s_of, i):
-    z, row, mirror = s_of.z[i], s_of.row[i], s_of.mirror[i]
-    return _residuals(s_of, i, z.imag < 0, _interior_point,
-                      [(s_of, row, z), (s_of, mirror, -z.conj())],
-                      lambda: _pt_images(s_of.s[row]) - s_of.s[mirror])
+    i = _kept(i, [s_of.at(i), s_of.at(i, mirror=True)])
+    return i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]]
 
 
 def _plain_norms(s_of, i):
     """S itself, whose norm is the plain C^2 norm."""
-    z, row = s_of.z[i], s_of.row[i]
-    return _residuals(s_of, i, ~np.isnan(z), _spectral_point, [(s_of, row, z)],
-                      lambda: s_of.s[row])
+    i = _kept(i, [s_of.at(i)])
+    return i, s_of.s[s_of.row[i]]
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -457,16 +433,16 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     the witness is the point that produced it.
     """
     _check_tol(tol)
-    s_of, i = _s_table(t, [zs])
-    return _verdict_a(_cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
+    s_of, i = _s_table(t, [(zs, _interior_point)])
+    return _verdict_a(s_of, _cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[zs])
+    s_of, i = _s_table(t, reflected=[(zs, _spectral_point)])
     r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2])
-    return _check(*next(_worsts([r])), tol)
+    return _check(*next(_worsts(s_of, [r])), tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -475,31 +451,32 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     Requires Re z != 0 and Im z < 0.
     """
     _check_tol(tol)
-    s_of, i = _s_table(t, [[z]])
-    return _check(*next(_worsts([_cond_c(s_of, i, *_products(s_of.s, metric(p)))])), tol)
+    s_of, i = _s_table(t, [([z], _off_axis)])
+    r = _cond_c(s_of, i, *_products(s_of.s, metric(p)))
+    return _check(*next(_worsts(s_of, [r])), tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[[z]])
+    s_of, i = _s_table(t, reflected=[([z], _spectral_point)])
     r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2])
-    return _check(*next(_worsts([r])), tol)
+    return _check(*next(_worsts(s_of, [r])), tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[zs])
-    return _check(*next(_worsts([_cond_pt(s_of, i)])), tol)
+    s_of, i = _s_table(t, reflected=[(zs, _interior_point)])
+    return _check(*next(_worsts(s_of, [_cond_pt(s_of, i)])), tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    s_of, i = _s_table(t, [zs])
-    return next(_worsts([_plain_norms(s_of, i)]))[0]
+    s_of, i = _s_table(t, [(zs, _spectral_point)])
+    return next(_worsts(s_of, [_plain_norms(s_of, i)]))[0]
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -541,11 +518,13 @@ def _steps(steps) -> int:
 
 
 def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[complex]:
-    """Boundary-value sample points on the real axis; non-finite bounds, an
-    overflowing span and a steps that is not an integer >= 1 raise
-    :class:`ArgumentError`."""
+    """Boundary-value sample points on the real axis, ascending; reversed or
+    non-finite bounds, an overflowing span and a steps that is not an
+    integer >= 1 raise :class:`ArgumentError`."""
     steps = _steps(steps)
     lo, hi = _finite_real("lo", lo), _finite_real("hi", hi)
+    if lo > hi:
+        raise ArgumentError("grid bounds must satisfy lo <= hi")
     return [complex(x, 0.0) for x in _axis("lo", lo, "hi", hi, steps)]
 
 
@@ -560,15 +539,17 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     stronger evidence, at every admissible grid point, keeping the worst
     residual.  S is evaluated once per distinct point of
     interior | boundary | {witness} and of its reflection -conj z, in one
-    batched call, into a table shared by all five checks; each condition's
-    residuals are one stack expression, the norms of all of them come from
-    one call, and each worst residual and witness from the one reducer the
-    single checks use.
+    batched call, into a table shared by all five checks; each check skips
+    the points where S is singular, each condition's residuals are one
+    stack expression, the norms of all of them come from one call, and each
+    worst residual and witness from the one reducer the single checks use.
     """
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
-    s_of, *points = _s_table(t, reflected=[interior, boundary, [witness]])
-    return _report(s_of, p, *points, tol)[0]
+    s_of, witness, interior, boundary = _s_table(
+        t, reflected=[([witness], _off_axis), (interior, _interior_point),
+                      (boundary, _spectral_point)])
+    return _report(s_of, _checks(s_of, p, interior, boundary, witness), tol)[0]
 
 
 def _grids(interior, boundary) -> tuple[list, list]:
@@ -577,26 +558,30 @@ def _grids(interior, boundary) -> tuple[list, list]:
             list(boundary) if boundary is not None else real_axis_points())
 
 
-def _report(s_of, p, interior, boundary, witness, tol, extra=()):
-    """(PropertyReport, the worsts of the residuals extra) over the table s_of
-    and its positions interior, boundary and witness (one point).  G S, S* G,
-    G - S* G S, P_xi S and S* P_xi are formed once over the table rows; (a)
-    takes one _hermitian_lows call, and (b), (c), (d), PT and extra one
-    _operator_norms call.  The checks raise in order, each what its
-    per-point loop raises first; the worsts of extra are left to the caller
-    to draw in turn, each raising its fault first."""
-    _interior_point(s_of.zs[witness[0]])
+def _checks(s_of, p, interior, boundary, witness) -> list:
+    """(a), (b), (c), (d) and PT over the table s_of and its positions
+    interior, boundary and witness (one point), each as (kept positions,
+    residual matrices).  G S, S* G, G - S* G S, P_xi S and S* P_xi are
+    formed once over the table rows."""
     gs, sg, gap = _products(s_of.s, metric(p))
     px = p_xi(p.xi)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
-    a = _cond_a(s_of, interior, gap)
-    # (a) raises first for a bad interior point, so (c) reads validated values
     off_axis = interior[s_of.z[interior].real != 0.0]
-    worsts = _worsts([_cond_reflection(s_of, np.r_[interior, boundary], gs, sg),
-                      _cond_c(s_of, np.r_[witness, off_axis], gs, sg, gap),
-                      _cond_reflection(s_of, np.r_[witness, interior, boundary], ps, sp),
-                      _cond_pt(s_of, interior), *extra])
-    report = PropertyReport(_verdict_a(a, tol),
-                            *(_check(*next(worsts), tol) for _ in range(4)))
-    return report, worsts
+    return [_cond_a(s_of, interior, gap),
+            _cond_reflection(s_of, np.r_[interior, boundary], gs, sg),
+            _cond_c(s_of, np.r_[witness, off_axis], gs, sg, gap),
+            _cond_reflection(s_of, np.r_[witness, interior, boundary], ps, sp),
+            _cond_pt(s_of, interior)]
+
+
+def _report(s_of, checks, tol):
+    """(PropertyReport of the first five checks of _checks, the worsts of
+    the rest): (a) takes one _hermitian_lows call, and the others one
+    _operator_norms call.  The verdicts come in order, each raising for its
+    check's first non-finite residual matrix first; the worsts of the rest
+    are left to the caller to draw in turn."""
+    a, *rest = checks
+    cond_a = _verdict_a(s_of, a, tol)
+    worsts = _worsts(s_of, rest)
+    return PropertyReport(cond_a, *(_check(*next(worsts), tol) for _ in range(4))), worsts

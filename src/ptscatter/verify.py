@@ -9,11 +9,13 @@ with its theory-expected outcome:
   * condition (a) must pass exactly when the metric inequality
     0 <= G T <= G/2 holds, i.e. for nonnegative-spectrum parameters;
   * the closed-form region verdict must agree with the eigenvalue oracle;
-  * the Mobius inverse must recover T from every witness point, and the
-    recovered T must not depend on the witness;
+  * the Mobius inverse must recover T from every witness point where S is
+    regular, and the recovered T must not depend on the witness;
   * the parametrized evaluation of S must match the generic one;
-  * for beta1 = 0 the scattering matrix must be a plain-norm contraction on
-    the grid.  For beta1 != 0 and chi != 0 the plain norm is expected to
+  * for beta1 = 0, S = s(beta0, z) I with a scalar s, and |s| <= 1 on the
+    lower half-plane exactly when 0 <= beta0 <= 1/2, so S must be a
+    plain-norm contraction on the grid exactly when the metric inequality
+    holds.  For beta1 != 0 and chi != 0 the plain norm is expected to
     exceed 1 somewhere, but absence of a grid witness is reported rather
     than treated as a violation (the failure set depends on (chi, xi) and
     need not meet a finite grid).  At chi = 0 the spectral projections
@@ -24,11 +26,14 @@ A draw runs on one evaluation plan: one table holds S at every distinct
 point the draw needs, the Mobius witness points included, from one batched
 evaluation, with each point list validated once and laid end to end in it;
 the parametrized route it is compared with fills its own table over the
-same validated grid.  The report's residuals, the gap between the two
-routes and the plain norms of S are normed in one call, and one verdict
-pass takes each check's worst residual in turn, raising its fault first.
-A suite is *consistent* when every actual outcome equals its expected one;
-the random driver reports the first inconsistent draw in replayable form.
+same validated grid.  Every check skips the points where S is singular
+(the route gap those where either route is), and the suite lists the
+distinct singular points of its table as ``singular_z``.  The report's
+residuals, the gap between the two routes and the plain norms of S are
+normed in one call, and one verdict pass takes each check's worst residual
+in turn.  A suite is *consistent* when every actual outcome equals its
+expected one; the random battery reports the first inconsistent draw in
+replayable form.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
 from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
-from .matrix2 import _operator_norms, as_matrix
-from .scattering import (_grids, _plain_norms, _report, _residuals, _s_table,
+from .matrix2 import _operator_norms
+from .scattering import (_checks, _finite, _grids, _interior_point, _kept,
+                         _off_axis, _plain_norms, _report, _s_table,
                          _spectral_point, _worst, _worsts, _zero_range_table,
                          s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
@@ -103,41 +109,34 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
 def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
     t_from_s(s_matrix(t, z), z) over the witness points."""
-    return _round_trip(lambda z: s_matrix(t, z).s, t, zs)
-
-
-def _norms(m) -> np.ndarray:
-    """operator_norm of each matrix of the stack m; the first non-finite one
-    raises as operator_norm does."""
-    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
-    if bad.size:
-        as_matrix(m[bad[0]])
-    return _operator_norms(m)
-
-
-def _round_trip(s_at, t, zs) -> tuple[float, float]:
-    """The recovery and spread of t_from_s over the points zs, with S at z
-    from s_at(z); t_from_s stays one point at a time."""
     zs = list(zs)
-    recovered = np.array([t_from_s(s_at(z), z) for z in zs]).reshape(-1, 2, 2)
-    recovery = _worst(zs, _norms(recovered - t))[0]
-    spread = max(_norms(recovered[1:] - recovered[:1]).tolist(), default=0.0)
+    return _round_trip((s_matrix(t, z).s for z in zs), t, zs)
+
+
+def _round_trip(s, t, zs) -> tuple[float, float]:
+    """The recovery and spread of t_from_s over the points zs, s holding S
+    at each; t_from_s stays one point at a time."""
+    recovered = np.array([t_from_s(x, z) for x, z in zip(s, zs)]).reshape(-1, 2, 2)
+    recovery = _worst(zs, _operator_norms(_finite(recovered - t)))[0]
+    spread = max(_operator_norms(_finite(recovered[1:] - recovered[:1])).tolist(), default=0.0)
     return recovery, spread
 
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
-    """Worst deviation between the parametrized and the generic S evaluation."""
-    s_of, i = _s_table(t_from_betas(e), [zs])
-    return next(_worsts([_route_gap(e, s_of, i)]))[0]
+    """Worst deviation between the parametrized and the generic S
+    evaluation, over the points where both are regular."""
+    s_of, i = _s_table(t_from_betas(e), [(zs, _spectral_point)])
+    return next(_worsts(s_of, [_route_gap(e, s_of, i)]))[0]
 
 
 def _route_gap(e, s_of, i):
-    """The residuals S_zero_range - S at the points i of the table s_of, the
-    parametrized S from its own table over the same validated points."""
-    z, row = s_of.z[i], s_of.row[i]
-    zr = _zero_range_table(e, z)
-    return _residuals(s_of, i, ~np.isnan(z), _spectral_point, [(zr, zr.row, z), (s_of, row, z)],
-                      lambda: zr.s[zr.row] - s_of.s[row])
+    """The points i of the table s_of where both routes are regular and the
+    residuals S_zero_range - S there, the parametrized S from its own table
+    over the same validated points."""
+    zr = _zero_range_table(e, s_of.z[i])
+    k = _kept(np.arange(len(i)), [zr.at(slice(None)), s_of.at(i)])
+    with np.errstate(all="ignore"):
+        return i[k], zr.s[zr.row[k]] - s_of.s[s_of.row[i[k]]]
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -193,14 +192,16 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    s_of, _, grid, axis, witness = _s_table(t, [WITNESS_POINTS],
-                                            [interior, boundary, [1.0 - 1.0j]])
-    report, rest = _report(s_of, e.metric, grid, axis, witness, tol,
-                           [_route_gap(e, s_of, grid), _plain_norms(s_of, grid)])
-    recovery, spread = _round_trip(s_of.at, t, WITNESS_POINTS)
+    s_of, mobius, grid, axis, witness = _s_table(
+        t, [(WITNESS_POINTS, _interior_point)],
+        [(interior, _interior_point), (boundary, _spectral_point), ([1.0 - 1.0j], _off_axis)])
+    report_checks = _checks(s_of, e.metric, grid, axis, witness)
+    gap = _route_gap(e, s_of, grid)
+    report, rest = _report(s_of, report_checks + [gap, _plain_norms(s_of, grid)], tol)
+    mobius = _kept(mobius, [s_of.at(mobius)])
+    recovery, spread = _round_trip(s_of.s[s_of.row[mobius]], t, s_of.z[mobius])
     (feq, _), (max_norm, _) = rest
-    # _report has validated the interior points and met its singular ones
-    worst_cond = max([1.0] + s_of.cond[s_of.row[grid]].tolist())
+    worst_cond = max([1.0] + s_of.cond[s_of.row[gap[0]]].tolist())
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
     quad = _quadratic_gap(e, cls)
@@ -220,7 +221,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     }
     if e.beta1 == 0.0:
         checks["contraction_bound"] = _entry(max_norm <= 1.0 + CONTRACTION_SLACK,
-                                             max(0.0, max_norm - 1.0))
+                                             max(0.0, max_norm - 1.0), expected_pass=metric_ok)
     consistent = all(entry["consistent"] for entry in checks.values())
 
     result = {
@@ -236,6 +237,9 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
         # informational: for beta1 != 0 and chi != 0 the plain norm should
         # exceed 1 somewhere, but a missing grid witness is logged, not failed
         "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
+        # the distinct points of the table where S is singular; every check
+        # skipped them
+        "singular_z": [_pair(z) for z, bad in zip(s_of.points, s_of.singular.tolist()) if bad],
         "checks": checks,
         "consistent": bool(consistent),
     }

@@ -406,6 +406,23 @@ def test_verify_explicit_inadmissible_is_consistent(capsys):
     assert entry["passed"] is False and entry["consistent"] is True
 
 
+@pytest.mark.parametrize("beta0, beta1, pole", [
+    ("0.25", "0.25", [0.0, 0.0]),     # a corner of the diamond: lambda = 1/2
+    ("-0.26", "0.01", [0.0, -3.0]),   # lambda = -1/4
+    ("-0.25", "0", [0.0, -3.0]),
+    ("-0.5", "0", [0.0, -2.0]),       # a Mobius witness point
+])
+def test_verify_skips_a_pole_at_its_sample_points_and_lists_it(capsys, beta0, beta1, pole):
+    # S has a pole at z = -i(1 - 1/(2 lambda)) for each eigenvalue lambda of T
+    code, out, err = run(capsys, ["verify", "--beta0", beta0, "--beta1", beta1])
+    assert (code, err) == (0, "")
+    [suite] = json.loads(out)["results"]
+    assert suite["singular_z"] == [pole]
+    assert suite["consistent"]
+    # the route gap's tolerance scales with the condition of the kept points
+    assert suite["checks"]["formula_equivalence"]["tolerance"] < 1e-8
+
+
 def test_verify_requires_parameters_or_random():
     with pytest.raises(SystemExit) as info:
         cli.main(["verify"])

@@ -13,12 +13,13 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        SingularMatrixError, check_condition_a,
                        check_condition_b, check_condition_c,
                        check_condition_d, check_pt_criterion, exp_involution,
-                       extension_params, hermitian_eigenvalues, inverse,
+                       extension_params, formula_equivalence_residual,
+                       hermitian_eigenvalues, inverse,
                        lower_half_plane_grid, metric, operator_norm, p_xi,
                        pauli_compose, property_report, real_axis_points,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
-from ptscatter.matrix2 import _operator_norms, _singular_error
+from ptscatter.matrix2 import _operator_norms, _singular_error, as_matrix
 from ptscatter.scattering import (_interior_point, _metric_defect,
                                   _metric_defects, _off_axis, _quotient,
                                   _s_batch, _spectral_point, _terms,
@@ -526,110 +527,16 @@ def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
     assert 1 - 1j in calls and -1 - 1j in calls
 
 
-# ---------------------------------------------------------------- error parity
+# ---------------------------------------------------------------- singular points
 #
-# The checks as a loop over their points, kept as the reference for the
-# stacked residuals: per point, validate, look S up at z (and at -conj z),
-# form the residual matrix and take its norm, keeping the first largest
-# residual.  Whatever that loop raises first, the stacked checks must raise.
-
-
-def _loop_worst(points, residual):
-    worst, witness = -math.inf, None
-    for z in points:
-        res = residual(z)
-        if res > worst:
-            worst, witness = res, z
-    if witness is None:
-        raise ArgumentError("zs must be nonempty")
-    return worst, witness
-
-
-def _loop_check(residual, witness, tol):
-    return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
-
-
-def _loop_cond_a(s_of, g, zs, tol):
-    def residual(z):
-        return -_metric_defect(g, s_of(z).s)
-    worst, witness = _loop_worst(map(_interior_point, zs), residual)
-    return _loop_check(max(0.0, worst), witness, tol)
-
-
-def _loop_cond_reflection(s_of, j, zs, tol):
-    def residual(z):
-        return operator_norm(j @ s_of(z).s - s_of(-z.conjugate()).s.conj().T @ j)
-    return _loop_check(*_loop_worst(map(_spectral_point, zs), residual), tol)
-
-
-def _loop_cond_c(s_of, g, zs, tol):
-    def residual(z):
-        s = s_of(z).s
-        sh = s.conj().T
-        return operator_norm(z.real * (g - sh @ g @ s) - 1j * z.imag * (sh @ g - g @ s))
-    return _loop_check(*_loop_worst(map(_off_axis, zs), residual), tol)
-
-
-def _loop_cond_pt(s_of, zs, tol):
-    def residual(z):
-        return operator_norm(SIGMA3 @ np.conj(s_of(z).s) @ SIGMA3 - s_of(-z.conjugate()).s)
-    return _loop_check(*_loop_worst(map(_interior_point, zs), residual), tol)
-
-
-def _loop_max_norm(s_of, zs):
-    return _loop_worst(map(_spectral_point, zs), lambda z: operator_norm(s_of(z).s))[0]
-
-
-def _loop_report(s_of, p, interior, boundary, witness, tol):
-    witness = _interior_point(witness)
-    g = metric(p)
-    cond_a = _loop_cond_a(s_of, g, interior, tol)
-    # (a) has met every bad interior point, so the (c) filter meets none
-    c_points = [witness] + [z for z in interior if _interior_point(z).real != 0.0]
-    return PropertyReport(
-        cond_a=cond_a,
-        cond_b=_loop_cond_reflection(s_of, g, interior + boundary, tol),
-        cond_c=_loop_cond_c(s_of, g, c_points, tol),
-        cond_d=_loop_cond_reflection(s_of, p_xi(p.xi), [witness] + interior + boundary, tol),
-        pt_criterion=_loop_cond_pt(s_of, interior, tol))
+# A pole of S is data: a check skips the points where S is singular (at z,
+# and at -conj z when it reads the reflection), so its result is that of the
+# same call without them, and a list with none left raises the
+# SingularMatrixError s_matrix raises at its first point.  A malformed T
+# raises before any point, and a malformed point before any check.
 
 
 TOL = 1e-10
-
-LOOP_CHECKS = {
-    check_condition_a: lambda t, p, zs: _loop_cond_a(partial(s_matrix, t), metric(p),
-                                                     list(zs), TOL),
-    check_condition_b: lambda t, p, zs: _loop_cond_reflection(partial(s_matrix, t),
-                                                              metric(p), list(zs), TOL),
-    check_condition_c: lambda t, p, z: _loop_cond_c(partial(s_matrix, t), metric(p),
-                                                    [z], TOL),
-    check_condition_d: lambda t, p, z: _loop_cond_reflection(partial(s_matrix, t),
-                                                             p_xi(p.xi), [z], TOL),
-    check_pt_criterion: lambda t, p, zs: _loop_cond_pt(partial(s_matrix, t), list(zs), TOL),
-    standard_contraction_norm: lambda t, p, zs: _loop_max_norm(partial(s_matrix, t),
-                                                               list(zs)),
-}
-
-
-def _public(check, t, p, zs):
-    if check is check_condition_d:
-        return check(t, p.xi, zs, TOL)
-    if check in (check_pt_criterion, standard_contraction_norm):
-        return check(t, zs)
-    return check(t, p, zs)
-
-
-def _parity(fn, *args, **kwargs):
-    """The result (with its repr, which keeps the sign of zero parts) or the
-    exception's type, message and z."""
-    try:
-        result = fn(*args, **kwargs)
-    except Exception as exc:   # every exception must match, its type included
-        z = getattr(exc, "z", None)
-        return type(exc), str(exc), z, repr(z)
-    return result, repr(result)
-
-
 NAN = complex(math.nan, -1.0)
 # T with a pole of S at 0.5-0.5j only: the reflection of -0.5-0.5j is singular
 POLE = np.diag([(1 + 1j) / 2, 0])
@@ -650,6 +557,7 @@ PARITY_POINTS = [
     [1 - 1j, 0.5 - 0.5j, "x"], [1 - 1j, "x", 0.5 - 0.5j],
     [-0.5 - 0.5j, 1 - 1j],                    # singular reflection
     [-0.5j, 1 - 1j], [1 - 1j, -0.5j],         # the pole of T = I
+    [-0.5j, -0.5j], [-0.5 - 0.5j, 0.5 - 0.5j],  # nothing left once poles are skipped
     [-1j, -0.995j], [-0.995j, -1j],           # overflow before / after a pole
     [NAN, -1j], [-1j, NAN], [complex(math.inf, -1)],
     [1 - 1j, 1 - 1j, -1 - 1j, 1 - 1j],        # tied maximum
@@ -660,25 +568,154 @@ PARITY_TS = [np.zeros((2, 2)), SIGMA0, POLE, BIG,
              t_from_betas(extension_params(0.3, -0.2, 0.8, 2.0)), np.full((2, 2), math.nan)]
 
 
-@pytest.mark.parametrize("check", list(LOOP_CHECKS), ids=lambda f: f.__name__)
-def test_checks_raise_what_the_per_point_loop_raises(check):
+def _ref_max_norm(t, p, zs, tol):
+    worst = -math.inf
+    for z in zs:
+        res = operator_norm(s_matrix(t, z).s)
+        if res > worst:
+            worst = res
+    return worst
+
+
+# each single check: whether it reads S at -conj z, its point validator and
+# its per-point loop reference
+SINGLE_CHECKS = {
+    check_condition_a: (False, _interior_point, _ref_condition_a),
+    check_condition_b: (True, _spectral_point, _ref_condition_b),
+    check_condition_c: (False, _off_axis, lambda t, p, zs, tol: _ref_condition_c(t, p, *zs, tol)),
+    check_condition_d: (True, _spectral_point,
+                        lambda t, p, zs, tol: _ref_condition_d(t, p.xi, *zs, tol)),
+    check_pt_criterion: (True, _interior_point, lambda t, p, zs, tol: _ref_pt_criterion(t, zs, tol)),
+    standard_contraction_norm: (False, _spectral_point, _ref_max_norm),
+}
+
+
+def _public(check, t, p, zs):
+    """check over the point list zs; the one-point checks take its one point."""
+    if check in (check_condition_c, check_condition_d):
+        [z] = zs
+        return check(t, p.xi if check is check_condition_d else p, z, TOL)
+    if check is check_pt_criterion:
+        return check(t, zs, TOL)
+    if check is standard_contraction_norm:
+        return check(t, zs)
+    return check(t, p, zs, TOL)
+
+
+def _raised(exc):
+    """An exception as its type, message and z (with its repr, which keeps
+    the sign of zero parts)."""
+    z = getattr(exc, "z", None)
+    return type(exc), str(exc), z, repr(z)
+
+
+def _parity(fn, *args, **kwargs):
+    """The result (with its repr) or the exception as _raised gives it."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:   # every exception must match, its type included
+        return _raised(exc)
+    return result, repr(result)
+
+
+def _singular_at(t, z, mirror):
+    """The SingularMatrixError s_matrix raises at the valid point z, or at
+    -conj z when mirror, or None."""
+    for w in (z, -z.conjugate())[:1 + mirror]:
+        try:
+            s_matrix(t, w)
+        except SingularMatrixError as exc:
+            return exc
+    return None
+
+
+def _skipping(call, t, points, mirror, validate):
+    """(what call(points) must give, the points at which S is regular): a
+    malformed T's error, then the first malformed point's, then call on the
+    regular points, or, when there are none, the first point's
+    SingularMatrixError."""
+    try:
+        as_matrix(t)
+        zs = [validate(z) for z in points]
+    except ArgumentError as exc:
+        return _raised(exc), points
+    errors = [_singular_at(t, z, mirror) for z in zs]
+    kept = [x for x, err in zip(points, errors) if err is None]
+    if points and not kept:
+        return _raised(errors[0]), kept
+    return _parity(call, kept), kept
+
+
+@pytest.mark.parametrize("check", list(SINGLE_CHECKS), ids=lambda f: f.__name__)
+def test_checks_skip_the_points_where_s_is_singular(check):
+    mirror, validate, reference = SINGLE_CHECKS[check]
     one_point = check in (check_condition_c, check_condition_d)
     seen = set()
     for t in PARITY_TS:
         for p in (P, P700):
             for zs in PARITY_POINTS:
-                args = [(t, p, z) for z in zs] if one_point else [(t, p, zs)]
-                for a in args:
+                for points in ([[z] for z in zs] if one_point else [zs]):
                     with np.errstate(all="ignore"):
-                        got = _parity(_public, check, *a)
-                        want = _parity(LOOP_CHECKS[check], *a)
-                    assert got == want, (check.__name__, a)
-                    seen.add(want[0] if isinstance(want[0], type) else "ok")
-    assert seen >= {"ok", ArgumentError, SingularMatrixError}
+                        got = _parity(_public, check, t, p, points)
+                        want, kept = _skipping(partial(_public, check, t, p), t, points,
+                                               mirror, validate)
+                        if not isinstance(got[0], type):
+                            # the skipped points' result is the per-point loop's
+                            result = reference(t, p, kept, TOL)
+                            assert got[0] == result, (check.__name__, t, p, points)
+                    assert got == want, (check.__name__, t, p, points)
+                    kind = got[0] if isinstance(got[0], type) else "ok"
+                    seen.add("skipped" if kind == "ok" and len(kept) < len(points) else kind)
+    # a one-point check has nothing left once it skips its point
+    assert seen >= {"ok", ArgumentError, SingularMatrixError} | (set() if one_point else {"skipped"})
     assert not seen & {ValueError, TypeError}
 
 
-def test_property_report_raises_what_the_per_point_loop_raises():
+def _merged(check, t, p, points):
+    """(c) or (d) of a report from the one-point check at each point: the
+    first largest residual, skipping the singular points and those whose
+    residual norm is NaN; with no point left, the first point's error."""
+    outcomes = [_parity(_public, check, t, p, [z]) for z in points]
+    kept = [o for o in outcomes if o[0] is not SingularMatrixError]
+    if not kept:
+        return outcomes[0]
+    for o in kept:
+        if o[0] is ArgumentError and "overflowed" not in o[1]:
+            return o
+    checks = [o[0] for o in kept if o[0] is not ArgumentError]
+    if not checks:
+        return kept[0]
+    best = max(checks, key=lambda c: c.residual)
+    return best, repr(best)
+
+
+def _composed_report(t, p, interior, boundary, witness):
+    """property_report as its validation and five checks: (a), (b) and PT
+    are the single checks on the report's lists, (c) and (d) merged from the
+    one-point checks.  A check left with no point raises before any check's
+    verdict does, and the checks raise in order."""
+    try:
+        as_matrix(t)
+        _off_axis(witness)
+        [_interior_point(z) for z in interior]
+        [_spectral_point(z) for z in boundary]
+    except ArgumentError as exc:
+        return _raised(exc)
+    c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
+    parts = [_parity(_public, check_condition_a, t, p, interior),
+             _parity(_public, check_condition_b, t, p, interior + boundary),
+             _merged(check_condition_c, t, p, c_points),
+             _merged(check_condition_d, t, p, [witness] + interior + boundary),
+             _parity(_public, check_pt_criterion, t, p, interior)]
+    for kind in (SingularMatrixError, ArgumentError):
+        for part in parts:
+            if part[0] is kind:
+                return part
+    report = PropertyReport(*(part[0] for part in parts))
+    return report, repr(report)
+
+
+def test_property_report_is_its_checks_with_singular_points_skipped():
     cases = [((zs, [1.5, 0.0]), {}) for zs in PARITY_POINTS]
     cases += [(([1 - 1j, -2j], bnd), {}) for bnd in ([1.5, NAN], [0.5j], ["x"], [])]
     cases += [(([1 - 1j], [0.0]), {"witness": w}) for w in (-1j, 0.5 - 0.5j, NAN, 2.0)]
@@ -690,12 +727,23 @@ def test_property_report_raises_what_the_per_point_loop_raises():
                 witness = kwargs.get("witness", 1.0 - 1.0j)
                 with np.errstate(all="ignore"):
                     got = _parity(property_report, t, p, interior, boundary, witness, TOL)
-                    want = _parity(_loop_report, partial(s_matrix, t), p, interior,
-                                   boundary, witness, TOL)
+                    want = _composed_report(t, p, interior, boundary, witness)
                 assert got == want, (t, p, args, kwargs)
                 seen.add(want[0] if isinstance(want[0], type) else "ok")
     assert seen >= {"ok", ArgumentError, SingularMatrixError}
     assert not seen & {ValueError, TypeError}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_condition_c(SIGMA0, KreinMetricParams(0.0, 700.0), 1 - 1j),
+    lambda: formula_equivalence_residual(
+        extension_params(0.4279572396533232, 0.3365613704494501, chi=-700,
+                         xi=3.430488547447316), [-1j]),
+], ids=["condition-c", "route-gap"])
+def test_a_residual_norm_that_overflows_at_every_point_is_named(call):
+    # the residual matrices are finite, but their norms overflow to NaN
+    with pytest.raises(ArgumentError, match="^the residual norm overflowed at every point$"):
+        call()
 
 
 def test_nothing_is_evaluated_point_by_point(monkeypatch):
@@ -761,16 +809,16 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, count)
 
-    for module, name in ((scattering, "_spectral_array"), (scattering, "_operator_norms"),
+    for module, name in ((scattering, "_validated"), (scattering, "_operator_norms"),
                          (scattering, "_hermitian_lows"), (verify, "_operator_norms")):
         counting(module, name)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
     assert run_parameter_suite(e)["consistent"]
     # the point lists are WITNESS_POINTS, the interior grid, the real axis and
     # the witness 1-1j; the two verify norms are the Mobius round trip's
-    assert calls == {"scattering._spectral_array": 4, "scattering._operator_norms": 1,
+    assert calls == {"scattering._validated": 4, "scattering._operator_norms": 1,
                      "scattering._hermitian_lows": 1, "verify._operator_norms": 2}
     calls.update(dict.fromkeys(calls, 0))
     property_report(t_from_betas(e), e.metric)
-    assert calls == {"scattering._spectral_array": 3, "scattering._operator_norms": 1,
+    assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,
                      "scattering._hermitian_lows": 1, "verify._operator_norms": 0}

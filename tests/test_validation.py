@@ -110,6 +110,7 @@ def test_non_real_parameter_raises_argument_error(make, name):
     (lambda: pts.real_axis_points(steps=2.5), "steps must be an integer, got 2.5"),
     (lambda: pts.real_axis_points(lo=math.nan), "lo must be finite, got nan"),
     (lambda: pts.real_axis_points(hi=math.inf), "hi must be finite, got inf"),
+    (lambda: pts.real_axis_points(3, -3, 3), "grid bounds must satisfy lo <= hi"),
     (lambda: pts.run_random_suite(2.5, 0), "n must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, 2.5), "seed must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, "7"), "seed must be an integer, got '7'"),

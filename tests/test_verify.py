@@ -75,6 +75,16 @@ def test_parameter_suite_scalar_family_has_contraction_bound():
     assert suite["checks"]["contraction_bound"]["passed"]
 
 
+@pytest.mark.parametrize("beta0", [0.75, -0.26])
+def test_scalar_family_outside_the_diamond_expects_no_contraction(beta0):
+    # for beta1 = 0, S = s(beta0, z) I, and |s| <= 1 on the lower half-plane
+    # exactly when 0 <= beta0 <= 1/2
+    suite = run_parameter_suite(extension_params(beta0, 0.0))
+    entry = suite["checks"]["contraction_bound"]
+    assert not entry["passed"] and not entry["expected_pass"]
+    assert suite["consistent"] and not suite["metric_inequality"]
+
+
 def test_random_suite_consistent_and_deterministic():
     a = run_random_suite(16, seed=123)
     b = run_random_suite(16, seed=123)
@@ -163,6 +173,7 @@ def reference_parameter_suite(e, tol=1e-10, interior=None, boundary=None):
         "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
         "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
+        "singular_z": [],
         "checks": checks,
         "consistent": all(entry["consistent"] for entry in checks.values()),
     }

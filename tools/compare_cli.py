@@ -26,6 +26,10 @@ COMMANDS = [
     ["verify", *POLE_REPLAY],                                       # exit 5
     ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "6"],  # exit 5
     ["verify", *PARAMS, "--chi", "700"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.25"],                # pole at z = 0
+    ["verify", "--beta0", "-0.26", "--beta1", "0.01"],               # pole at z = -3i
+    ["verify", "--beta0", "-0.25", "--beta1", "0"],                  # pole at z = -3i
+    ["verify", "--beta0", "0.75", "--beta1", "0"],
     ["sweep", *PARAMS],
     ["sweep", *PARAMS, "--chi", "1.5", "--xi", "0.7", "--steps", "16"],
     ["sweep", "--beta0", "0.25", "--beta1", "0", "--steps", "9"],
