@@ -187,15 +187,20 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
 
     Requires G t Hermitian within tol (t metric self-adjoint), otherwise
     :class:`AssumptionError`; then both G t and G (I/2 - t) must be positive
-    semidefinite with eigenvalues >= -tol.
+    semidefinite with eigenvalues >= -tol.  A metric product that overflows
+    raises :class:`ArgumentError`.
     """
     _check_tol(tol)
     a = as_matrix(t)
     g = metric(p)
-    gt = g @ a
+    with np.errstate(all="ignore"):
+        gt, gu = g @ a, g @ (0.5 * SIGMA0 - a)
+    for name, m in (("G T", gt), ("G (I/2 - T)", gu)):
+        if not np.isfinite(m).all():
+            raise ArgumentError(f"the metric product {name} overflows at chi={p.chi!r}")
     if not is_hermitian(gt, tol):
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")
     lower = hermitian_eigenvalues(gt)
-    upper = hermitian_eigenvalues(g @ (0.5 * SIGMA0 - a))
+    upper = hermitian_eigenvalues(gu)
     return lower[0] >= -tol and upper[0] >= -tol

@@ -43,23 +43,23 @@ and returns S (N, 2, 2), the denominators' condition numbers and a singular
 mask, with singular rows set to NaN instead of raising.  Its determinant,
 condition estimate and adjugate are the stack forms of the ones in matrix2,
 so each row equals the one-point s_matrix / s_matrix_zero_range bit for bit.
-The one-point functions stay scalar: for a single point the batched path is
-about 3-5 times slower (67 against 14 us for s_matrix, 87 against 29 us for
-s_matrix_zero_range, medians of four timeit runs on a 2-core host).  Their matrix arithmetic
-(T scaled by 2(1 +- iz), num @ adj / det in ``_quotient``) stays numpy:
-numpy's complex array-by-scalar products and quotients round differently
-from Python's, and building num and den as one stacked product measured
-slower (4.1 against 3.3 us).  The determinant, condition number and
-adjugate inside ``_quotient`` run on Python scalars (matrix2).
+The factors 2(1 +- iz) and the zero-range coefficients are array
+expressions in which every complex product has a factor with a zero real
+or imaginary part (1j, 2.0, a real beta), so they keep the bits of the
+one-point routes' Python arithmetic wherever Python, like numpy, turns a
+float operand into a complex one (before 3.14).  The one-point functions
+stay scalar: for a single point the batched path is about 3-5 times slower
+(67 against 14 us for s_matrix, medians of four timeit runs on a 2-core
+host).  Their matrix arithmetic stays numpy, whose complex array-by-scalar
+products and quotients round differently from Python's.
 
-A table (``_s_table``, ``_zero_range_table``) is the evaluation plan of one
-parameter.  It keeps the point lists it is given end to end as one flat
-array of validated points, with their rows of S at z and at -conj z, and
-fills S from one kernel call over the distinct points; ``_s_table`` returns
-each list's positions, so a check's points are an index array.  T is
-validated first and then each list, by its own validator (interior, closed
-half-plane or off-axis), so a malformed T raises before any point and a
-malformed point before any check runs.
+A table is split in two: a plan (``_Plan``), which does not depend on T,
+lays the validated point lists end to end and indexes their distinct
+points, each list's positions and each point's rows at z and at -conj z,
+so a check's points are an index array; a ``_Table`` fills S from one
+kernel call over a plan's distinct points.  ``_s_table`` validates T
+first and then each list by its own validator, so a malformed T raises
+before any point and a malformed point before any check runs.
 
 A pole of S is a property of the parameter, not bad input: a check skips
 every point at which the kernel marks S singular, at z or, for a check that
@@ -76,8 +76,10 @@ residuals of a report (with those the verify suite adds) in one
 takes one ``_hermitian_lows`` call.  Every check picks its points before
 any verdict is drawn, so a check left with none raises first; the verdicts
 then come in the order (a), (b), (c), (d), PT, each first raising for its
-check's first non-finite residual matrix.  Numpy's floating-point warnings are off while residuals are formed and
-normed: an overflow there ends in that error or in a NaN residual.
+check's first non-finite residual matrix, an :class:`ArgumentError` that
+names the check and the point.  Numpy's floating-point warnings are off
+while residuals are formed and normed: an overflow there ends in that
+error or in a NaN residual.
 """
 
 from __future__ import annotations
@@ -236,48 +238,70 @@ def _s_batch(num, den):
 
 def _terms(a, zs):
     """Numerator and denominator stacks of s_matrix(a, z) over the validated
-    matrix a and points zs; the per-point factors are the same Python
-    complex arithmetic."""
-    ap = np.array([2.0 * (1.0 + 1j * z) for z in zs])[:, None, None]
-    am = np.array([2.0 * (1.0 - 1j * z) for z in zs])[:, None, None]
-    return SIGMA0 - ap * a, SIGMA0 - am * a
+    matrix a and points zs."""
+    z = np.asarray(zs, dtype=complex)
+    ap = 2.0 * (1.0 + 1j * z)
+    am = 2.0 * (1.0 - 1j * z)
+    return SIGMA0 - ap[:, None, None] * a, SIGMA0 - am[:, None, None] * a
 
 
 def _zero_range_terms(e: ExtensionParams, zs):
     """Numerator and denominator stacks of s_matrix_zero_range(e, z) over the
     validated points zs; an empty zs gives empty stacks."""
     sx, hyp = _zero_range_basis(e)
-    c = np.array([_zero_range_coefficients(e, z) for z in zs]).reshape(-1, 4).T[..., None, None]
-    return c[0] * sx - c[1] * hyp, c[2] * sx - c[3] * hyp
+    z = np.asarray(zs, dtype=complex)
+    c0, c1, c2, c3 = (c[:, None, None] for c in _zero_range_coefficients(e, z))
+    return c0 * sx - c1 * hyp, c2 * sx - c3 * hyp
 
 
-class _Table:
-    """S at the distinct points of a flat array z of validated points, from
-    one kernel call on terms(points) made when the table is built.  The
-    first ``plain`` points are taken alone and each later one with its
-    reflection -conj z.  ``row`` and ``mirror`` are each point's table rows
-    at z and at -conj z (a plain point's mirror is its own row, which no
-    check reads).  ``points``, ``s``, ``cond`` and ``singular`` hold one row
-    per distinct point, keyed in the order plain points first, then each
-    point followed by its reflection: +0 and -0 share a key, so the first
-    one met is the one evaluated."""
+def _frozen(*arrays):
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    def __init__(self, terms, z, plain):
+
+class _Plan:
+    """The read-only part of a table that does not depend on T: the point
+    lists as one flat array z, the first ``plain`` points taken alone and
+    each later one with its reflection -conj z; ``row`` and ``mirror``, each
+    point's rows at z and at -conj z (a plain point's mirror is its own
+    row); ``lists``, each list's positions in z; and ``points``, the
+    distinct points, plain ones first, then each point and its reflection
+    (+0 and -0 share a key, so the first one met is evaluated)."""
+
+    def __init__(self, lists, plain):
+        z = np.concatenate(lists)
         tail = z[plain:]
         keys = np.concatenate([z[:plain], np.column_stack([tail, -tail.conj()]).ravel()])
         index = {p: i for i, p in enumerate(dict.fromkeys(keys.tolist()))}
         rows = np.array([index[p] for p in keys.tolist()], dtype=int)
-        self.z, self.points = z, list(index)
-        self.row = np.concatenate([rows[:plain], rows[plain::2]])
-        self.mirror = np.concatenate([rows[:plain], rows[plain + 1::2]])
-        self.s, self.cond, self.singular = _s_batch(*terms(self.points))
+        self.z, self.points, self.row, self.mirror, *self.lists = _frozen(
+            z, np.array(list(index), dtype=complex),
+            np.concatenate([rows[:plain], rows[plain::2]]),
+            np.concatenate([rows[:plain], rows[plain + 1::2]]),
+            *np.split(np.arange(len(z)), list(accumulate(map(len, lists)))[:-1]))
 
-    def at(self, i, mirror=False):
-        """The read (table, rows, points) of S at the points i, or at their
-        reflections -conj z when mirror."""
-        if mirror:
-            return self, self.mirror[i], -self.z[i].conj()
-        return self, self.row[i], self.z[i]
+
+def _plan(plain=(), reflected=()) -> _Plan:
+    """The plan of the point lists plain and reflected, each a pair (points,
+    validator), validated in order."""
+    lists = [_validated(*pair) for pair in (*plain, *reflected)]
+    return _Plan(lists, sum(map(len, lists[:len(plain)])))
+
+
+class _Table:
+    """S at the distinct points of a plan, with its z, row and mirror, from
+    one kernel call: s_matrix(source, z) when source is a validated matrix,
+    s_matrix_zero_range(source, z) when it is an ExtensionParams.  ``s``,
+    ``cond`` and ``singular`` hold one row per distinct point; ``regular``
+    is True when no row is singular."""
+
+    def __init__(self, plan, source):
+        self.z, self.points, self.row, self.mirror = plan.z, plan.points, plan.row, plan.mirror
+        terms = _zero_range_terms if isinstance(source, ExtensionParams) else _terms
+        self.s, self.cond, self.singular = _s_batch(*terms(source, plan.points))
+        self.regular = not self.singular.any()
 
 
 def _s_table(t, plain=(), reflected=()):
@@ -285,10 +309,8 @@ def _s_table(t, plain=(), reflected=()):
     each a pair (points, validator), followed by each list's positions in
     the table.  T is validated first, then each list in order."""
     a = as_matrix(t)
-    lists = [_validated(*pair) for pair in (*plain, *reflected)]
-    ends = list(accumulate(map(len, lists)))
-    table = _Table(partial(_terms, a), np.concatenate(lists), sum(map(len, lists[:len(plain)])))
-    return (table, *(np.arange(i, j) for i, j in zip([0] + ends, ends)))
+    plan = _plan(plain, reflected)
+    return (_Table(plan, a), *plan.lists)
 
 
 def _validated(zs, check) -> np.ndarray:
@@ -296,15 +318,14 @@ def _validated(zs, check) -> np.ndarray:
     return np.array([check(z) for z in zs], dtype=complex)
 
 
-def _zero_range_table(e: ExtensionParams, z) -> _Table:
-    """The table of s_matrix_zero_range(e, z) over the validated points z."""
-    return _Table(partial(_zero_range_terms, e), z, len(z))
-
-
 def _kept(i, reads):
-    """The positions i at which every read (table, rows, points) of
-    _Table.at finds S regular.  When a nonempty i keeps none, its first
-    point raises the SingularMatrixError of its first singular read."""
+    """The positions i at which every read (table, positions, mirror) finds
+    S regular, at z or, when mirror, at -conj z; a nonempty i that keeps
+    none raises the SingularMatrixError of its first singular read."""
+    if all(table.regular for table, _, _ in reads):
+        return i
+    reads = [(table, table.mirror[j], -table.z[j].conj()) if mirror
+             else (table, table.row[j], table.z[j]) for table, j, mirror in reads]
     bad = [table.singular[rows] for table, rows, _ in reads]
     keep = ~np.logical_or.reduce(bad)
     if len(i) and not keep.any():
@@ -314,12 +335,12 @@ def _kept(i, reads):
     return i[keep]
 
 
-def _finite(m) -> np.ndarray:
-    """The residual stack m, after raising as_matrix's error for its first
-    non-finite matrix."""
+def _finite(m, z, name) -> np.ndarray:
+    """The residual stack m of the check name over the points z, after
+    raising :class:`ArgumentError` for its first non-finite matrix."""
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
-        as_matrix(m[bad[0]])
+        raise ArgumentError(f"the {name} residual matrix overflows at z={complex(z[bad[0]])}")
     return m
 
 
@@ -342,25 +363,27 @@ def _check(residual, witness, tol) -> PropertyCheck:
 
 
 def _worsts(s_of, checks):
-    """_worst of each check (i, m) in turn, i being the check's positions in
-    the table s_of and m their residual matrices, each check's first
-    non-finite matrix raised first; the residuals are the operator norms of
-    m, all from one call."""
+    """_worst of each check (name, i, m) in turn, i being the check's
+    positions in the table s_of and m their residual matrices, each check's
+    first non-finite matrix raised first; the residuals are the operator
+    norms of m, all from one call."""
     with np.errstate(all="ignore"):
-        res = _operator_norms(np.concatenate([m for _, m in checks]))
+        res = _operator_norms(np.concatenate([m for _, _, m in checks]))
     start = 0
-    for i, m in checks:
-        _finite(m)
-        yield _worst(s_of.z[i], res[start:start + len(m)])
+    for name, i, m in checks:
+        z = s_of.z[i]
+        _finite(m, z, name)
+        yield _worst(z, res[start:start + len(m)])
         start += len(m)
 
 
 @np.errstate(all="ignore")
 def _verdict_a(s_of, r, tol) -> PropertyCheck:
-    """Condition (a) from its metric gaps r = (i, m): the residual is minus
-    the lowest eigenvalue, clamped at 0."""
-    i, m = r
-    worst, witness = _worst(s_of.z[i], -_hermitian_lows(_finite(m)))
+    """Condition (a) from its metric gaps r = (name, i, m): the residual is
+    minus the lowest eigenvalue, clamped at 0."""
+    name, i, m = r
+    z = s_of.z[i]
+    worst, witness = _worst(z, -_hermitian_lows(_finite(m, z, name)))
     return _check(max(0.0, worst), witness, tol)
 
 
@@ -387,43 +410,44 @@ def _products(s, j):
     return j @ s, sj, j - sj @ s
 
 
-# One function per condition: the points i of a table s_of it keeps and its
-# residual expression there (larger is worse), from products formed once
-# over the table's rows; the public checks give each call a one-list table,
-# property_report and the verify suite share one table per parameter.
+# One function per condition: its name, the points i of a table s_of it
+# keeps and its residual expression there (larger is worse), from products
+# formed once over the table's rows; the public checks give each call a
+# one-list table, property_report and the verify suite share one table per
+# parameter.
 
 def _cond_a(s_of, i, gap):
     """The metric gaps G - S* G S, gap holding them over the table rows."""
-    i = _kept(i, [s_of.at(i)])
-    return i, gap[s_of.row[i]]
+    i = _kept(i, [(s_of, i, False)])
+    return "condition (a)", i, gap[s_of.row[i]]
 
 
 @np.errstate(all="ignore")
-def _cond_reflection(s_of, i, js, sj):
+def _cond_reflection(s_of, i, js, sj, name):
     """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
-    i = _kept(i, [s_of.at(i), s_of.at(i, mirror=True)])
-    return i, js[s_of.row[i]] - sj[s_of.mirror[i]]
+    i = _kept(i, [(s_of, i, False), (s_of, i, True)])
+    return name, i, js[s_of.row[i]] - sj[s_of.mirror[i]]
 
 
 @np.errstate(all="ignore")
 def _cond_c(s_of, i, gs, sg, gap):
-    i = _kept(i, [s_of.at(i)])
+    i = _kept(i, [(s_of, i, False)])
     z, row = s_of.z[i], s_of.row[i]
     re = z.real[:, None, None]
     im = (1j * z.imag)[:, None, None]
-    return i, re * gap[row] - im * (sg[row] - gs[row])
+    return "condition (c)", i, re * gap[row] - im * (sg[row] - gs[row])
 
 
 @np.errstate(all="ignore")
 def _cond_pt(s_of, i):
-    i = _kept(i, [s_of.at(i), s_of.at(i, mirror=True)])
-    return i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]]
+    i = _kept(i, [(s_of, i, False), (s_of, i, True)])
+    return "PT criterion", i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]]
 
 
 def _plain_norms(s_of, i):
     """S itself, whose norm is the plain C^2 norm."""
-    i = _kept(i, [s_of.at(i)])
-    return i, s_of.s[s_of.row[i]]
+    i = _kept(i, [(s_of, i, False)])
+    return "plain norm", i, s_of.s[s_of.row[i]]
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -441,7 +465,7 @@ def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
     s_of, i = _s_table(t, reflected=[(zs, _spectral_point)])
-    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2])
+    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)")
     return _check(*next(_worsts(s_of, [r])), tol)
 
 
@@ -461,7 +485,7 @@ def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyChec
     closed half-plane."""
     _check_tol(tol)
     s_of, i = _s_table(t, reflected=[([z], _spectral_point)])
-    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2])
+    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)")
     return _check(*next(_worsts(s_of, [r])), tol)
 
 
@@ -549,7 +573,8 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     s_of, witness, interior, boundary = _s_table(
         t, reflected=[([witness], _off_axis), (interior, _interior_point),
                       (boundary, _spectral_point)])
-    return _report(s_of, _checks(s_of, p, interior, boundary, witness), tol)[0]
+    return _report(s_of, _checks(s_of, p, _check_positions(s_of.z, interior, boundary, witness)),
+                   tol)[0]
 
 
 def _grids(interior, boundary) -> tuple[list, list]:
@@ -558,21 +583,27 @@ def _grids(interior, boundary) -> tuple[list, list]:
             list(boundary) if boundary is not None else real_axis_points())
 
 
-def _checks(s_of, p, interior, boundary, witness) -> list:
-    """(a), (b), (c), (d) and PT over the table s_of and its positions
-    interior, boundary and witness (one point), each as (kept positions,
-    residual matrices).  G S, S* G, G - S* G S, P_xi S and S* P_xi are
-    formed once over the table rows."""
+def _check_positions(z, interior, boundary, witness) -> tuple:
+    """The positions that (a), (b), (c), (d) and PT read in a plan of points
+    z, from its lists interior, boundary and witness (one point), made
+    read-only; (c) reads the witness and the off-axis interior points."""
+    off_axis = interior[z[interior].real != 0.0]
+    return _frozen(interior, np.r_[interior, boundary], np.r_[witness, off_axis],
+                   np.r_[witness, interior, boundary], interior)
+
+
+def _checks(s_of, p, positions) -> list:
+    """(a), (b), (c), (d) and PT over the table s_of at their _check_positions,
+    each as (name, kept positions, residual matrices).  G S, S* G,
+    G - S* G S, P_xi S and S* P_xi are formed once over the table rows."""
+    a, b, c, d, pt = positions
     gs, sg, gap = _products(s_of.s, metric(p))
     px = p_xi(p.xi)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
-    off_axis = interior[s_of.z[interior].real != 0.0]
-    return [_cond_a(s_of, interior, gap),
-            _cond_reflection(s_of, np.r_[interior, boundary], gs, sg),
-            _cond_c(s_of, np.r_[witness, off_axis], gs, sg, gap),
-            _cond_reflection(s_of, np.r_[witness, interior, boundary], ps, sp),
-            _cond_pt(s_of, interior)]
+    return [_cond_a(s_of, a, gap), _cond_reflection(s_of, b, gs, sg, "condition (b)"),
+            _cond_c(s_of, c, gs, sg, gap), _cond_reflection(s_of, d, ps, sp, "condition (d)"),
+            _cond_pt(s_of, pt)]
 
 
 def _report(s_of, checks, tol):

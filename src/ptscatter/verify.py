@@ -22,11 +22,13 @@ with its theory-expected outcome:
     (I +- C)/2 of T are orthogonal, so S is a plain-norm contraction for
     every admissible beta1 and no witness is expected.
 
-A draw runs on one evaluation plan: one table holds S at every distinct
-point the draw needs, the Mobius witness points included, from one batched
-evaluation, with each point list validated once and laid end to end in it;
-the parametrized route it is compared with fills its own table over the
-same validated grid.  Every check skips the points where S is singular
+A draw runs on one evaluation plan, which does not depend on T: its point
+lists, the Mobius witnesses included, validated and laid end to end, their
+distinct points, and the positions each check reads; the plan of the
+default samples is built once per process, on first use.  One table fills
+S at the plan's distinct points from one batched evaluation, and the
+parametrized route it is compared with fills its own table over a plan of
+the grid alone.  Every check skips the points where S is singular
 (the route gap those where either route is), and the suite lists the
 distinct singular points of its table as ``singular_z``.  The report's
 residuals, the gap between the two routes and the plain norms of S are
@@ -39,6 +41,7 @@ replayable form.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -47,10 +50,10 @@ from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import _operator_norms
-from .scattering import (_checks, _finite, _grids, _interior_point, _kept,
-                         _off_axis, _plain_norms, _report, _s_table,
-                         _spectral_point, _worst, _worsts, _zero_range_table,
-                         s_matrix, t_from_s)
+from .scattering import (_check_positions, _checks, _finite, _grids,
+                         _interior_point, _kept, _off_axis, _Plan, _plain_norms,
+                         _plan, _report, _s_table, _spectral_point, _Table,
+                         _worst, _worsts, s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -117,26 +120,27 @@ def _round_trip(s, t, zs) -> tuple[float, float]:
     """The recovery and spread of t_from_s over the points zs, s holding S
     at each; t_from_s stays one point at a time."""
     recovered = np.array([t_from_s(x, z) for x, z in zip(s, zs)]).reshape(-1, 2, 2)
-    recovery = _worst(zs, _operator_norms(_finite(recovered - t)))[0]
-    spread = max(_operator_norms(_finite(recovered[1:] - recovered[:1])).tolist(), default=0.0)
-    return recovery, spread
+    recovery = _worst(zs, _operator_norms(_finite(recovered - t, zs, "Mobius round trip")))[0]
+    spread = _operator_norms(_finite(recovered[1:] - recovered[:1], zs[1:], "z-independence"))
+    return recovery, max(spread.tolist(), default=0.0)
 
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S
     evaluation, over the points where both are regular."""
     s_of, i = _s_table(t_from_betas(e), [(zs, _spectral_point)])
-    return next(_worsts(s_of, [_route_gap(e, s_of, i)]))[0]
+    return next(_worsts(s_of, [_route_gap(e, s_of, i, _Plan([s_of.z], len(i)))]))[0]
 
 
-def _route_gap(e, s_of, i):
+def _route_gap(e, s_of, i, plan):
     """The points i of the table s_of where both routes are regular and the
     residuals S_zero_range - S there, the parametrized S from its own table
-    over the same validated points."""
-    zr = _zero_range_table(e, s_of.z[i])
-    k = _kept(np.arange(len(i)), [zr.at(slice(None)), s_of.at(i)])
+    over plan, the plan of the points i alone."""
+    zr = _Table(plan, e)
+    [every] = plan.lists
+    k = _kept(every, [(zr, every, False), (s_of, i, False)])
     with np.errstate(all="ignore"):
-        return i[k], zr.s[zr.row[k]] - s_of.s[s_of.row[i[k]]]
+        return "formula equivalence", i[k], zr.s[zr.row[k]] - s_of.s[s_of.row[i[k]]]
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -181,6 +185,24 @@ def _check_entry(check, expected_pass: bool) -> dict:
                   witness_z=_pair(check.witness_z))
 
 
+def _suite_plan(interior=None, boundary=None) -> tuple:
+    """The part of a draw that does not depend on T: its plan, the Mobius and
+    grid positions, the checks' positions and the grid's own plan."""
+    interior, boundary = _grids(interior, boundary)
+    plan = _plan([(WITNESS_POINTS, _interior_point)],
+                 [(interior, _interior_point), (boundary, _spectral_point),
+                  ([1.0 - 1.0j], _off_axis)])
+    mobius, grid, axis, witness = plan.lists
+    return (plan, mobius, grid, _check_positions(plan.z, grid, axis, witness),
+            _Plan([plan.z[grid]], len(grid)))
+
+
+@cache
+def _default_plan() -> tuple:
+    """_suite_plan of the default samples, built on first use."""
+    return _suite_plan()
+
+
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
                         interior=None, boundary=None) -> dict:
     """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
@@ -188,20 +210,20 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     one batched evaluation over the distinct points, and every norm of a
     residual over the grid from one call."""
     _check_tol(tol)
-    interior, boundary = _grids(interior, boundary)
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    s_of, mobius, grid, axis, witness = _s_table(
-        t, [(WITNESS_POINTS, _interior_point)],
-        [(interior, _interior_point), (boundary, _spectral_point), ([1.0 - 1.0j], _off_axis)])
-    report_checks = _checks(s_of, e.metric, grid, axis, witness)
-    gap = _route_gap(e, s_of, grid)
+    plan, mobius, grid, positions, grid_plan = (
+        _default_plan() if interior is None and boundary is None
+        else _suite_plan(interior, boundary))
+    s_of = _Table(plan, t)
+    report_checks = _checks(s_of, e.metric, positions)
+    gap = _route_gap(e, s_of, grid, grid_plan)
     report, rest = _report(s_of, report_checks + [gap, _plain_norms(s_of, grid)], tol)
-    mobius = _kept(mobius, [s_of.at(mobius)])
+    mobius = _kept(mobius, [(s_of, mobius, False)])
     recovery, spread = _round_trip(s_of.s[s_of.row[mobius]], t, s_of.z[mobius])
     (feq, _), (max_norm, _) = rest
-    worst_cond = max([1.0] + s_of.cond[s_of.row[gap[0]]].tolist())
+    worst_cond = max([1.0] + s_of.cond[s_of.row[gap[1]]].tolist())
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
     quad = _quadratic_gap(e, cls)

@@ -89,6 +89,14 @@ def test_classify_overflowing_chi_exits_2(capsys):
     assert err.startswith("error: ") and "chi" in err
 
 
+def test_verify_overflowing_metric_product_names_chi(capsys):
+    code, out, err = run(capsys, ["verify", "--beta0", "0.2", "--beta1", "0.1",
+                                  "--chi", "700"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the metric product G T overflows at chi=700.0\n"
+
+
 def test_classify_internal_disagreement_exits_3(capsys, monkeypatch):
     from ptscatter.extensions import SpectraClassification
 

@@ -206,6 +206,18 @@ def test_check_metric_inequality_endpoints_and_oracle_match():
             classify_nonnegative(e).oracle_verdict
 
 
+def test_check_metric_inequality_names_chi_when_a_metric_product_overflows():
+    e = extension_params(0.2, 0.1, chi=700.0)
+    with pytest.raises(ArgumentError, match=r"^the metric product G T overflows at chi=700\.0$"):
+        check_metric_inequality(t_from_betas(e), e.metric)
+    # G T = -x G stays finite, G (I/2 - T) = (1/2 + x) G passes the float range
+    p = KreinMetricParams(0.3, 700.0)
+    x = np.finfo(float).max / np.abs(metric(p)).max() - 0.25
+    with pytest.raises(ArgumentError,
+                       match=r"^the metric product G \(I/2 - T\) overflows at chi=700\.0$"):
+        check_metric_inequality(-x * SIGMA0, p)
+
+
 def test_check_metric_inequality_rejects_non_metric_selfadjoint():
     with pytest.raises(AssumptionError):
         check_metric_inequality([[0, 1], [0, 0]], KreinMetricParams(0.0, 0.0))

@@ -173,12 +173,20 @@ def scalar_outcomes(route, arg, zs):
 def test_kernel_matches_scalar_routes_bit_for_bit():
     grid16 = lower_half_plane_grid(steps=16)
     draws = bit_draws(chis=(0.0, -0.0, 6.0, -6.0, 20.0, -20.0, 400.0))
+    # points whose factors 2(1 +- iz) have signed zero parts, with beta0 = +-0
+    signed = len(draws)
+    signed_zeros = [complex(-0.0, -1.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                    complex(-0.0, 0.0)]
+    draws += [extension_params(beta0, beta1, chi, xi) for beta0 in (0.0, -0.0)
+              for beta1 in (0.0, -0.0, 0.3) for chi in (0.0, -0.0, 1.5) for xi in (0.0, 2.0)]
     singular_rows = 0
     for k, e in enumerate(draws):
         t = t_from_betas(e)
         g = metric(e.metric)
-        # the 16x16 grid for the first 20 draws and every chi and beta1 = +-0 set
-        grids = (GRID, REAL_AXIS, grid16) if k < 20 or k >= 200 else (GRID, REAL_AXIS)
+        # the 16x16 grid for the first 20 draws and every chi and signed-zero
+        # set; the signed zeros for the beta0 = +-0 sets
+        grids = (GRID, REAL_AXIS) + ((grid16,) if k < 20 or k >= 200 else ())
+        grids += (signed_zeros,) if k >= signed else ()
         for zs in grids:
             for route, terms, arg in ((s_matrix_zero_range, _zero_range_terms, e),
                                       (s_matrix, _terms, t)):
@@ -746,6 +754,15 @@ def test_a_residual_norm_that_overflows_at_every_point_is_named(call):
         call()
 
 
+def test_an_overflowing_residual_matrix_is_named_apart_from_a_malformed_t():
+    p = KreinMetricParams(0.3, 700.0)
+    with pytest.raises(ArgumentError,
+                       match=r"^the condition \(a\) residual matrix overflows at z=\(-0-1j\)$"):
+        check_condition_a(np.diag([100.0, 0.0]), p, [-1j])
+    with pytest.raises(ArgumentError, match="^matrix entries must be finite$"):
+        check_condition_a(np.full((2, 2), np.inf), p, [-1j])
+
+
 def test_nothing_is_evaluated_point_by_point(monkeypatch):
     import ptscatter.scattering as scattering
     import ptscatter.verify as verify
@@ -813,11 +830,17 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
                          (scattering, "_hermitian_lows"), (verify, "_operator_norms")):
         counting(module, name)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
-    assert run_parameter_suite(e)["consistent"]
+    verify._default_plan.cache_clear()
     # the point lists are WITNESS_POINTS, the interior grid, the real axis and
-    # the witness 1-1j; the two verify norms are the Mobius round trip's
-    assert calls == {"scattering._validated": 4, "scattering._operator_norms": 1,
-                     "scattering._hermitian_lows": 1, "verify._operator_norms": 2}
+    # the witness 1-1j; the default samples' plan is built by the first
+    # default draw only, and a draw given its samples builds its own plan;
+    # the two verify norms are the Mobius round trip's
+    for validated, grids in ((4, {}), (0, {}),
+                             (4, {"interior": GRID, "boundary": REAL_AXIS})):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_parameter_suite(e, **grids)["consistent"]
+        assert calls == {"scattering._validated": validated, "scattering._operator_norms": 1,
+                         "scattering._hermitian_lows": 1, "verify._operator_norms": 2}
     calls.update(dict.fromkeys(calls, 0))
     property_report(t_from_betas(e), e.metric)
     assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,

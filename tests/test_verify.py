@@ -202,6 +202,34 @@ def test_parameter_suite_matches_grid_loop_reference():
                     == _suite_outcome(reference_parameter_suite, e, *args))
 
 
+def test_default_samples_give_what_the_same_samples_given_explicitly_give():
+    rng = np.random.default_rng(1202)
+    draws = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(12)]
+    # poles of S at z = 0 and z = -3i, both sample points
+    poles = [extension_params(0.25, 0.25), extension_params(-0.26, 0.01),
+             extension_params(-0.25, 0.0)]
+    for e in draws + poles:
+        default = run_parameter_suite(e)
+        explicit = run_parameter_suite(e, interior=lower_half_plane_grid(),
+                                       boundary=real_axis_points())
+        assert repr(default) == repr(explicit)
+        assert bool(default["singular_z"]) == (e in poles)
+
+
+def test_the_default_samples_plan_is_read_only():
+    import ptscatter.verify as verify
+    run_parameter_suite(extension_params(0.2, 0.1))
+    plan, mobius, grid, positions, grid_plan = verify._default_plan()
+    assert verify._default_plan() is verify._default_plan()
+    arrays = [mobius, grid, *positions]
+    for p in (plan, grid_plan):
+        arrays += [p.z, p.points, p.row, p.mirror, *p.lists]
+    for a in arrays:
+        assert len(a)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
 def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
     import ptscatter.scattering as scattering
     batches = {"generic": [], "zero_range": []}
