@@ -25,11 +25,13 @@ with floats printed to 17 significant digits.  Sweep rows are emitted
 row-major: imaginary part outer (ascending), real part inner (ascending).
 Singular points keep their row with NaN fields and are counted in a trailing
 comment line.  sweep evaluates its whole grid in one batched pass (S,
-std_norm and metric_defect as arrays) and formats each CSV line in one call;
-smatrix takes its one point through the scalar s_matrix_zero_range, which is
-faster there.  Either way the output equals a per-point loop over
-s_matrix_zero_range, operator_norm and the lowest eigenvalue of G - S* G S
-bit for bit.
+std_norm and metric_defect as arrays); its CSV formats each distinct z
+coordinate once (a grid repeats each of them steps times, and +0.0 and
+-0.0 count as distinct) and the ten other fields of a line with one
+``%.17g`` template.  smatrix takes its one point through the scalar
+s_matrix_zero_range, which is faster there.  Either way the output equals
+a per-point loop over s_matrix_zero_range, operator_norm and the lowest
+eigenvalue of G - S* G S bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .verify import (_classification, _pair, run_parameter_suite,
 
 CSV_HEADER = ("z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,"
               "s22_re,s22_im,std_norm,metric_defect")
-_CSV_ROW = ",".join(["{:.17g}"] * 12)
+_CSV_ROW = "%s,%s," + ",".join(["%.17g"] * 10)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,9 +159,18 @@ def _sweep_cells(e, zs, s) -> np.ndarray:
                             _operator_norms(s), _metric_defects(metric(e.metric), s)])
 
 
+def _formatted(column) -> list[str]:
+    """'%.17g' of each value of a float column, each distinct value formatted
+    once; values are keyed by their bits, so +0.0 and -0.0 stay apart."""
+    keys = column.view(np.int64).tolist()
+    text = {k: "%.17g" % x for k, x in dict(zip(keys, column.tolist())).items()}
+    return [text[k] for k in keys]
+
+
 def _cells_to_csv(cells, singular) -> str:
     lines = [CSV_HEADER]
-    lines += [_CSV_ROW.format(*row) for row in cells.tolist()]
+    lines += map(_CSV_ROW.__mod__, zip(_formatted(cells[:, 0]), _formatted(cells[:, 1]),
+                                       *cells[:, 2:].T.tolist()))
     lines.append(f"# singular_points: {int(singular.sum())}/{len(cells)}")
     return "\n".join(lines) + "\n"
 

@@ -77,7 +77,8 @@ def operator_norm(m) -> float:
     a = as_matrix(m)
     x0, x1, x2, x3 = np.abs(a).ravel().tolist()
     t = ((x0 * x0 + x1 * x1) + x2 * x2) + x3 * x3  # tr(m* m)
-    absd = abs(det(a))                               # det(m* m) = absd * absd
+    d = det(a)
+    absd = _hypot(d.real, d.imag)                    # det(m* m) = absd * absd
     disc = max(t * t / 4.0 - absd * absd, 0.0)
     return math.sqrt(t / 2.0 + math.sqrt(disc))
 
@@ -114,7 +115,7 @@ def _det_condition(a) -> tuple[complex, float]:
     estimate that overflows to inf or NaN counts as singular.
     """
     d = _det(a)
-    absd = abs(d)
+    absd = _hypot(d.real, d.imag)
     if absd == 0.0:
         return d, math.inf
     p, q, r, s = a.ravel().tolist()

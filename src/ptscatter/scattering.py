@@ -315,7 +315,18 @@ def _s_table(t, plain=(), reflected=()):
 
 def _validated(zs, check) -> np.ndarray:
     """check(z) for each point z of the sequence zs, as one array."""
-    return np.array([check(z) for z in zs], dtype=complex)
+    return np.array([check(z) for z in _point_list("zs", zs)], dtype=complex)
+
+
+def _point_list(name, zs) -> list:
+    """The points of zs as a list; a zs that is not iterable raises
+    :class:`ArgumentError` naming the list."""
+    try:
+        points = iter(zs)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an iterable of points, "
+                            f"got {type(zs).__name__}") from None
+    return list(points)
 
 
 def _kept(i, reads):
@@ -338,9 +349,9 @@ def _kept(i, reads):
 def _finite(m, z, name) -> np.ndarray:
     """The residual stack m of the check name over the points z, after
     raising :class:`ArgumentError` for its first non-finite matrix."""
-    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
-    if bad.size:
-        raise ArgumentError(f"the {name} residual matrix overflows at z={complex(z[bad[0]])}")
+    if not np.isfinite(m).all():
+        first = np.argmin(np.isfinite(m).all(axis=(1, 2)))
+        raise ArgumentError(f"the {name} residual matrix overflows at z={complex(z[first])}")
     return m
 
 
@@ -520,7 +531,9 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
         raise ArgumentError("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
     res = _axis("re_min", re_min, "re_max", re_max, steps)
     ims = _axis("im_min", im_min, "im_max", im_max, steps)
-    return [complex(x, y) for y in ims for x in res]
+    z = np.empty((steps, steps), dtype=complex)
+    z.real, z.imag = res, ims[:, None]
+    return z.ravel().tolist()
 
 
 def _axis(lo_name, lo, hi_name, hi, steps) -> np.ndarray:
@@ -579,8 +592,10 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
 
 def _grids(interior, boundary) -> tuple[list, list]:
     """The interior and boundary samples as lists; None gives the defaults."""
-    return (list(interior) if interior is not None else lower_half_plane_grid(),
-            list(boundary) if boundary is not None else real_axis_points())
+    return (_point_list("interior", interior) if interior is not None
+            else lower_half_plane_grid(),
+            _point_list("boundary", boundary) if boundary is not None
+            else real_axis_points())
 
 
 def _check_positions(z, interior, boundary, witness) -> tuple:

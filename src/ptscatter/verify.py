@@ -52,8 +52,8 @@ from .extensions import (ExtensionParams, check_metric_inequality,
 from .matrix2 import _operator_norms
 from .scattering import (_check_positions, _checks, _finite, _grids,
                          _interior_point, _kept, _off_axis, _Plan, _plain_norms,
-                         _plan, _report, _s_table, _spectral_point, _Table,
-                         _worst, _worsts, s_matrix, t_from_s)
+                         _plan, _point_list, _report, _s_table, _spectral_point,
+                         _Table, _worst, _worsts, s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -112,7 +112,7 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
 def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
     t_from_s(s_matrix(t, z), z) over the witness points."""
-    zs = list(zs)
+    zs = _point_list("zs", zs)
     return _round_trip((s_matrix(t, z).s for z in zs), t, zs)
 
 

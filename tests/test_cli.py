@@ -311,6 +311,15 @@ def sweep_cases():
         ["sweep", "--beta0", "0.25", "--beta1", "-0.0", "--xi", "3.141592653589793",
          "--steps", "16"],
         ["smatrix", "--beta0", "0.25", "--beta1", "0", "--z-im", "-1"],
+        # signed zeros and repeated values in the z columns
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--re-min=-0.0", "--re-max=0.0",
+         "--steps", "2"],
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "0.5", "--im-min=-1",
+         "--im-max=-0.0", "--steps", "3"],
+        ["sweep", "--beta0", "0.3", "--beta1", "-0.2", "--xi", "1", "--steps", "1"],
+        # np.linspace(-0.0, -0.0, 3) is [0, 0, -0]: both zeros in one column
+        ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--re-min=-0.0", "--re-max=-0.0",
+         "--im-min=-0.0", "--im-max=-0.0", "--steps", "3"],
     ]
     return [argv + ["--format", fmt] for argv in cases for fmt in ("csv", "json")]
 

@@ -15,7 +15,8 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, DEFAULT_TOL, SIGMA0,
                        SingularMatrixError, betas_from_t,
                        c_params_from_matrix, extension_params,
                        pauli_decompose, s_matrix, t_from_betas, t_from_s)
-from ptscatter.matrix2 import (_adjugate, _det_condition, _singular_error,
+from ptscatter.matrix2 import (_adjugate, _det_condition, _det_conditions,
+                               _operator_norms, _singular_error,
                                as_matrix, condition_number, det,
                                hermitian_eigenvalues, inverse, is_hermitian,
                                operator_norm)
@@ -121,17 +122,26 @@ def ref_det_of(a):
     return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
 
+def ref_modulus(d):
+    # the one change to the references: abs(d) raised OverflowError where
+    # the modulus passes the float range; the forms now give inf there
+    try:
+        return abs(d)
+    except OverflowError:
+        return math.inf
+
+
 def ref_operator_norm(m):
     a = ref_as_matrix(m)
     t = float(np.sum(np.abs(a) ** 2))
-    absd = abs(ref_det_of(ref_as_matrix(a)))
+    absd = ref_modulus(ref_det_of(ref_as_matrix(a)))
     disc = max(t * t / 4.0 - absd * absd, 0.0)
     return float(np.sqrt(t / 2.0 + np.sqrt(disc)))
 
 
 def ref_det_condition(a):
     d = ref_det_of(a)
-    absd = abs(d)
+    absd = ref_modulus(d)
     if absd == 0.0:
         return d, math.inf
     frob = float((a.real ** 2 + a.imag ** 2).sum())
@@ -271,13 +281,16 @@ EDGE_PAIRS = PAIRS + [
 def test_one_matrix_forms_keep_the_bits_of_their_numpy_references():
     ms = bit_matrices(np.random.default_rng(11))
     kinds = set()
+    overflowing = 0
     with np.errstate(all="ignore"):
         for m in ms:
             got = [outcome(new, m) for new, _ in PAIRS]
             assert got == [outcome(ref, m) for _, ref in PAIRS], m.tolist()
             kinds.add(kind(got[2]))
+            overflowing += modulus_overflows(m)
     # the set reaches singular matrices and determinants whose modulus overflows
-    assert kinds == {"ok", SingularMatrixError, OverflowError}
+    assert kinds == {"ok", SingularMatrixError}
+    assert overflowing
 
 
 @pytest.mark.parametrize("m", [
@@ -307,6 +320,49 @@ def test_unvalidated_forms_match_their_references_on_nonfinite_entries():
             assert outcome(_det_condition, m) == outcome(ref_det_condition, m)
             for limit in (None, 1e12):
                 assert outcome(_adjugate, m, limit) == outcome(ref_adjugate, m, limit)
+
+
+def modulus_overflows(m) -> bool:
+    """True when the determinant of m has finite parts but a modulus past the
+    float range, where Python's abs of it raises OverflowError."""
+    d = ref_det_of(np.asarray(m, dtype=complex))
+    return bool(np.isfinite(d.real) and np.isfinite(d.imag)
+                and np.hypot(d.real, d.imag) == np.inf)
+
+
+def overflowing_determinants(rng, n):
+    """Finite matrices whose determinant modulus overflows: a diagonal product
+    of modulus up to 1.4 times the largest float at an angle near an odd
+    multiple of pi/4, so both of its parts stay finite, under small,
+    zero or signed-zero off-diagonal entries, and the same with the
+    product on the off-diagonal."""
+    root = math.sqrt(np.finfo(float).max)
+    x = root * np.exp(rng.uniform(-20, 20, n))
+    y = root * rng.uniform(1.0001, 1.4, n) * (root / x)   # x y = k max, 1 < k < 1.4
+    angle = np.pi / 4 + np.pi / 2 * rng.integers(0, 4, n) + rng.uniform(-0.03, 0.03, n)
+    alpha = rng.uniform(0, 2 * np.pi, n)
+    m = np.zeros((n, 2, 2), dtype=complex)
+    m[:, 0, 0] = x * np.exp(1j * alpha)
+    m[:, 1, 1] = y * np.exp(1j * (angle - alpha))
+    m[::3, 0, 1] = rng.standard_normal(len(m[::3])) * 1e100
+    m[1::3, 1, 0] = complex(-0.0, 0.0)
+    m[n // 2:] = m[n // 2:, :, ::-1] * np.array([1, -1])
+    return m[[modulus_overflows(a) for a in m]]
+
+
+def test_scalar_forms_give_their_stack_forms_where_the_determinant_modulus_overflows():
+    with np.errstate(all="ignore"):
+        ms = overflowing_determinants(np.random.default_rng(14), 3000)
+        assert len(ms) > 1500
+        norms = _operator_norms(ms)
+        dets, conds = _det_conditions(ms)
+        for m, norm, d, cond in zip(ms, norms.tolist(), dets.tolist(), conds.tolist()):
+            assert bits(operator_norm(m)) == bits(norm), m.tolist()
+            assert bits(det(m)) == bits(d)
+            assert bits(condition_number(m)) == bits(cond) == bits(math.inf)
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                inverse(m)
+    assert math.isnan(operator_norm([[1.3e154, 0], [0, 1.3e154 + 1.3e154j]]))
 
 
 # The scan path's scalar arithmetic around the primitives, as it was: the

@@ -20,7 +20,7 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.matrix2 import _operator_norms, _singular_error, as_matrix
-from ptscatter.scattering import (_interior_point, _metric_defect,
+from ptscatter.scattering import (_finite, _interior_point, _metric_defect,
                                   _metric_defects, _off_axis, _quotient,
                                   _s_batch, _spectral_point, _terms,
                                   _zero_range_terms)
@@ -396,6 +396,26 @@ def test_grid_shapes_and_order():
         lower_half_plane_grid(im_min=-0.1, im_max=-3.0)
 
 
+
+def reference_grid(re_min=-3.0, re_max=3.0, im_min=-3.0, im_max=-0.1, steps=7):
+    """lower_half_plane_grid's points as first built, one complex() each."""
+    res, ims = np.linspace(re_min, re_max, steps), np.linspace(im_min, im_max, steps)
+    return [complex(x, y) for y in ims for x in res]
+
+
+@pytest.mark.parametrize("bounds", [
+    {}, {"steps": 1}, {"steps": 16}, {"re_min": -0.0, "re_max": 0.0, "steps": 2},
+    {"im_min": -1.0, "im_max": -0.0, "steps": 3}, {"re_min": -0.0, "re_max": -0.0, "steps": 1},
+    {"re_min": 0.0, "re_max": 0.0, "im_min": -0.0, "im_max": 0.0, "steps": 2},
+    {"re_min": -0.0, "re_max": -0.0, "im_min": -0.0, "im_max": -0.0, "steps": 3},
+], ids=["default", "one-step", "sixteen", "re-signed-zeros", "im-to-minus-zero",
+        "minus-zero-point", "zero-corner", "both-zeros"])
+def test_grid_equals_the_per_point_construction(bounds):
+    got, want = lower_half_plane_grid(**bounds), reference_grid(**bounds)
+    assert [type(z) for z in got] == [complex] * len(want)
+    assert_same_bits(np.array(got), np.array(want))
+
+
 # ---------------------------------------------------------------- report vs per-point loops
 #
 # The report as first written, kept as the reference: each check is its own
@@ -761,6 +781,20 @@ def test_an_overflowing_residual_matrix_is_named_apart_from_a_malformed_t():
         check_condition_a(np.diag([100.0, 0.0]), p, [-1j])
     with pytest.raises(ArgumentError, match="^matrix entries must be finite$"):
         check_condition_a(np.full((2, 2), np.inf), p, [-1j])
+
+
+def test_finite_names_the_first_non_finite_residual_matrix():
+    z = np.array([1 - 1j, 2 - 1j, 3 - 1j, 4 - 1j])
+    m = np.zeros((4, 2, 2), dtype=complex)
+    assert _finite(m, z, "PT criterion") is m
+    m[2, 1, 0] = complex(0.0, np.inf)
+    m[3, 0, 0] = np.nan
+    with pytest.raises(ArgumentError,
+                       match=r"^the PT criterion residual matrix overflows at z=\(3-1j\)$"):
+        _finite(m, z, "PT criterion")
+    m[1, 0, 1] = np.nan
+    with pytest.raises(ArgumentError, match=r"at z=\(2-1j\)$"):
+        _finite(m, z, "PT criterion")
 
 
 def test_nothing_is_evaluated_point_by_point(monkeypatch):

@@ -125,6 +125,16 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "min_beta1 must lie in [0, 0.25)"),
     (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=-1),
      "min_chi must lie in [0, 2)"),
+    (lambda: pts.run_parameter_suite(pts.extension_params(0.2, 0.1), interior=5),
+     "interior must be an iterable of points, got int"),
+    (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), boundary=5),
+     "boundary must be an iterable of points, got int"),
+    (lambda: pts.check_condition_a(np.eye(2) / 4, pts.KreinMetricParams(0, 0), 5),
+     "zs must be an iterable of points, got int"),
+    (lambda: pts.standard_contraction_norm(np.eye(2) / 4, 5.0),
+     "zs must be an iterable of points, got float"),
+    (lambda: pts.mobius_round_trip_residuals(T, None),
+     "zs must be an iterable of points, got NoneType"),
 ])
 def test_malformed_grid_and_count_raise_argument_error(call, message):
     with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
