@@ -54,12 +54,13 @@ host).  Their matrix arithmetic stays numpy, whose complex array-by-scalar
 products and quotients round differently from Python's.
 
 A table is split in two: a plan (``_Plan``), which does not depend on T,
-lays the validated point lists end to end and indexes their distinct
-points, each list's positions and each point's rows at z and at -conj z,
-so a check's points are an index array; a ``_Table`` fills S from one
-kernel call over a plan's distinct points.  ``_s_table`` validates T
-first and then each list by its own validator, so a malformed T raises
-before any point and a malformed point before any check runs.
+lays the validated point lists end to end, keys each point with its
+reflection -conj z and indexes the distinct points, each list's positions
+and each point's rows at z and at -conj z; a ``_Table`` fills S from one
+kernel call over a plan's distinct points and stands in for its plan, so
+both S routes fill tables over one plan.  ``_s_table`` validates T first
+and then each list by its own validator, so a malformed T raises before
+any point and a malformed point before any check runs.
 
 A pole of S is a property of the parameter, not bad input: a check skips
 every point at which the kernel marks S singular, at z or, for a check that
@@ -262,40 +263,32 @@ def _frozen(*arrays):
 
 
 class _Plan:
-    """The read-only part of a table that does not depend on T: the point
-    lists as one flat array z, the first ``plain`` points taken alone and
-    each later one with its reflection -conj z; ``row`` and ``mirror``, each
-    point's rows at z and at -conj z (a plain point's mirror is its own
-    row); ``lists``, each list's positions in z; and ``points``, the
-    distinct points, plain ones first, then each point and its reflection
-    (+0 and -0 share a key, so the first one met is evaluated)."""
+    """The read-only part of a table that does not depend on T, over the
+    point lists, each a pair (points, validator) validated in order: the
+    lists as one flat array z; ``points``, the distinct points among each
+    point and its reflection -conj z, in the order met (+0 and -0 share a
+    key, so the first one met is evaluated); ``row`` and ``mirror``, each
+    point's rows at z and at -conj z; and ``lists``, each list's positions
+    in z."""
 
-    def __init__(self, lists, plain):
+    def __init__(self, *lists):
+        lists = [_validated(*pair) for pair in lists]
         z = np.concatenate(lists)
-        tail = z[plain:]
-        keys = np.concatenate([z[:plain], np.column_stack([tail, -tail.conj()]).ravel()])
-        index = {p: i for i, p in enumerate(dict.fromkeys(keys.tolist()))}
-        rows = np.array([index[p] for p in keys.tolist()], dtype=int)
+        keys = np.column_stack([z, -z.conj()]).ravel().tolist()
+        index = {p: i for i, p in enumerate(dict.fromkeys(keys))}
+        rows = np.array([index[p] for p in keys], dtype=int)
         self.z, self.points, self.row, self.mirror, *self.lists = _frozen(
-            z, np.array(list(index), dtype=complex),
-            np.concatenate([rows[:plain], rows[plain::2]]),
-            np.concatenate([rows[:plain], rows[plain + 1::2]]),
+            z, np.array(list(index), dtype=complex), rows[::2], rows[1::2],
             *np.split(np.arange(len(z)), list(accumulate(map(len, lists)))[:-1]))
 
 
-def _plan(plain=(), reflected=()) -> _Plan:
-    """The plan of the point lists plain and reflected, each a pair (points,
-    validator), validated in order."""
-    lists = [_validated(*pair) for pair in (*plain, *reflected)]
-    return _Plan(lists, sum(map(len, lists[:len(plain)])))
-
-
 class _Table:
-    """S at the distinct points of a plan, with its z, row and mirror, from
-    one kernel call: s_matrix(source, z) when source is a validated matrix,
-    s_matrix_zero_range(source, z) when it is an ExtensionParams.  ``s``,
-    ``cond`` and ``singular`` hold one row per distinct point; ``regular``
-    is True when no row is singular."""
+    """S at the distinct points of a plan, from one kernel call:
+    s_matrix(source, z) when source is a validated matrix,
+    s_matrix_zero_range(source, z) when it is an ExtensionParams.  It keeps
+    the plan's z, points, row and mirror, so it stands in for the plan.
+    ``s``, ``cond`` and ``singular`` hold one row per distinct point;
+    ``regular`` is True when no row is singular."""
 
     def __init__(self, plan, source):
         self.z, self.points, self.row, self.mirror = plan.z, plan.points, plan.row, plan.mirror
@@ -304,12 +297,12 @@ class _Table:
         self.regular = not self.singular.any()
 
 
-def _s_table(t, plain=(), reflected=()):
-    """The table of s_matrix(t, z) over the point lists plain and reflected,
-    each a pair (points, validator), followed by each list's positions in
-    the table.  T is validated first, then each list in order."""
+def _s_table(t, *lists):
+    """The table of s_matrix(t, z) over the point lists, each a pair
+    (points, validator), followed by each list's positions in the table.
+    T is validated first, then each list in order."""
     a = as_matrix(t)
-    plan = _plan(plain, reflected)
+    plan = _Plan(*lists)
     return (_Table(plan, a), *plan.lists)
 
 
@@ -329,14 +322,16 @@ def _point_list(name, zs) -> list:
     return list(points)
 
 
-def _kept(i, reads):
-    """The positions i at which every read (table, positions, mirror) finds
-    S regular, at z or, when mirror, at -conj z; a nonempty i that keeps
-    none raises the SingularMatrixError of its first singular read."""
-    if all(table.regular for table, _, _ in reads):
+def _kept(i, tables, mirror=False):
+    """The positions i at which every one of tables, all over one plan,
+    finds S regular at z and, when mirror, at -conj z; a nonempty i that
+    keeps none raises the SingularMatrixError of its first point's first
+    singular read, the tables in order and z before -conj z."""
+    if all(table.regular for table in tables):
         return i
-    reads = [(table, table.mirror[j], -table.z[j].conj()) if mirror
-             else (table, table.row[j], table.z[j]) for table, j, mirror in reads]
+    p = tables[0]
+    sides = [(p.row[i], p.z[i])] + ([(p.mirror[i], -p.z[i].conj())] if mirror else [])
+    reads = [(table, rows, z) for table in tables for rows, z in sides]
     bad = [table.singular[rows] for table, rows, _ in reads]
     keep = ~np.logical_or.reduce(bad)
     if len(i) and not keep.any():
@@ -429,20 +424,20 @@ def _products(s, j):
 
 def _cond_a(s_of, i, gap):
     """The metric gaps G - S* G S, gap holding them over the table rows."""
-    i = _kept(i, [(s_of, i, False)])
+    i = _kept(i, [s_of])
     return "condition (a)", i, gap[s_of.row[i]]
 
 
 @np.errstate(all="ignore")
 def _cond_reflection(s_of, i, js, sj, name):
     """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
-    i = _kept(i, [(s_of, i, False), (s_of, i, True)])
+    i = _kept(i, [s_of], mirror=True)
     return name, i, js[s_of.row[i]] - sj[s_of.mirror[i]]
 
 
 @np.errstate(all="ignore")
 def _cond_c(s_of, i, gs, sg, gap):
-    i = _kept(i, [(s_of, i, False)])
+    i = _kept(i, [s_of])
     z, row = s_of.z[i], s_of.row[i]
     re = z.real[:, None, None]
     im = (1j * z.imag)[:, None, None]
@@ -451,13 +446,13 @@ def _cond_c(s_of, i, gs, sg, gap):
 
 @np.errstate(all="ignore")
 def _cond_pt(s_of, i):
-    i = _kept(i, [(s_of, i, False), (s_of, i, True)])
+    i = _kept(i, [s_of], mirror=True)
     return "PT criterion", i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]]
 
 
 def _plain_norms(s_of, i):
     """S itself, whose norm is the plain C^2 norm."""
-    i = _kept(i, [(s_of, i, False)])
+    i = _kept(i, [s_of])
     return "plain norm", i, s_of.s[s_of.row[i]]
 
 
@@ -468,14 +463,14 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     the witness is the point that produced it.
     """
     _check_tol(tol)
-    s_of, i = _s_table(t, [(zs, _interior_point)])
+    s_of, i = _s_table(t, (zs, _interior_point))
     return _verdict_a(s_of, _cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[(zs, _spectral_point)])
+    s_of, i = _s_table(t, (zs, _spectral_point))
     r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)")
     return _check(*next(_worsts(s_of, [r])), tol)
 
@@ -486,7 +481,7 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     Requires Re z != 0 and Im z < 0.
     """
     _check_tol(tol)
-    s_of, i = _s_table(t, [([z], _off_axis)])
+    s_of, i = _s_table(t, ([z], _off_axis))
     r = _cond_c(s_of, i, *_products(s_of.s, metric(p)))
     return _check(*next(_worsts(s_of, [r])), tol)
 
@@ -495,7 +490,7 @@ def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyChec
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
     closed half-plane."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[([z], _spectral_point)])
+    s_of, i = _s_table(t, ([z], _spectral_point))
     r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)")
     return _check(*next(_worsts(s_of, [r])), tol)
 
@@ -504,13 +499,13 @@ def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z) over
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
-    s_of, i = _s_table(t, reflected=[(zs, _interior_point)])
+    s_of, i = _s_table(t, (zs, _interior_point))
     return _check(*next(_worsts(s_of, [_cond_pt(s_of, i)])), tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
-    s_of, i = _s_table(t, [(zs, _spectral_point)])
+    s_of, i = _s_table(t, (zs, _spectral_point))
     return next(_worsts(s_of, [_plain_norms(s_of, i)]))[0]
 
 
@@ -537,13 +532,16 @@ def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
 
 
 def _axis(lo_name, lo, hi_name, hi, steps) -> np.ndarray:
-    """steps values from lo to hi; a span hi - lo that overflows leaves a
-    non-finite value and raises :class:`ArgumentError` naming the bounds."""
+    """steps values from lo to hi, each end the bound itself (linspace
+    computes its first value as 0 * step + lo, which turns a -0.0 into
+    +0.0); a span hi - lo that overflows leaves a non-finite value and
+    raises :class:`ArgumentError` naming the bounds."""
     with np.errstate(all="ignore"):
         axis = np.linspace(lo, hi, steps)
     if not np.isfinite(axis).all():
         raise ArgumentError(f"{hi_name} - {lo_name} must be finite, "
                             f"got {lo_name}={lo!r}, {hi_name}={hi!r}")
+    axis[0] = lo
     return axis
 
 
@@ -583,11 +581,10 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     """
     _check_tol(tol)
     interior, boundary = _grids(interior, boundary)
-    s_of, witness, interior, boundary = _s_table(
-        t, reflected=[([witness], _off_axis), (interior, _interior_point),
-                      (boundary, _spectral_point)])
-    return _report(s_of, _checks(s_of, p, _check_positions(s_of.z, interior, boundary, witness)),
-                   tol)[0]
+    a = as_matrix(t)
+    plan, positions = _report_plan(interior, boundary, witness)
+    s_of = _Table(plan, a)
+    return _report(s_of, _checks(s_of, p, positions), tol)[0]
 
 
 def _grids(interior, boundary) -> tuple[list, list]:
@@ -598,17 +595,21 @@ def _grids(interior, boundary) -> tuple[list, list]:
             else real_axis_points())
 
 
-def _check_positions(z, interior, boundary, witness) -> tuple:
-    """The positions that (a), (b), (c), (d) and PT read in a plan of points
-    z, from its lists interior, boundary and witness (one point), made
-    read-only; (c) reads the witness and the off-axis interior points."""
-    off_axis = interior[z[interior].real != 0.0]
-    return _frozen(interior, np.r_[interior, boundary], np.r_[witness, off_axis],
-                   np.r_[witness, interior, boundary], interior)
+def _report_plan(interior, boundary, witness, *lists) -> tuple:
+    """The plan of lists, each a pair (points, validator), then of witness
+    (one point), interior and boundary, validated in that order; the
+    read-only positions (a), (b), (c), (d) and PT read, (c) the witness and
+    the off-axis interior points; and each of lists' positions."""
+    plan = _Plan(*lists, ([witness], _off_axis), (interior, _interior_point),
+                 (boundary, _spectral_point))
+    *extra, witness, interior, boundary = plan.lists
+    off_axis = interior[plan.z[interior].real != 0.0]
+    return (plan, _frozen(interior, np.r_[interior, boundary], np.r_[witness, off_axis],
+                          np.r_[witness, interior, boundary], interior), *extra)
 
 
 def _checks(s_of, p, positions) -> list:
-    """(a), (b), (c), (d) and PT over the table s_of at their _check_positions,
+    """(a), (b), (c), (d) and PT over the table s_of at their positions,
     each as (name, kept positions, residual matrices).  G S, S* G,
     G - S* G S, P_xi S and S* P_xi are formed once over the table rows."""
     a, b, c, d, pt = positions

@@ -48,10 +48,20 @@ def pt_conjugate(m) -> np.ndarray:
     return _pt_images(as_matrix(m))
 
 
+def _defect(name, difference) -> float:
+    """operator_norm(difference), the name defect of a validated matrix; a
+    difference that overflowed raises :class:`ArgumentError` naming the
+    defect rather than the finite matrix it came from."""
+    try:
+        return operator_norm(difference)
+    except ArgumentError:
+        raise ArgumentError(f"the {name} defect overflows") from None
+
+
 def pt_defect(m) -> float:
     """||pt_conjugate(m) - m||; zero exactly for PT-symmetric m."""
     a = as_matrix(m)
-    return operator_norm(pt_conjugate(a) - a)
+    return _defect("PT", pt_conjugate(a) - a)
 
 
 def is_pt_symmetric(m, tol: float = DEFAULT_TOL) -> bool:
@@ -64,7 +74,7 @@ def krein_defect(m, xi: float) -> float:
     inner product [f, g] = (P_xi f, g)."""
     a = as_matrix(m)
     j = p_xi(xi)
-    return operator_norm(j @ a - a.conj().T @ j)
+    return _defect("Krein", j @ a - a.conj().T @ j)
 
 
 def is_krein_selfadjoint(m, xi: float, tol: float = DEFAULT_TOL) -> bool:
@@ -94,7 +104,7 @@ def c_symmetry_defect(m, params: KreinMetricParams) -> float:
     """Commutator norm ||C m - m C|| for C = c_operator(params)."""
     a = as_matrix(m)
     c = c_operator(params)
-    return operator_norm(c @ a - a @ c)
+    return _defect("C-symmetry", c @ a - a @ c)
 
 
 def is_c_symmetric(m, params: KreinMetricParams, tol: float = DEFAULT_TOL) -> bool:

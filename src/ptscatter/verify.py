@@ -24,18 +24,18 @@ with its theory-expected outcome:
 
 A draw runs on one evaluation plan, which does not depend on T: its point
 lists, the Mobius witnesses included, validated and laid end to end, their
-distinct points, and the positions each check reads; the plan of the
-default samples is built once per process, on first use.  One table fills
-S at the plan's distinct points from one batched evaluation, and the
-parametrized route it is compared with fills its own table over a plan of
-the grid alone.  Every check skips the points where S is singular
-(the route gap those where either route is), and the suite lists the
-distinct singular points of its table as ``singular_z``.  The report's
-residuals, the gap between the two routes and the plain norms of S are
-normed in one call, and one verdict pass takes each check's worst residual
-in turn.  A suite is *consistent* when every actual outcome equals its
-expected one; the random battery reports the first inconsistent draw in
-replayable form.
+distinct points with their reflections, and the positions each check
+reads; the plan of the default samples is built once per process, on
+first use.  One table fills S at the plan's distinct points from one
+batched evaluation, and the parametrized route it is compared with fills
+a second table over the same plan.  Every check skips the points where S
+is singular (the route gap those where either route is), and the suite
+lists the distinct singular points of its table as ``singular_z``.  The
+report's residuals, the gap between the two routes and the plain norms of
+S are normed in one call, and one verdict pass takes each check's worst
+residual in turn.  A suite is *consistent* when every actual outcome
+equals its expected one; the random battery reports the first
+inconsistent draw in replayable form.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
 from .matrix2 import _operator_norms
-from .scattering import (_check_positions, _checks, _finite, _grids,
-                         _interior_point, _kept, _off_axis, _Plan, _plain_norms,
-                         _plan, _point_list, _report, _s_table, _spectral_point,
-                         _Table, _worst, _worsts, s_matrix, t_from_s)
+from .scattering import (_checks, _finite, _grids, _interior_point, _kept,
+                         _plain_norms, _point_list, _report, _report_plan,
+                         _s_table, _spectral_point, _Table, _worst, _worsts,
+                         s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -128,19 +128,18 @@ def _round_trip(s, t, zs) -> tuple[float, float]:
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S
     evaluation, over the points where both are regular."""
-    s_of, i = _s_table(t_from_betas(e), [(zs, _spectral_point)])
-    return next(_worsts(s_of, [_route_gap(e, s_of, i, _Plan([s_of.z], len(i)))]))[0]
+    s_of, i = _s_table(t_from_betas(e), (zs, _spectral_point))
+    return next(_worsts(s_of, [_route_gap(e, s_of, i)]))[0]
 
 
-def _route_gap(e, s_of, i, plan):
+def _route_gap(e, s_of, i):
     """The points i of the table s_of where both routes are regular and the
     residuals S_zero_range - S there, the parametrized S from its own table
-    over plan, the plan of the points i alone."""
-    zr = _Table(plan, e)
-    [every] = plan.lists
-    k = _kept(every, [(zr, every, False), (s_of, i, False)])
+    over the plan of s_of."""
+    zr = _Table(s_of, e)
+    i = _kept(i, [zr, s_of])
     with np.errstate(all="ignore"):
-        return "formula equivalence", i[k], zr.s[zr.row[k]] - s_of.s[s_of.row[i[k]]]
+        return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]]
 
 
 def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
@@ -186,15 +185,10 @@ def _check_entry(check, expected_pass: bool) -> dict:
 
 
 def _suite_plan(interior=None, boundary=None) -> tuple:
-    """The part of a draw that does not depend on T: its plan, the Mobius and
-    grid positions, the checks' positions and the grid's own plan."""
-    interior, boundary = _grids(interior, boundary)
-    plan = _plan([(WITNESS_POINTS, _interior_point)],
-                 [(interior, _interior_point), (boundary, _spectral_point),
-                  ([1.0 - 1.0j], _off_axis)])
-    mobius, grid, axis, witness = plan.lists
-    return (plan, mobius, grid, _check_positions(plan.z, grid, axis, witness),
-            _Plan([plan.z[grid]], len(grid)))
+    """The part of a draw that does not depend on T: _report_plan of the
+    samples with the Mobius witnesses as the extra list."""
+    return _report_plan(*_grids(interior, boundary), 1.0 - 1.0j,
+                        (WITNESS_POINTS, _interior_point))
 
 
 @cache
@@ -213,14 +207,14 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    plan, mobius, grid, positions, grid_plan = (
-        _default_plan() if interior is None and boundary is None
-        else _suite_plan(interior, boundary))
+    plan, positions, mobius = (_default_plan() if interior is None and boundary is None
+                               else _suite_plan(interior, boundary))
     s_of = _Table(plan, t)
+    grid = positions[0]      # (a) reads the interior grid
     report_checks = _checks(s_of, e.metric, positions)
-    gap = _route_gap(e, s_of, grid, grid_plan)
+    gap = _route_gap(e, s_of, grid)
     report, rest = _report(s_of, report_checks + [gap, _plain_norms(s_of, grid)], tol)
-    mobius = _kept(mobius, [(s_of, mobius, False)])
+    mobius = _kept(mobius, [s_of])
     recovery, spread = _round_trip(s_of.s[s_of.row[mobius]], t, s_of.z[mobius])
     (feq, _), (max_norm, _) = rest
     worst_cond = max([1.0] + s_of.cond[s_of.row[gap[1]]].tolist())

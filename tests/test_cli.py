@@ -317,7 +317,7 @@ def sweep_cases():
         ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "0.5", "--im-min=-1",
          "--im-max=-0.0", "--steps", "3"],
         ["sweep", "--beta0", "0.3", "--beta1", "-0.2", "--xi", "1", "--steps", "1"],
-        # np.linspace(-0.0, -0.0, 3) is [0, 0, -0]: both zeros in one column
+        # bounds of -0.0: each axis is [-0, 0, -0], both zeros in one column
         ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--re-min=-0.0", "--re-max=-0.0",
          "--im-min=-0.0", "--im-max=-0.0", "--steps", "3"],
     ]

@@ -397,9 +397,15 @@ def test_grid_shapes_and_order():
 
 
 
+def reference_axis(lo, hi, steps):
+    """steps values from lo to hi with both bounds taken exactly, signs of
+    zero included, and np.linspace's values in between."""
+    return [lo] if steps == 1 else [lo, *np.linspace(lo, hi, steps).tolist()[1:-1], hi]
+
+
 def reference_grid(re_min=-3.0, re_max=3.0, im_min=-3.0, im_max=-0.1, steps=7):
-    """lower_half_plane_grid's points as first built, one complex() each."""
-    res, ims = np.linspace(re_min, re_max, steps), np.linspace(im_min, im_max, steps)
+    """lower_half_plane_grid's points, one complex() each."""
+    res, ims = reference_axis(re_min, re_max, steps), reference_axis(im_min, im_max, steps)
     return [complex(x, y) for y in ims for x in res]
 
 
@@ -414,6 +420,14 @@ def test_grid_equals_the_per_point_construction(bounds):
     got, want = lower_half_plane_grid(**bounds), reference_grid(**bounds)
     assert [type(z) for z in got] == [complex] * len(want)
     assert_same_bits(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("lo, hi, steps", [
+    (-3.0, 3.0, 7), (-0.0, 0.0, 2), (-0.0, -0.0, 3), (-0.0, 1.0, 1), (-1.0, -0.0, 3),
+])
+def test_real_axis_takes_its_bounds_exactly(lo, hi, steps):
+    want = [complex(x, 0.0) for x in reference_axis(lo, hi, steps)]
+    assert_same_bits(np.array(real_axis_points(lo, hi, steps)), np.array(want))
 
 
 # ---------------------------------------------------------------- report vs per-point loops

@@ -141,6 +141,29 @@ def test_malformed_grid_and_count_raise_argument_error(call, message):
         call()
 
 
+# a finite matrix whose symmetry defect overflows: the error names the defect
+HUGE = [[1e308 + 1e308j, 0], [0, -1e308 - 1e308j]]
+SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.pt_defect(HUGE), "the PT defect overflows"),
+    (lambda: pts.is_pt_symmetric(HUGE), "the PT defect overflows"),
+    (lambda: pts.solve_xi(HUGE), "the PT defect overflows"),
+    (lambda: pts.symmetry_report(HUGE), "the PT defect overflows"),
+    (lambda: pts.krein_defect(HUGE, 0.3), "the Krein defect overflows"),
+    (lambda: pts.is_krein_selfadjoint(HUGE, 0.3), "the Krein defect overflows"),
+    (lambda: pts.c_symmetry_defect(HUGE, SIGMA2_C), "the C-symmetry defect overflows"),
+    (lambda: pts.is_c_symmetric(HUGE, SIGMA2_C), "the C-symmetry defect overflows"),
+], ids=["pt_defect", "is_pt_symmetric", "solve_xi", "symmetry_report", "krein_defect",
+        "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric"])
+def test_overflowing_symmetry_defect_is_named(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 # a point or coefficient that complex() rejects is malformed, and the error
 # names it
 @pytest.mark.parametrize("make, name", [

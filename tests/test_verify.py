@@ -219,12 +219,9 @@ def test_default_samples_give_what_the_same_samples_given_explicitly_give():
 def test_the_default_samples_plan_is_read_only():
     import ptscatter.verify as verify
     run_parameter_suite(extension_params(0.2, 0.1))
-    plan, mobius, grid, positions, grid_plan = verify._default_plan()
+    plan, positions, mobius = verify._default_plan()
     assert verify._default_plan() is verify._default_plan()
-    arrays = [mobius, grid, *positions]
-    for p in (plan, grid_plan):
-        arrays += [p.z, p.points, p.row, p.mirror, *p.lists]
-    for a in arrays:
+    for a in [*positions, mobius, plan.z, plan.points, plan.row, plan.mirror, *plan.lists]:
         assert len(a)
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -251,10 +248,10 @@ def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
         monkeypatch.setattr(scattering, name, per_point)
     run_parameter_suite(extension_params(0.2, 0.1, chi=0.5, xi=0.3))
     # one batched evaluation over the 58 points of the property report and
-    # the Mobius witnesses -1j, -2j, 1-1j and -0.5-0.3j, of which only 1-1j
-    # is among the 58; one for the parametrized route on the 49 grid points
+    # the Mobius witnesses -1j, -2j, 1-1j and -0.5-0.3j with their
+    # reflections, of which only 1-1j and its reflection are among the 58;
+    # the parametrized route evaluates the same points
     [generic] = batches["generic"]
-    assert len(generic) == len(set(generic)) == 61
-    assert all(z in generic for z in (-1j, -2j, 1 - 1j, -0.5 - 0.3j))
-    [zero_range] = batches["zero_range"]
-    assert zero_range == lower_half_plane_grid()
+    assert len(generic) == len(set(generic)) == 62
+    assert all(z in generic for z in (-1j, -2j, 1 - 1j, -0.5 - 0.3j, 0.5 - 0.3j))
+    assert batches["zero_range"] == [generic]

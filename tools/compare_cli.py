@@ -41,9 +41,11 @@ COMMANDS = [
     ["sweep", *PARAMS, "--re-min=-1e308", "--re-max=1e308"],       # exit 2
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=-0.0", "--im-min=-1", "--im-max=-0.0",
      "--steps", "3"],                                   # z_re holds 0 and -0
+    ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=0.0", "--steps", "2"],
     ["sweep", *PARAMS, "--chi", "-1.2", "--xi", "2.5", "--steps", "64"],
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
     ["decompose", "[[1,0],[0,-1]]"],
+    ["decompose", "[[1e308+1e308j,0],[0,-1e308-1e308j]]"],
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
 ]
 

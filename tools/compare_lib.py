@@ -10,9 +10,11 @@ extension parameters, and point lists mixing interior and real-axis points,
 the upper half-plane, NaN, inf, strings, None, signed zeros and poles of S.
 Per set the tool calls the five checks, ``standard_contraction_norm``,
 ``property_report`` (given and default grids),
-``formula_equivalence_residual``, ``mobius_round_trip_residuals`` and
-``run_parameter_suite``, and records the result's repr, or the exception's
-type, message and ``z``, together with the numpy warnings the call emits.
+``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
+``run_parameter_suite``, ``pt_defect``, ``krein_defect``,
+``c_symmetry_defect`` and ``symmetry_report``, and records the result's
+repr, or the exception's type, message and ``z``, together with the numpy
+warnings the call emits.
 It prints every call that differs and a count per kind of difference, and
 exits 1 if any call differs.
 """
@@ -133,6 +135,10 @@ def _calls(pts, k: int, seed: int):
         yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol, interior, boundary)
     else:
         yield "run_parameter_suite_default", lambda: pts.run_parameter_suite(e, tol)
+    yield "pt_defect", lambda: pts.pt_defect(t)
+    yield "krein_defect", lambda: pts.krein_defect(t, p.xi)
+    yield "c_symmetry_defect", lambda: pts.c_symmetry_defect(t, p)
+    yield "symmetry_report", lambda: pts.symmetry_report(t, tol)
 
 
 def _outcome(thunk) -> str:
