@@ -43,8 +43,7 @@ from .symmetry import (SymmetryReport, c_params_from_matrix,
                        pt_defect, solve_xi, symmetry_report)
 from .verify import (WITNESS_POINTS, draw_extension_params,
                      formula_equivalence_residual,
-                     mobius_round_trip_residuals,
-                     quadratic_eigenvalue_residual, run_parameter_suite,
+                     mobius_round_trip_residuals, run_parameter_suite,
                      run_random_suite)
 
 __version__ = "0.1.0"
@@ -71,6 +70,5 @@ __all__ = [
     "check_condition_d", "check_pt_criterion", "standard_contraction_norm",
     "lower_half_plane_grid", "real_axis_points", "property_report",
     "WITNESS_POINTS", "draw_extension_params", "mobius_round_trip_residuals",
-    "formula_equivalence_residual", "quadratic_eigenvalue_residual",
-    "run_parameter_suite", "run_random_suite",
+    "formula_equivalence_residual", "run_parameter_suite", "run_random_suite",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, _check_tol,
                      _finite_complex, _finite_real)
-from .matrix2 import _finite_array, as_matrix, operator_norm
+from .matrix2 import _defect, _finite_array, as_matrix
 
 DEFAULT_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
@@ -152,7 +152,7 @@ def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
     _check_tol(tol)
     jm = as_matrix(j)
     th = _finite_complex("theta", theta)
-    defect = operator_norm(jm @ jm - SIGMA0)
+    defect = _defect("involution", jm @ jm - SIGMA0)
     if defect > tol:
         raise AssumptionError(f"j is not an involution: ||j^2 - I|| = {defect:.3e}")
     return np.cosh(th) * SIGMA0 + np.sinh(th) * jm
@@ -162,5 +162,5 @@ def is_unitary_involution(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m^2 = I and m m* = I within tol (operator norm)."""
     _check_tol(tol)
     a = as_matrix(m)
-    return (operator_norm(a @ a - SIGMA0) <= tol
-            and operator_norm(a @ a.conj().T - SIGMA0) <= tol)
+    return (_defect("involution", a @ a - SIGMA0) <= tol
+            and _defect("unitarity", a @ a.conj().T - SIGMA0) <= tol)

@@ -166,7 +166,8 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
     The oracle checks the two Hermitian matrices beta0*G + beta1*P_xi and
     (1/2-beta0)*G - beta1*P_xi (G the metric) through their closed-form
     eigenvalues.  Both verdicts use the same absolute tolerance so they agree
-    on boundary parameters.
+    on boundary parameters.  An oracle matrix that overflows raises
+    :class:`ArgumentError` naming it and chi.
     """
     _check_tol(tol)
     b0, b1 = e.beta0, e.beta1
@@ -174,12 +175,23 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
               and abs(b1) <= min(0.5 - b0, b0) + tol)
     g = metric(e.metric)
     j = p_xi(e.metric.xi)
-    lower = hermitian_eigenvalues(b0 * g + b1 * j)
-    upper = hermitian_eigenvalues((0.5 - b0) * g - b1 * j)
+    lower = _oracle_eigenvalues("beta0 G + beta1 P_xi", b0 * g + b1 * j, e.metric.chi)
+    upper = _oracle_eigenvalues("(1/2 - beta0) G - beta1 P_xi", (0.5 - b0) * g - b1 * j,
+                                e.metric.chi)
     oracle = lower[0] >= -tol and upper[0] >= -tol
     return SpectraClassification(nonnegative=closed, closed_form_verdict=closed,
                                  oracle_verdict=oracle,
                                  eigenvalues_lower=lower, eigenvalues_upper=upper)
+
+
+def _oracle_eigenvalues(name, m, chi) -> tuple[float, float]:
+    """hermitian_eigenvalues of the oracle matrix m; an m that overflowed
+    raises :class:`ArgumentError` naming it and chi rather than the finite
+    parameters it came from."""
+    try:
+        return hermitian_eigenvalues(m)
+    except ArgumentError:
+        raise ArgumentError(f"the oracle matrix {name} overflows at chi={chi!r}") from None
 
 
 def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> bool:

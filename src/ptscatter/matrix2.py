@@ -83,6 +83,16 @@ def operator_norm(m) -> float:
     return math.sqrt(t / 2.0 + math.sqrt(disc))
 
 
+def _defect(name, difference) -> float:
+    """operator_norm(difference), the name defect of a validated matrix; a
+    difference that overflowed raises :class:`ArgumentError` naming the
+    defect rather than the finite matrix it came from."""
+    try:
+        return operator_norm(difference)
+    except ArgumentError:
+        raise ArgumentError(f"the {name} defect overflows") from None
+
+
 def _sum4(x) -> np.ndarray:
     """Entry sums of a stack of 2x2 real arrays, added left to right."""
     return ((x[:, 0, 0] + x[:, 0, 1]) + x[:, 1, 0]) + x[:, 1, 1]

@@ -30,11 +30,14 @@ holds exactly when T is PT-symmetric.
 
 Each condition is one residual expression in S (larger is worse), written
 once as a stack expression over the (N, 2, 2) array of S at the sampled
-points and reduced by one array form of ``_worst``: the largest residual
-wins, the first point attaining it is the witness, and NaN and -inf
-residuals are skipped (a list with no other residual raises
-:class:`ArgumentError`).  A residual equals its one-point form bit for
-bit.
+points; a residual equals its one-point form bit for bit.  A check is a
+triple (name, positions in a flat point array, residual matrices there).
+One eager verdict pass, ``_worsts``, norms the residuals of a list of
+checks in one ``_operator_norms`` call ((a) takes one ``_hermitian_lows``
+call) and returns the list of their worst residuals and witnesses by
+``_worst``: the largest residual wins, the first point attaining it is the
+witness, and NaN and -inf residuals are skipped (a check with no other
+residual raises :class:`ArgumentError`).
 
 Every evaluation of S at many points goes through one private kernel,
 ``_s_batch``: it takes the numerator and denominator stacks of N points
@@ -71,16 +74,12 @@ pole raises what s_matrix raises there.  The products the conditions share
 rows and associate as each condition writes them, so every gathered row
 keeps its bits; the PT image sigma_3 conj(S) sigma_3 is conj(S) with its
 off-diagonal entries negated, which differs from the two products only in
-the sign of zero entries.  One verdict pass, ``_worsts``, norms all
-residuals of a report (with those the verify suite adds) in one
-``_operator_norms`` call and reduces each check's share by ``_worst``; (a)
-takes one ``_hermitian_lows`` call.  Every check picks its points before
-any verdict is drawn, so a check left with none raises first; the verdicts
-then come in the order (a), (b), (c), (d), PT, each first raising for its
-check's first non-finite residual matrix, an :class:`ArgumentError` that
-names the check and the point.  Numpy's floating-point warnings are off
-while residuals are formed and normed: an overflow there ends in that
-error or in a NaN residual.
+the sign of zero entries.  Every check picks its points before any
+verdict is drawn, so a check left with none raises first; the verdicts then
+come in list order, each first raising for its check's first non-finite
+residual matrix, an :class:`ArgumentError` that names the check and the
+point.  Numpy's floating-point warnings are off while residuals are formed
+and normed: an overflow there ends in that error or in a NaN residual.
 """
 
 from __future__ import annotations
@@ -368,27 +367,27 @@ def _check(residual, witness, tol) -> PropertyCheck:
     return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
 
 
-def _worsts(s_of, checks):
-    """_worst of each check (name, i, m) in turn, i being the check's
-    positions in the table s_of and m their residual matrices, each check's
-    first non-finite matrix raised first; the residuals are the operator
-    norms of m, all from one call."""
+def _worsts(z, checks) -> list:
+    """_worst of each check (name, i, m) in order, m holding its residual
+    matrices at the points z[i], normed in one call; each check first
+    raises for its first non-finite matrix."""
     with np.errstate(all="ignore"):
         res = _operator_norms(np.concatenate([m for _, _, m in checks]))
-    start = 0
+    worsts, start = [], 0
     for name, i, m in checks:
-        z = s_of.z[i]
-        _finite(m, z, name)
-        yield _worst(z, res[start:start + len(m)])
+        zi = z[i]
+        _finite(m, zi, name)
+        worsts.append(_worst(zi, res[start:start + len(m)]))
         start += len(m)
+    return worsts
 
 
 @np.errstate(all="ignore")
-def _verdict_a(s_of, r, tol) -> PropertyCheck:
-    """Condition (a) from its metric gaps r = (name, i, m): the residual is
-    minus the lowest eigenvalue, clamped at 0."""
+def _verdict_a(z, r, tol) -> PropertyCheck:
+    """Condition (a) from its metric gaps r = (name, i, m) at the points
+    z[i]: the residual is minus the lowest eigenvalue, clamped at 0."""
     name, i, m = r
-    z = s_of.z[i]
+    z = z[i]
     worst, witness = _worst(z, -_hermitian_lows(_finite(m, z, name)))
     return _check(max(0.0, worst), witness, tol)
 
@@ -464,7 +463,7 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     """
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    return _verdict_a(s_of, _cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
+    return _verdict_a(s_of.z, _cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -472,7 +471,7 @@ def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _spectral_point))
     r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)")
-    return _check(*next(_worsts(s_of, [r])), tol)
+    return _check(*_worsts(s_of.z, [r])[0], tol)
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -483,7 +482,7 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _off_axis))
     r = _cond_c(s_of, i, *_products(s_of.s, metric(p)))
-    return _check(*next(_worsts(s_of, [r])), tol)
+    return _check(*_worsts(s_of.z, [r])[0], tol)
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -492,7 +491,7 @@ def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyChec
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _spectral_point))
     r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)")
-    return _check(*next(_worsts(s_of, [r])), tol)
+    return _check(*_worsts(s_of.z, [r])[0], tol)
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -500,13 +499,13 @@ def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    return _check(*next(_worsts(s_of, [_cond_pt(s_of, i)])), tol)
+    return _check(*_worsts(s_of.z, [_cond_pt(s_of, i)])[0], tol)
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
     s_of, i = _s_table(t, (zs, _spectral_point))
-    return next(_worsts(s_of, [_plain_norms(s_of, i)]))[0]
+    return _worsts(s_of.z, [_plain_norms(s_of, i)])[0][0]
 
 
 def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
@@ -580,19 +579,12 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     worst residual and witness from the one reducer the single checks use.
     """
     _check_tol(tol)
-    interior, boundary = _grids(interior, boundary)
+    interior = lower_half_plane_grid() if interior is None else _point_list("interior", interior)
+    boundary = real_axis_points() if boundary is None else _point_list("boundary", boundary)
     a = as_matrix(t)
     plan, positions = _report_plan(interior, boundary, witness)
     s_of = _Table(plan, a)
     return _report(s_of, _checks(s_of, p, positions), tol)[0]
-
-
-def _grids(interior, boundary) -> tuple[list, list]:
-    """The interior and boundary samples as lists; None gives the defaults."""
-    return (_point_list("interior", interior) if interior is not None
-            else lower_half_plane_grid(),
-            _point_list("boundary", boundary) if boundary is not None
-            else real_axis_points())
 
 
 def _report_plan(interior, boundary, witness, *lists) -> tuple:
@@ -623,12 +615,9 @@ def _checks(s_of, p, positions) -> list:
 
 
 def _report(s_of, checks, tol):
-    """(PropertyReport of the first five checks of _checks, the worsts of
-    the rest): (a) takes one _hermitian_lows call, and the others one
-    _operator_norms call.  The verdicts come in order, each raising for its
-    check's first non-finite residual matrix first; the worsts of the rest
-    are left to the caller to draw in turn."""
+    """(PropertyReport of the first five checks, from _checks, and the list
+    of the worsts of the rest), the verdicts drawn in order."""
     a, *rest = checks
-    cond_a = _verdict_a(s_of, a, tol)
-    worsts = _worsts(s_of, rest)
-    return PropertyReport(cond_a, *(_check(*next(worsts), tol) for _ in range(4))), worsts
+    cond_a = _verdict_a(s_of.z, a, tol)
+    worsts = _worsts(s_of.z, rest)
+    return PropertyReport(cond_a, *(_check(*w, tol) for w in worsts[:4])), worsts[4:]

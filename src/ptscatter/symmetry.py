@@ -25,7 +25,8 @@ import numpy as np
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA2, SIGMA3, TWO_PI,
                        KreinMetricParams, c_operator, p_xi, pauli_decompose)
 from .errors import ArgumentError, AssumptionError, _check_tol
-from .matrix2 import _finite_array, as_matrix, as_vector, operator_norm
+from .matrix2 import (_defect, _finite_array, as_matrix, as_vector,
+                      operator_norm)
 
 
 def pt_apply(v) -> np.ndarray:
@@ -46,16 +47,6 @@ def _pt_images(s) -> np.ndarray:
 def pt_conjugate(m) -> np.ndarray:
     """The operator m' with (PT) m = m' (PT), i.e. sigma_3 conj(m) sigma_3."""
     return _pt_images(as_matrix(m))
-
-
-def _defect(name, difference) -> float:
-    """operator_norm(difference), the name defect of a validated matrix; a
-    difference that overflowed raises :class:`ArgumentError` naming the
-    defect rather than the finite matrix it came from."""
-    try:
-        return operator_norm(difference)
-    except ArgumentError:
-        raise ArgumentError(f"the {name} defect overflows") from None
 
 
 def pt_defect(m) -> float:
@@ -123,7 +114,7 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     """
     _check_tol(tol)
     a = as_matrix(m)
-    inv_defect = operator_norm(a @ a - SIGMA0)
+    inv_defect = _defect("involution", a @ a - SIGMA0)
     if inv_defect > tol:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
     if pt_defect(a) > tol:
@@ -200,7 +191,7 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     a = as_matrix(m)
     residuals = {
         "pt": pt_defect(a),
-        "involution": operator_norm(a @ a - SIGMA0),
+        "involution": _defect("involution", a @ a - SIGMA0),
     }
     pt_ok = residuals["pt"] <= tol
     xi: Optional[float] = None

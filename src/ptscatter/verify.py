@@ -22,20 +22,21 @@ with its theory-expected outcome:
     (I +- C)/2 of T are orthogonal, so S is a plain-norm contraction for
     every admissible beta1 and no witness is expected.
 
-A draw runs on one evaluation plan, which does not depend on T: its point
-lists, the Mobius witnesses included, validated and laid end to end, their
-distinct points with their reflections, and the positions each check
-reads; the plan of the default samples is built once per process, on
+A draw runs on one evaluation plan of the default samples and the Mobius
+witnesses, which does not depend on T and is built once per process, on
 first use.  One table fills S at the plan's distinct points from one
 batched evaluation, and the parametrized route it is compared with fills
 a second table over the same plan.  Every check skips the points where S
 is singular (the route gap those where either route is), and the suite
 lists the distinct singular points of its table as ``singular_z``.  The
-report's residuals, the gap between the two routes and the plain norms of
-S are normed in one call, and one verdict pass takes each check's worst
-residual in turn.  A suite is *consistent* when every actual outcome
-equals its expected one; the random battery reports the first
-inconsistent draw in replayable form.
+errors come in this order: the classification and the metric inequality,
+a check left with no regular point, the scalar t_from_s calls of the
+Mobius round trip, then the verdicts (a), (b), (c), (d), PT, Mobius round
+trip, z-independence, formula equivalence and plain norm, each raising for
+its first non-finite residual matrix; one verdict pass norms every
+residual but those of (a) in one call.  A suite is *consistent* when every
+actual outcome equals its expected one; the random battery reports the
+first inconsistent draw in replayable form.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
 from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, check_metric_inequality,
                          classify_nonnegative, t_from_betas)
-from .matrix2 import _operator_norms
-from .scattering import (_checks, _finite, _grids, _interior_point, _kept,
-                         _plain_norms, _point_list, _report, _report_plan,
-                         _s_table, _spectral_point, _Table, _worst, _worsts,
-                         s_matrix, t_from_s)
+from .scattering import (_checks, _interior_point, _kept, _plain_norms,
+                         _point_list, _report, _report_plan, _s_table,
+                         _spectral_point, _Table, _worsts,
+                         lower_half_plane_grid, real_axis_points, s_matrix,
+                         t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -111,25 +112,28 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
 
 def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
-    t_from_s(s_matrix(t, z), z) over the witness points."""
+    t_from_s(s_matrix(t, z), z), called point by point."""
     zs = _point_list("zs", zs)
-    return _round_trip((s_matrix(t, z).s for z in zs), t, zs)
+    recovered = [t_from_s(s_matrix(t, z).s, z) for z in zs]
+    z = np.array([complex(p) for p in zs], dtype=complex)
+    (recovery, _), (spread, _) = _worsts(z, _round_trip(recovered, t, np.arange(len(z))))
+    return recovery, spread
 
 
-def _round_trip(s, t, zs) -> tuple[float, float]:
-    """The recovery and spread of t_from_s over the points zs, s holding S
-    at each; t_from_s stays one point at a time."""
-    recovered = np.array([t_from_s(x, z) for x, z in zip(s, zs)]).reshape(-1, 2, 2)
-    recovery = _worst(zs, _operator_norms(_finite(recovered - t, zs, "Mobius round trip")))[0]
-    spread = _operator_norms(_finite(recovered[1:] - recovered[:1], zs[1:], "z-independence"))
-    return recovery, max(spread.tolist(), default=0.0)
+def _round_trip(recovered, t, i) -> list:
+    """The two Mobius round trip checks at the positions i, recovered
+    holding t_from_s at each: recovered - t, and recovered - recovered[0],
+    zero at the first point."""
+    recovered = np.array(recovered).reshape(-1, 2, 2)
+    return [("Mobius round trip", i, recovered - t),
+            ("z-independence", i, recovered - recovered[:1])]
 
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S
     evaluation, over the points where both are regular."""
     s_of, i = _s_table(t_from_betas(e), (zs, _spectral_point))
-    return next(_worsts(s_of, [_route_gap(e, s_of, i)]))[0]
+    return _worsts(s_of.z, [_route_gap(e, s_of, i)])[0][0]
 
 
 def _route_gap(e, s_of, i):
@@ -140,13 +144,6 @@ def _route_gap(e, s_of, i):
     i = _kept(i, [zr, s_of])
     with np.errstate(all="ignore"):
         return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]]
-
-
-def quadratic_eigenvalue_residual(e: ExtensionParams) -> float:
-    """Worst gap between the oracle matrices' eigenvalues and the roots of
-    lambda^2 - 2 lambda b0 cosh(chi) + b0^2 - b1^2 = 0 (and its mirrored
-    version for the upper bound matrix)."""
-    return _quadratic_gap(e, classify_nonnegative(e))
 
 
 def _quadratic_gap(e, cls) -> float:
@@ -184,39 +181,33 @@ def _check_entry(check, expected_pass: bool) -> dict:
                   witness_z=_pair(check.witness_z))
 
 
-def _suite_plan(interior=None, boundary=None) -> tuple:
-    """The part of a draw that does not depend on T: _report_plan of the
-    samples with the Mobius witnesses as the extra list."""
-    return _report_plan(*_grids(interior, boundary), 1.0 - 1.0j,
+@cache
+def _default_plan() -> tuple:
+    """_report_plan of the default samples and the Mobius witnesses, the
+    part of a draw that does not depend on T, built on first use."""
+    return _report_plan(lower_half_plane_grid(), real_axis_points(), 1.0 - 1.0j,
                         (WITNESS_POINTS, _interior_point))
 
 
-@cache
-def _default_plan() -> tuple:
-    """_suite_plan of the default samples, built on first use."""
-    return _suite_plan()
-
-
-def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL,
-                        interior=None, boundary=None) -> dict:
+def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
     """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
     the draw needs, Mobius witnesses included, comes from one table filled by
     one batched evaluation over the distinct points, and every norm of a
-    residual over the grid from one call."""
+    residual from one call."""
     _check_tol(tol)
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    plan, positions, mobius = (_default_plan() if interior is None and boundary is None
-                               else _suite_plan(interior, boundary))
+    plan, positions, mobius = _default_plan()
     s_of = _Table(plan, t)
     grid = positions[0]      # (a) reads the interior grid
-    report_checks = _checks(s_of, e.metric, positions)
+    checks = _checks(s_of, e.metric, positions)
     gap = _route_gap(e, s_of, grid)
-    report, rest = _report(s_of, report_checks + [gap, _plain_norms(s_of, grid)], tol)
+    norms = _plain_norms(s_of, grid)
     mobius = _kept(mobius, [s_of])
-    recovery, spread = _round_trip(s_of.s[s_of.row[mobius]], t, s_of.z[mobius])
-    (feq, _), (max_norm, _) = rest
+    recovered = [t_from_s(x, z) for x, z in zip(s_of.s[s_of.row[mobius]], s_of.z[mobius])]
+    report, ((recovery, _), (spread, _), (feq, _), (max_norm, _)) = _report(
+        s_of, checks + _round_trip(recovered, t, mobius) + [gap, norms], tol)
     worst_cond = max([1.0] + s_of.cond[s_of.row[gap[1]]].tolist())
     feq_tol = max(FORMULA_EQUIVALENCE_TOL,
                   FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)

@@ -875,21 +875,20 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
         monkeypatch.setattr(module, name, count)
 
     for module, name in ((scattering, "_validated"), (scattering, "_operator_norms"),
-                         (scattering, "_hermitian_lows"), (verify, "_operator_norms")):
+                         (scattering, "_hermitian_lows")):
         counting(module, name)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
     verify._default_plan.cache_clear()
     # the point lists are WITNESS_POINTS, the interior grid, the real axis and
-    # the witness 1-1j; the default samples' plan is built by the first
-    # default draw only, and a draw given its samples builds its own plan;
-    # the two verify norms are the Mobius round trip's
-    for validated, grids in ((4, {}), (0, {}),
-                             (4, {"interior": GRID, "boundary": REAL_AXIS})):
+    # the witness 1-1j; the default samples' plan is built by the first draw
+    # only, and the Mobius round trip is normed with the other residuals
+    assert not hasattr(verify, "_operator_norms")
+    for validated in (4, 0):
         calls.update(dict.fromkeys(calls, 0))
-        assert run_parameter_suite(e, **grids)["consistent"]
+        assert run_parameter_suite(e)["consistent"]
         assert calls == {"scattering._validated": validated, "scattering._operator_norms": 1,
-                         "scattering._hermitian_lows": 1, "verify._operator_norms": 2}
+                         "scattering._hermitian_lows": 1}
     calls.update(dict.fromkeys(calls, 0))
     property_report(t_from_betas(e), e.metric)
     assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,
-                     "scattering._hermitian_lows": 1, "verify._operator_norms": 0}
+                     "scattering._hermitian_lows": 1}

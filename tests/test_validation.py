@@ -125,8 +125,6 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "min_beta1 must lie in [0, 0.25)"),
     (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=-1),
      "min_chi must lie in [0, 2)"),
-    (lambda: pts.run_parameter_suite(pts.extension_params(0.2, 0.1), interior=5),
-     "interior must be an iterable of points, got int"),
     (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), boundary=5),
      "boundary must be an iterable of points, got int"),
     (lambda: pts.check_condition_a(np.eye(2) / 4, pts.KreinMetricParams(0, 0), 5),
@@ -158,6 +156,47 @@ SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
 ], ids=["pt_defect", "is_pt_symmetric", "solve_xi", "symmetry_report", "krein_defect",
         "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric"])
 def test_overflowing_symmetry_defect_is_named(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# finite matrices whose involution or unitarity residual m m - I, m m* - I
+# overflows: the error names the residual
+SQUARE_OVERFLOWS = [[1e200, 0], [0, 1e200]]
+ADJOINT_OVERFLOWS = [[0, 1e200], [1e-200, 0]]     # m m = I
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.symmetry_report(SQUARE_OVERFLOWS), "the involution defect overflows"),
+    (lambda: pts.c_params_from_matrix(SQUARE_OVERFLOWS), "the involution defect overflows"),
+    (lambda: pts.is_unitary_involution([[1e200, 0], [0, 1]]), "the involution defect overflows"),
+    (lambda: pts.is_unitary_involution(ADJOINT_OVERFLOWS), "the unitarity defect overflows"),
+    (lambda: pts.exp_involution(1.0, [[1e200, 0], [0, 1]]), "the involution defect overflows"),
+], ids=["symmetry_report", "c_params_from_matrix", "is_unitary_involution-square",
+        "is_unitary_involution-adjoint", "exp_involution"])
+def test_overflowing_involution_residual_is_named(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# finite parameters whose oracle matrix overflows near the largest chi that
+# KreinMetricParams accepts: the error names the matrix and chi
+CLASSIFY_REPRO = pts.extension_params(1.3165760051555746, -0.020132417011519577,
+                                      chi=709.8642557525455, xi=5.305185825219249)
+LOWER = "the oracle matrix beta0 G + beta1 P_xi overflows at chi=709.8642557525455"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.classify_nonnegative(CLASSIFY_REPRO), LOWER),
+    (lambda: pts.run_parameter_suite(CLASSIFY_REPRO), LOWER),
+    (lambda: pts.classify_nonnegative(pts.extension_params(-0.9, -0.02, chi=710.4)),
+     "the oracle matrix (1/2 - beta0) G - beta1 P_xi overflows at chi=710.4"),
+], ids=["lower", "run_parameter_suite", "upper"])
+def test_overflowing_oracle_matrix_is_named(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):

@@ -10,9 +10,9 @@ from ptscatter import (check_metric_inequality, classify_nonnegative,
                        formula_equivalence_residual, hermitian_eigenvalues,
                        is_pt_symmetric, lower_half_plane_grid, metric,
                        mobius_round_trip_residuals, operator_norm, p_xi,
-                       property_report, quadratic_eigenvalue_residual,
-                       real_axis_points, run_parameter_suite, run_random_suite,
-                       s_matrix, s_matrix_zero_range, t_from_betas)
+                       property_report, real_axis_points, run_parameter_suite,
+                       run_random_suite, s_matrix, s_matrix_zero_range,
+                       t_from_betas)
 from ptscatter.errors import ArgumentError, SingularMatrixError
 from ptscatter.verify import (CONTRACTION_SLACK, CONTRACTION_WITNESS_MARGIN,
                               FORMULA_EQUIVALENCE_COND_SCALE,
@@ -41,7 +41,7 @@ def test_residual_helpers_are_small_for_betas_family():
         e = draw_extension_params(rng, admissible=bool(rng.random() < 0.5))
         recovery, spread = mobius_round_trip_residuals(t_from_betas(e))
         assert recovery <= 1e-10 and spread <= 1e-10
-        assert quadratic_eigenvalue_residual(e) <= 1e-10
+        assert run_parameter_suite(e)["checks"]["quadratic_eigenvalues"]["residual"] <= 1e-10
     # the two S routes agree to 1e-12 where the denominator is well
     # conditioned; admissible parameters keep it so on the whole grid
     for _ in range(30):
@@ -125,15 +125,14 @@ def _ref_quadratic(e):
     return worst
 
 
-def reference_parameter_suite(e, tol=1e-10, interior=None, boundary=None):
+def reference_parameter_suite(e, tol=1e-10):
     """The suite as an explicit pass over the grid, calling s_matrix again at
     every interior point after property_report."""
-    interior = list(interior) if interior is not None else lower_half_plane_grid()
-    boundary = list(boundary) if boundary is not None else real_axis_points()
+    interior = lower_half_plane_grid()
     t = t_from_betas(e)
     cls = classify_nonnegative(e, tol)
     metric_ok = check_metric_inequality(t, e.metric, tol)
-    report = property_report(t, e.metric, interior, boundary, tol=tol)
+    report = property_report(t, e.metric, interior, real_axis_points(), tol=tol)
     recovery, spread = mobius_round_trip_residuals(t)
     feq = 0.0
     worst_cond = 1.0
@@ -188,32 +187,23 @@ def _suite_outcome(fn, *args):
 
 def test_parameter_suite_matches_grid_loop_reference():
     rng = np.random.default_rng(52)
-    # not reflection symmetric: no point's reflection is on this grid
-    skew = [complex(x, y) for x, y in zip(rng.uniform(-3, 3, 15),
-                                          rng.uniform(-3, -0.1, 15))]
-    bnd = [1.5, -0.25, 0.0]
     draws = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(80)]
     # out-of-region draw whose denominator nearly vanishes at a grid point
     draws.append(extension_params(-0.24876168095150114, -0.0012823971079812813,
                                   chi=-1.4354489678740707, xi=2.929887110558113))
     for e in draws:
-        for args in ((1e-10,), (1e-10, skew, bnd)):
-            assert (_suite_outcome(run_parameter_suite, e, *args)
-                    == _suite_outcome(reference_parameter_suite, e, *args))
+        assert (_suite_outcome(run_parameter_suite, e, 1e-10)
+                == _suite_outcome(reference_parameter_suite, e, 1e-10))
 
 
-def test_default_samples_give_what_the_same_samples_given_explicitly_give():
+def test_default_samples_list_singular_points_exactly_for_poles():
     rng = np.random.default_rng(1202)
     draws = [draw_extension_params(rng, admissible=(i % 2 == 0)) for i in range(12)]
     # poles of S at z = 0 and z = -3i, both sample points
     poles = [extension_params(0.25, 0.25), extension_params(-0.26, 0.01),
              extension_params(-0.25, 0.0)]
     for e in draws + poles:
-        default = run_parameter_suite(e)
-        explicit = run_parameter_suite(e, interior=lower_half_plane_grid(),
-                                       boundary=real_axis_points())
-        assert repr(default) == repr(explicit)
-        assert bool(default["singular_z"]) == (e in poles)
+        assert bool(run_parameter_suite(e)["singular_z"]) == (e in poles)
 
 
 def test_the_default_samples_plan_is_read_only():

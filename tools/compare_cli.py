@@ -44,8 +44,11 @@ COMMANDS = [
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=0.0", "--steps", "2"],
     ["sweep", *PARAMS, "--chi", "-1.2", "--xi", "2.5", "--steps", "64"],
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
+    ["classify", "--beta0", "1.3165760051555746", "--beta1", "-0.020132417011519577",
+     "--chi", "709.8642557525455", "--xi", "5.305185825219249"],     # exit 2
     ["decompose", "[[1,0],[0,-1]]"],
     ["decompose", "[[1e308+1e308j,0],[0,-1e308-1e308j]]"],
+    ["decompose", "[[1e200,0],[0,1e200]]"],                           # exit 2
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
 ]
 

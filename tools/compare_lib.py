@@ -5,13 +5,15 @@
 OLD_SRC and NEW_SRC are directories holding a ``ptscatter`` package (for
 example ``src`` of two checkouts).  Each tree runs in its own interpreter
 over the same N seeded input sets (default 3000).  A set holds a T (valid,
-large chi up to 700, singular, overflowing or malformed), metric and
+large chi up to 709.86, singular, overflowing or malformed), metric and
 extension parameters, and point lists mixing interior and real-axis points,
 the upper half-plane, NaN, inf, strings, None, signed zeros and poles of S.
 Per set the tool calls the five checks, ``standard_contraction_norm``,
 ``property_report`` (given and default grids),
 ``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
-``run_parameter_suite``, ``pt_defect``, ``krein_defect``,
+``run_parameter_suite``, ``classify_nonnegative``,
+``check_metric_inequality``, ``betas_from_t``, ``c_params_from_matrix`` (of
+T and of a C-operator), ``pt_defect``, ``krein_defect``,
 ``c_symmetry_defect`` and ``symmetry_report``, and records the result's
 repr, or the exception's type, message and ``z``, together with the numpy
 warnings the call emits.
@@ -38,7 +40,7 @@ SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), compl
                 complex(-0.0, -1.0), 0.0, -0.0]
 ODD_POINTS = [complex(NAN, -1.0), complex(1.0, NAN), complex(INF, -1.0), complex(0.0, -INF),
               "1-1j", "-2j", "x", None, 2.0, 1, -1j]
-CHIS = [6.0, 50.0, 300.0, 700.0, -700.0]
+CHIS = [6.0, 50.0, 300.0, 700.0, -700.0, 709.8642557525455]
 
 
 def _chi(rng) -> float:
@@ -131,10 +133,12 @@ def _calls(pts, k: int, seed: int):
     yield "property_report_default", lambda: pts.property_report(t, p, tol=tol)
     yield "formula_equivalence_residual", lambda: pts.formula_equivalence_residual(e, zs)
     yield "mobius_round_trip_residuals", lambda: pts.mobius_round_trip_residuals(t, zs)
-    if k % 2:
-        yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol, interior, boundary)
-    else:
-        yield "run_parameter_suite_default", lambda: pts.run_parameter_suite(e, tol)
+    yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol)
+    yield "classify_nonnegative", lambda: pts.classify_nonnegative(e, tol)
+    yield "check_metric_inequality", lambda: pts.check_metric_inequality(t, p, tol)
+    yield "betas_from_t", lambda: pts.betas_from_t(t, tol)
+    yield "c_params_from_matrix", lambda: pts.c_params_from_matrix(t, tol)
+    yield "c_params_from_c_operator", lambda: pts.c_params_from_matrix(pts.c_operator(p), tol)
     yield "pt_defect", lambda: pts.pt_defect(t)
     yield "krein_defect", lambda: pts.krein_defect(t, p.xi)
     yield "c_symmetry_defect", lambda: pts.c_symmetry_defect(t, p)
