@@ -12,7 +12,8 @@ The package realizes, in closed form on C^2:
     extension parameters and the nonnegative-spectrum region with its
     eigenvalue oracle (:mod:`ptscatter.extensions`);
   * the Lax-Phillips scattering matrix S(z), its Mobius inverse, and the
-    characteristic-property checks (:mod:`ptscatter.scattering`);
+    characteristic-property checks (:mod:`ptscatter.scattering`) on sample
+    points of the lower half-plane (:mod:`ptscatter.grids`);
   * randomized verification suites (:mod:`ptscatter.verify`) and a command
     line front end (:mod:`ptscatter.cli`).
 """
@@ -28,12 +29,12 @@ from .extensions import (BoundaryData, ExtensionParams, SpectraClassification,
                          gamma1, in_domain, t_from_betas)
 from .matrix2 import (condition_number, hermitian_eigenvalues, inverse,
                       is_hermitian, operator_norm)
+from .grids import lower_half_plane_grid, real_axis_points
 from .scattering import (DEFAULT_CONDITION_LIMIT, PropertyCheck,
                          PropertyReport, ScatteringEvaluation,
                          check_condition_a, check_condition_b,
                          check_condition_c, check_condition_d,
-                         check_pt_criterion, lower_half_plane_grid,
-                         property_report, real_axis_points, s_matrix,
+                         check_pt_criterion, property_report, s_matrix,
                          s_matrix_zero_range, standard_contraction_norm,
                          t_from_s)
 from .symmetry import (SymmetryReport, c_params_from_matrix,

@@ -32,24 +32,31 @@ coordinate once (a grid repeats each of them steps times, and +0.0 and
 s_matrix_zero_range, which is faster there.  Either way the output equals
 a per-point loop over s_matrix_zero_range, operator_norm and the lowest
 eigenvalue of G - S* G S bit for bit.
+
+JSON output equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for
+byte; it is written by writers dispatched on the type of each value (the
+standard library's pure-Python encoder, which ``indent`` selects, is about
+twice as slow).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
+import math
 import sys
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
+from .grids import lower_half_plane_grid
 from .matrix2 import _operator_norms, as_matrix
 from .scattering import (_metric_defects, _s_batch, _zero_range_terms,
-                         lower_half_plane_grid, s_matrix_zero_range)
+                         s_matrix_zero_range)
 from .symmetry import symmetry_report
 from .verify import (_classification, _pair, run_parameter_suite,
                      run_random_suite)
@@ -77,7 +84,69 @@ def _emit(text: str, path):
 
 
 def _emit_json(obj, path):
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+    _emit(_json_text(obj) + "\n", path)
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) without the pure-Python
+    encoder that indent selects."""
+    return _JSON.get(type(obj), _json_other)(obj, "\n")
+
+
+# Each writer returns the text of o, whose lines after the first start with
+# pad, a newline and the indentation.
+
+def _json_float(x, pad) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_list(o, pad) -> str:
+    if not o:
+        return "[]"
+    inner = pad + "  "
+    items = [_JSON.get(type(x), _json_other)(x, inner) for x in o]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _json_dict(o, pad) -> str:
+    if not o:
+        return "{}"
+    inner = pad + "  "
+    items = [encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
+             + _JSON.get(type(v), _json_other)(v, inner) for k, v in sorted(o.items())]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k, None)
+    if k is True or k is False or k is None:
+        return _JSON[type(k)](k, None)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json_other(o, pad) -> str:
+    """The writer of a subclass, by json's isinstance order."""
+    for kind in (str, int, float, list, tuple, dict):
+        if isinstance(o, kind):
+            return _JSON[kind](o, pad)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+_JSON = {str: lambda o, pad: encode_basestring_ascii(o), int: lambda o, pad: int.__repr__(o),
+         float: _json_float, bool: lambda o, pad: "true" if o else "false",
+         type(None): lambda o, pad: "null", list: _json_list, tuple: _json_list,
+         dict: _json_dict}
 
 
 def _parse_matrix(text: str) -> np.ndarray:

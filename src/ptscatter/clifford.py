@@ -20,6 +20,7 @@ through a general-purpose expm.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -120,10 +121,20 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     s3 = 1j * (m01 - m10) / two
     x = _finite_real("xi", xi)
     if x == 0.0:
-        return PauliCoefficients(a0, s1, s2, s3)
+        return _coefficients(a0, s1, s2, s3)
     c, s = math.cos(x), math.sin(x)
     c, s, ms = complex(c, 0.0), complex(s, 0.0), complex(-s, 0.0)
-    return PauliCoefficients(a0, c * s1 + s * s3, s2, ms * s1 + c * s3)
+    return _coefficients(a0, c * s1 + s * s3, s2, ms * s1 + c * s3)
+
+
+def _coefficients(*values) -> PauliCoefficients:
+    """PauliCoefficients of values formed from finite matrix entries; a
+    value that overflowed raises :class:`ArgumentError` naming its
+    coefficient rather than the NaN or inf it became."""
+    for name, v in zip(("a0", "a1", "a2", "a3"), values):
+        if not cmath.isfinite(v):
+            raise ArgumentError(f"the Pauli coefficient {name} overflows from the given entries")
+    return PauliCoefficients(*values)
 
 
 def c_operator(params: KreinMetricParams) -> np.ndarray:

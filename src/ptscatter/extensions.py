@@ -31,8 +31,8 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
 from .errors import (ArgumentError, AssumptionError, _check_tol,
                      _finite_complex, _finite_real)
-from .matrix2 import (_det, as_matrix, hermitian_eigenvalues, is_hermitian,
-                      operator_norm)
+from .matrix2 import (_det, _operator_norm, as_matrix, hermitian_eigenvalues,
+                      is_hermitian)
 from .symmetry import c_params_from_matrix
 
 
@@ -127,7 +127,7 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
         raise AssumptionError("beta0^2 - det(t) < 0: t is not beta0 I + beta1 C")
     beta1 = math.sqrt(max(b1_sq, 0.0))
     if beta1 <= tol:
-        residual = operator_norm(a - beta0 * SIGMA0)
+        residual = _operator_norm(a - beta0 * SIGMA0)
         if residual > tol:
             raise AssumptionError(
                 f"t deviates from beta0 I by {residual:.3e} although beta1 = 0")
@@ -138,7 +138,7 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
     except AssumptionError as exc:
         raise AssumptionError(f"t is not beta0 I + beta1 C: {exc}") from exc
     result = ExtensionParams(beta0, beta1, params)
-    residual = operator_norm(t_from_betas(result) - a)
+    residual = _operator_norm(t_from_betas(result) - a)
     if residual > tol:
         raise AssumptionError(f"reconstruction residual {residual:.3e} exceeds tol")
     return result
@@ -170,11 +170,14 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
     :class:`ArgumentError` naming it and chi.
     """
     _check_tol(tol)
+    return _classify(e, tol, metric(e.metric), p_xi(e.metric.xi))
+
+
+def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
+    """classify_nonnegative(e, tol) given the metric g and P_xi j of e."""
     b0, b1 = e.beta0, e.beta1
     closed = (b0 >= -tol and b0 <= 0.5 + tol
               and abs(b1) <= min(0.5 - b0, b0) + tol)
-    g = metric(e.metric)
-    j = p_xi(e.metric.xi)
     lower = _oracle_eigenvalues("beta0 G + beta1 P_xi", b0 * g + b1 * j, e.metric.chi)
     upper = _oracle_eigenvalues("(1/2 - beta0) G - beta1 P_xi", (0.5 - b0) * g - b1 * j,
                                 e.metric.chi)
@@ -204,12 +207,17 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
     """
     _check_tol(tol)
     a = as_matrix(t)
-    g = metric(p)
+    return _metric_inequality(a, metric(p), p.chi, tol)
+
+
+def _metric_inequality(a, g, chi, tol) -> bool:
+    """check_metric_inequality of the validated matrix a, given the metric g
+    of the parameter chi."""
     with np.errstate(all="ignore"):
         gt, gu = g @ a, g @ (0.5 * SIGMA0 - a)
     for name, m in (("G T", gt), ("G (I/2 - T)", gu)):
         if not np.isfinite(m).all():
-            raise ArgumentError(f"the metric product {name} overflows at chi={p.chi!r}")
+            raise ArgumentError(f"the metric product {name} overflows at chi={chi!r}")
     if not is_hermitian(gt, tol):
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")

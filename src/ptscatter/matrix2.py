@@ -75,9 +75,21 @@ def det(m) -> complex:
 def operator_norm(m) -> float:
     """Largest singular value, from the eigenvalues of m* m."""
     a = as_matrix(m)
+    return _norm(a, det(a))
+
+
+def _operator_norm(m) -> float:
+    """operator_norm(m), validating m once; operator_norm itself keeps its
+    call of the public det, which validates again, so its traced call tree
+    stays as the benchmark records it."""
+    a = as_matrix(m)
+    return _norm(a, _det(a))
+
+
+def _norm(a, d) -> float:
+    """operator_norm of the validated matrix a with determinant d."""
     x0, x1, x2, x3 = np.abs(a).ravel().tolist()
     t = ((x0 * x0 + x1 * x1) + x2 * x2) + x3 * x3  # tr(m* m)
-    d = det(a)
     absd = _hypot(d.real, d.imag)                    # det(m* m) = absd * absd
     disc = max(t * t / 4.0 - absd * absd, 0.0)
     return math.sqrt(t / 2.0 + math.sqrt(disc))
@@ -88,7 +100,7 @@ def _defect(name, difference) -> float:
     difference that overflowed raises :class:`ArgumentError` naming the
     defect rather than the finite matrix it came from."""
     try:
-        return operator_norm(difference)
+        return _operator_norm(difference)
     except ArgumentError:
         raise ArgumentError(f"the {name} defect overflows") from None
 
@@ -203,7 +215,7 @@ def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
 def is_hermitian(m, tol: float) -> bool:
     _check_tol(tol)
     a = as_matrix(m)
-    return operator_norm(a - a.conj().T) <= tol
+    return _operator_norm(a - a.conj().T) <= tol
 
 
 def _hypot(x: float, y: float) -> float:

@@ -11,9 +11,8 @@ order is immaterial.  A single interior sample of S recovers T:
 
     T = (I - S(z)) (2(1+iz) I - 2(1-iz) S(z))^{-1},
 
-which is the factored form of the Mobius inverse
-(1/(2(iz-1))) (I - S)(S - theta(z) I)^{-1}, theta(z) = (1+iz)/(1-iz); the
-factored form stays finite at z = -i where theta has a pole.
+the factored form of the Mobius inverse (1/(2(iz-1))) (I - S)(S - theta I)^{-1},
+theta(z) = (1+iz)/(1-iz), which stays finite at z = -i where theta has a pole.
 
 The check_condition_* functions verify the characteristic properties that
 single out scattering matrices of nonnegative metric-self-adjoint extensions
@@ -29,59 +28,45 @@ plus the antilinear criterion sigma_3 conj(S(z)) sigma_3 = S(-conj z), which
 holds exactly when T is PT-symmetric.
 
 Each condition is one residual expression in S (larger is worse), written
-once as a stack expression over the (N, 2, 2) array of S at the sampled
-points; a residual equals its one-point form bit for bit.  A check is a
-triple (name, positions in a flat point array, residual matrices there).
-One eager verdict pass, ``_worsts``, norms the residuals of a list of
-checks in one ``_operator_norms`` call ((a) takes one ``_hermitian_lows``
-call) and returns the list of their worst residuals and witnesses by
-``_worst``: the largest residual wins, the first point attaining it is the
-witness, and NaN and -inf residuals are skipped (a check with no other
-residual raises :class:`ArgumentError`).
+once over the (N, 2, 2) stack of S at the sampled points; a residual equals
+its one-point form bit for bit.  A check is a triple (name, positions in a
+flat point array, residual matrices there).  One verdict pass, ``_worsts``,
+norms the residuals of a list of checks in one ``_operator_norms`` call and
+reduces them in one segmented pass ((a) takes one ``_hermitian_lows`` call):
+the largest residual wins, the first point attaining it is the witness, and
+NaN and -inf residuals are skipped.
 
-Every evaluation of S at many points goes through one private kernel,
-``_s_batch``: it takes the numerator and denominator stacks of N points
-(built by ``_terms`` from T or by ``_zero_range_terms`` from the parameters)
-and returns S (N, 2, 2), the denominators' condition numbers and a singular
-mask, with singular rows set to NaN instead of raising.  Its determinant,
-condition estimate and adjugate are the stack forms of the ones in matrix2,
-so each row equals the one-point s_matrix / s_matrix_zero_range bit for bit.
-The factors 2(1 +- iz) and the zero-range coefficients are array
-expressions in which every complex product has a factor with a zero real
-or imaginary part (1j, 2.0, a real beta), so they keep the bits of the
-one-point routes' Python arithmetic wherever Python, like numpy, turns a
-float operand into a complex one (before 3.14).  The one-point functions
-stay scalar: for a single point the batched path is about 3-5 times slower
-(67 against 14 us for s_matrix, medians of four timeit runs on a 2-core
-host).  Their matrix arithmetic stays numpy, whose complex array-by-scalar
-products and quotients round differently from Python's.
+Every evaluation of S at many points goes through one kernel, ``_s_batch``,
+on the numerator and denominator stacks that ``_terms`` builds from T and
+``_zero_range_terms`` from the parameters.  It returns S, the denominators'
+condition numbers and a singular mask, with singular rows set to NaN.  It
+works row by row with the stack forms of matrix2, so each row equals the
+one-point s_matrix / s_matrix_zero_range bit for bit, and one call fills
+the tables of both routes.  The factors 2(1 +- iz) and the zero-range
+coefficients are array expressions in which every complex product has a
+factor with a zero real or imaginary part, so they keep the bits of the
+one-point routes' Python arithmetic (before Python 3.14).  The one-point
+functions stay scalar, which is several times faster for a single point.
 
-A table is split in two: a plan (``_Plan``), which does not depend on T,
-lays the validated point lists end to end, keys each point with its
-reflection -conj z and indexes the distinct points, each list's positions
-and each point's rows at z and at -conj z; a ``_Table`` fills S from one
-kernel call over a plan's distinct points and stands in for its plan, so
-both S routes fill tables over one plan.  ``_s_table`` validates T first
-and then each list by its own validator, so a malformed T raises before
-any point and a malformed point before any check runs.
+A plan (``_Plan``), which does not depend on T, lays the validated point
+lists end to end, keys each point with its reflection -conj z and indexes
+the distinct points, each list's positions and each point's rows at z and
+at -conj z.  A ``_Table`` holds S at a plan's distinct points and stands in
+for its plan.  T is validated first, then each list by its own validator.
 
 A pole of S is a property of the parameter, not bad input: a check skips
-every point at which the kernel marks S singular, at z or, for a check that
-reads it, at -conj z.  Only a check left with no point raises, with the
-:class:`SingularMatrixError` of its first point, so a one-point check at a
-pole raises what s_matrix raises there.  The products the conditions share
-(G S, S* G, G - S* G S, P_xi S and S* P_xi) are formed once over the table
-rows and associate as each condition writes them, so every gathered row
-keeps its bits; the PT image sigma_3 conj(S) sigma_3 is conj(S) with its
-off-diagonal entries negated, which differs from the two products only in
-the sign of zero entries.  Every check picks its points before any
-verdict is drawn, so a check left with none raises first; the verdicts then
-come in list order, each first raising for its check's first non-finite
-residual matrix, an :class:`ArgumentError` that names the check and the
-point.  Numpy's floating-point warnings are off while residuals are formed
-and normed: an overflow there ends in that error or in a NaN residual.
+every point at which S is singular, at z or, for a check that reads it, at
+-conj z; a check left with no point raises the :class:`SingularMatrixError`
+of its first point.  The products the conditions share (G S, S* G,
+G - S* G S, P_xi S and S* P_xi) are formed once over the table rows and
+associate as each condition writes them, so every gathered row keeps its
+bits.  The batching does not change the error order: every check picks its
+points before any verdict is drawn, and the verdicts come in list order,
+each first raising for its check's first non-finite residual matrix (an
+:class:`ArgumentError` naming the check and the point), then for a check
+with no residual or none left after the skips.  Numpy's floating-point
+warnings are off while residuals are formed and normed.
 """
-
 from __future__ import annotations
 
 import math
@@ -93,9 +78,9 @@ import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, KreinMetricParams, metric,
                        p_xi)
-from .errors import (ArgumentError, _check_tol, _finite_complex, _finite_real,
-                     _integer)
+from .errors import ArgumentError, _check_tol, _finite_complex
 from .extensions import ExtensionParams
+from .grids import lower_half_plane_grid, real_axis_points
 from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
                       _operator_norms, _singular_error, as_matrix,
                       hermitian_eigenvalues)
@@ -282,27 +267,35 @@ class _Plan:
 
 
 class _Table:
-    """S at the distinct points of a plan, from one kernel call:
-    s_matrix(source, z) when source is a validated matrix,
-    s_matrix_zero_range(source, z) when it is an ExtensionParams.  It keeps
-    the plan's z, points, row and mirror, so it stands in for the plan.
-    ``s``, ``cond`` and ``singular`` hold one row per distinct point;
-    ``regular`` is True when no row is singular."""
+    """Block k of the rows of one kernel call ``batch`` over the distinct
+    points of a plan: ``s``, ``cond`` and ``singular`` hold one row per
+    distinct point, ``regular`` is True when no row is singular.  It keeps
+    the plan's z, points, row and mirror, so it stands in for the plan."""
 
-    def __init__(self, plan, source):
+    def __init__(self, plan, batch, k):
         self.z, self.points, self.row, self.mirror = plan.z, plan.points, plan.row, plan.mirror
-        terms = _zero_range_terms if isinstance(source, ExtensionParams) else _terms
-        self.s, self.cond, self.singular = _s_batch(*terms(source, plan.points))
+        n = len(self.points)
+        self.s, self.cond, self.singular = (x[k * n:k * n + n] for x in batch)
         self.regular = not self.singular.any()
 
 
-def _s_table(t, *lists):
+def _tables(plan, a, *e):
+    """The table of s_matrix(a, z) over the plan and, given e, the table of
+    s_matrix_zero_range(e, z) over it, from one kernel call over the
+    stacked terms of both routes."""
+    terms = [_terms(a, plan.points), *(_zero_range_terms(x, plan.points) for x in e)]
+    batch = _s_batch(*map(np.concatenate, zip(*terms)))
+    return [_Table(plan, batch, k) for k in range(len(terms))]
+
+
+def _s_table(t, *lists, routes=()):
     """The table of s_matrix(t, z) over the point lists, each a pair
-    (points, validator), followed by each list's positions in the table.
-    T is validated first, then each list in order."""
+    (points, validator), then the table of s_matrix_zero_range(e, z) for
+    each e of routes, then each list's positions in the tables.  T is
+    validated first, then each list in order."""
     a = as_matrix(t)
     plan = _Plan(*lists)
-    return (_Table(plan, a), *plan.lists)
+    return (*_tables(plan, a, *routes), *plan.lists)
 
 
 def _validated(zs, check) -> np.ndarray:
@@ -369,16 +362,27 @@ def _check(residual, witness, tol) -> PropertyCheck:
 
 def _worsts(z, checks) -> list:
     """_worst of each check (name, i, m) in order, m holding its residual
-    matrices at the points z[i], normed in one call; each check first
-    raises for its first non-finite matrix."""
+    matrices at the points z[i], from one norm call and one segmented pass;
+    a check that is empty, has a non-finite matrix or skips every residual
+    sends the list through the per-check loop, which raises its fault."""
+    names, idx, ms = zip(*checks)
+    m = np.concatenate(ms)
     with np.errstate(all="ignore"):
-        res = _operator_norms(np.concatenate([m for _, _, m in checks]))
-    worsts, start = [], 0
-    for name, i, m in checks:
-        zi = z[i]
-        _finite(m, zi, name)
-        worsts.append(_worst(zi, res[start:start + len(m)]))
-        start += len(m)
+        res = _operator_norms(m)
+    sizes = list(map(len, ms))
+    ends = list(accumulate(sizes))
+    if all(sizes) and np.isfinite(m).all():
+        kept = np.where(res > -math.inf, res, -math.inf)
+        starts = [0] + ends[:-1]
+        top = np.maximum.reduceat(kept, starts)
+        if top.min() > -math.inf:
+            hits = np.flatnonzero(kept == np.repeat(top, sizes))
+            first = hits[np.searchsorted(hits, starts)]
+            return list(zip(res[first].tolist(), z[np.concatenate(idx)][first].tolist()))
+    worsts = []
+    for name, i, m, end in zip(names, idx, ms, ends):
+        _finite(m, z[i], name)
+        worsts.append(_worst(z[i], res[end - len(m):end]))
     return worsts
 
 
@@ -416,10 +420,8 @@ def _products(s, j):
 
 
 # One function per condition: its name, the points i of a table s_of it
-# keeps and its residual expression there (larger is worse), from products
-# formed once over the table's rows; the public checks give each call a
-# one-list table, property_report and the verify suite share one table per
-# parameter.
+# keeps and its residual expression there, from products formed once over
+# the table's rows.
 
 def _cond_a(s_of, i, gap):
     """The metric gaps G - S* G S, gap holding them over the table rows."""
@@ -453,6 +455,15 @@ def _plain_norms(s_of, i):
     """S itself, whose norm is the plain C^2 norm."""
     i = _kept(i, [s_of])
     return "plain norm", i, s_of.s[s_of.row[i]]
+
+
+def _route_gap(s_of, zr, i):
+    """The points i of the generic table s_of where it and the parametrized
+    table zr over the same plan are regular, and the residuals
+    S_zero_range - S there."""
+    i = _kept(i, [zr, s_of])
+    with np.errstate(all="ignore"):
+        return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]]
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -508,60 +519,6 @@ def standard_contraction_norm(t, zs) -> float:
     return _worsts(s_of.z, [_plain_norms(s_of, i)])[0][0]
 
 
-def lower_half_plane_grid(re_min: float = -3.0, re_max: float = 3.0,
-                          im_min: float = -3.0, im_max: float = -0.1,
-                          steps: int = 7) -> list[complex]:
-    """steps x steps points, row-major: imaginary part outer (ascending),
-    real part inner (ascending), each finite and in the closed lower
-    half-plane; reversed or non-finite bounds, an overflowing span and a
-    steps that is not an integer >= 1 raise :class:`ArgumentError`.  The
-    defaults give the standard 49-point grid of the verification suites."""
-    steps = _steps(steps)
-    re_min, re_max = _finite_real("re_min", re_min), _finite_real("re_max", re_max)
-    im_min, im_max = _finite_real("im_min", im_min), _finite_real("im_max", im_max)
-    if im_max > 0:
-        raise ArgumentError("grid must stay in the closed lower half-plane")
-    if re_min > re_max or im_min > im_max:
-        raise ArgumentError("grid bounds must satisfy re_min <= re_max and im_min <= im_max")
-    res = _axis("re_min", re_min, "re_max", re_max, steps)
-    ims = _axis("im_min", im_min, "im_max", im_max, steps)
-    z = np.empty((steps, steps), dtype=complex)
-    z.real, z.imag = res, ims[:, None]
-    return z.ravel().tolist()
-
-
-def _axis(lo_name, lo, hi_name, hi, steps) -> np.ndarray:
-    """steps values from lo to hi, each end the bound itself (linspace
-    computes its first value as 0 * step + lo, which turns a -0.0 into
-    +0.0); a span hi - lo that overflows leaves a non-finite value and
-    raises :class:`ArgumentError` naming the bounds."""
-    with np.errstate(all="ignore"):
-        axis = np.linspace(lo, hi, steps)
-    if not np.isfinite(axis).all():
-        raise ArgumentError(f"{hi_name} - {lo_name} must be finite, "
-                            f"got {lo_name}={lo!r}, {hi_name}={hi!r}")
-    axis[0] = lo
-    return axis
-
-
-def _steps(steps) -> int:
-    steps = _integer("steps", steps)
-    if steps < 1:
-        raise ArgumentError("steps must be >= 1")
-    return steps
-
-
-def real_axis_points(lo: float = -3.0, hi: float = 3.0, steps: int = 7) -> list[complex]:
-    """Boundary-value sample points on the real axis, ascending; reversed or
-    non-finite bounds, an overflowing span and a steps that is not an
-    integer >= 1 raise :class:`ArgumentError`."""
-    steps = _steps(steps)
-    lo, hi = _finite_real("lo", lo), _finite_real("hi", hi)
-    if lo > hi:
-        raise ArgumentError("grid bounds must satisfy lo <= hi")
-    return [complex(x, 0.0) for x in _axis("lo", lo, "hi", hi, steps)]
-
-
 def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
                     witness: complex = 1.0 - 1.0j,
                     tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -573,18 +530,15 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     stronger evidence, at every admissible grid point, keeping the worst
     residual.  S is evaluated once per distinct point of
     interior | boundary | {witness} and of its reflection -conj z, in one
-    batched call, into a table shared by all five checks; each check skips
-    the points where S is singular, each condition's residuals are one
-    stack expression, the norms of all of them come from one call, and each
-    worst residual and witness from the one reducer the single checks use.
+    batched call, into a table shared by all five checks.
     """
     _check_tol(tol)
     interior = lower_half_plane_grid() if interior is None else _point_list("interior", interior)
     boundary = real_axis_points() if boundary is None else _point_list("boundary", boundary)
     a = as_matrix(t)
     plan, positions = _report_plan(interior, boundary, witness)
-    s_of = _Table(plan, a)
-    return _report(s_of, _checks(s_of, p, positions), tol)[0]
+    [s_of] = _tables(plan, a)
+    return _report(s_of, _checks(s_of, metric(p), p_xi(p.xi), positions), tol)[0]
 
 
 def _report_plan(interior, boundary, witness, *lists) -> tuple:
@@ -600,13 +554,13 @@ def _report_plan(interior, boundary, witness, *lists) -> tuple:
                           np.r_[witness, interior, boundary], interior), *extra)
 
 
-def _checks(s_of, p, positions) -> list:
+def _checks(s_of, g, px, positions) -> list:
     """(a), (b), (c), (d) and PT over the table s_of at their positions,
-    each as (name, kept positions, residual matrices).  G S, S* G,
-    G - S* G S, P_xi S and S* P_xi are formed once over the table rows."""
+    each as (name, kept positions, residual matrices), for the metric g and
+    P_xi px.  G S, S* G, G - S* G S, P_xi S and S* P_xi are formed once
+    over the table rows."""
     a, b, c, d, pt = positions
-    gs, sg, gap = _products(s_of.s, metric(p))
-    px = p_xi(p.xi)
+    gs, sg, gap = _products(s_of.s, g)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
     return [_cond_a(s_of, a, gap), _cond_reflection(s_of, b, gs, sg, "condition (b)"),

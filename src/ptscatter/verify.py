@@ -24,19 +24,21 @@ with its theory-expected outcome:
 
 A draw runs on one evaluation plan of the default samples and the Mobius
 witnesses, which does not depend on T and is built once per process, on
-first use.  One table fills S at the plan's distinct points from one
-batched evaluation, and the parametrized route it is compared with fills
-a second table over the same plan.  Every check skips the points where S
-is singular (the route gap those where either route is), and the suite
-lists the distinct singular points of its table as ``singular_z``.  The
-errors come in this order: the classification and the metric inequality,
-a check left with no regular point, the scalar t_from_s calls of the
-Mobius round trip, then the verdicts (a), (b), (c), (d), PT, Mobius round
-trip, z-independence, formula equivalence and plain norm, each raising for
+first use.  One kernel call fills S at the plan's distinct points by both
+routes, the generic one and the parametrized one it is compared with, in
+two tables over the plan.  A draw forms G and P_xi once.  Every check
+skips the points where S is singular (the route gap those where either
+route is), and the suite lists the distinct singular points of its table
+as ``singular_z``.  The batching leaves the errors in this order: the
+classification and the metric inequality (which validates T), a check
+left with no regular point, the scalar t_from_s calls of the Mobius round
+trip, then the verdicts (a), (b), (c), (d), PT, Mobius round trip,
+z-independence, formula equivalence and plain norm, each raising for
 its first non-finite residual matrix; one verdict pass norms every
-residual but those of (a) in one call.  A suite is *consistent* when every
-actual outcome equals its expected one; the random battery reports the
-first inconsistent draw in replayable form.
+residual but those of (a) in one call and reduces them in one segmented
+pass.  A suite is *consistent* when every actual outcome equals its
+expected one; the random battery reports the first inconsistent draw in
+replayable form.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ from functools import cache
 
 import numpy as np
 
-from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams
+from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams, metric, p_xi
 from .errors import ArgumentError, _check_tol, _finite_real, _integer
-from .extensions import (ExtensionParams, check_metric_inequality,
-                         classify_nonnegative, t_from_betas)
+from .extensions import (ExtensionParams, _classify, _metric_inequality,
+                         t_from_betas)
+from .grids import lower_half_plane_grid, real_axis_points
+from .matrix2 import as_matrix
 from .scattering import (_checks, _interior_point, _kept, _plain_norms,
-                         _point_list, _report, _report_plan, _s_table,
-                         _spectral_point, _Table, _worsts,
-                         lower_half_plane_grid, real_axis_points, s_matrix,
-                         t_from_s)
+                         _point_list, _report, _report_plan, _route_gap,
+                         _s_table, _spectral_point, _tables, _worsts,
+                         s_matrix, t_from_s)
 from .symmetry import is_pt_symmetric
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
@@ -132,18 +135,8 @@ def _round_trip(recovered, t, i) -> list:
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S
     evaluation, over the points where both are regular."""
-    s_of, i = _s_table(t_from_betas(e), (zs, _spectral_point))
-    return _worsts(s_of.z, [_route_gap(e, s_of, i)])[0][0]
-
-
-def _route_gap(e, s_of, i):
-    """The points i of the table s_of where both routes are regular and the
-    residuals S_zero_range - S there, the parametrized S from its own table
-    over the plan of s_of."""
-    zr = _Table(s_of, e)
-    i = _kept(i, [zr, s_of])
-    with np.errstate(all="ignore"):
-        return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]]
+    s_of, zr, i = _s_table(t_from_betas(e), (zs, _spectral_point), routes=[e])
+    return _worsts(s_of.z, [_route_gap(s_of, zr, i)])[0][0]
 
 
 def _quadratic_gap(e, cls) -> float:
@@ -191,18 +184,19 @@ def _default_plan() -> tuple:
 
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
     """Full check battery for one parameter set; JSON-ready dict.  Every S(z)
-    the draw needs, Mobius witnesses included, comes from one table filled by
-    one batched evaluation over the distinct points, and every norm of a
-    residual from one call."""
+    the draw needs, Mobius witnesses and the parametrized route included,
+    comes from one batched evaluation over the distinct points, and every
+    norm of a residual from one call."""
     _check_tol(tol)
     t = t_from_betas(e)
-    cls = classify_nonnegative(e, tol)
-    metric_ok = check_metric_inequality(t, e.metric, tol)
+    g, px = metric(e.metric), p_xi(e.metric.xi)
+    cls = _classify(e, tol, g, px)
+    metric_ok = _metric_inequality(as_matrix(t), g, e.metric.chi, tol)
     plan, positions, mobius = _default_plan()
-    s_of = _Table(plan, t)
+    s_of, zr = _tables(plan, t, e)
     grid = positions[0]      # (a) reads the interior grid
-    checks = _checks(s_of, e.metric, positions)
-    gap = _route_gap(e, s_of, grid)
+    checks = _checks(s_of, g, px, positions)
+    gap = _route_gap(s_of, zr, grid)
     norms = _plain_norms(s_of, grid)
     mobius = _kept(mobius, [s_of])
     recovered = [t_from_s(x, z) for x, z in zip(s_of.s[s_of.row[mobius]], s_of.z[mobius])]
@@ -246,7 +240,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
         "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
         # the distinct points of the table where S is singular; every check
         # skipped them
-        "singular_z": [_pair(z) for z, bad in zip(s_of.points, s_of.singular.tolist()) if bad],
+        "singular_z": [_pair(z) for z in s_of.points[s_of.singular].tolist()],
         "checks": checks,
         "consistent": bool(consistent),
     }

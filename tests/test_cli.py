@@ -564,3 +564,65 @@ def test_overflowing_chi_verify_writes_only_its_error_line():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------- JSON writer
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--random", "1", "--seed", "3"],
+    ["verify", "--random", "200", "--seed", "42"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.25"],     # singular_z holds z = 0
+    ["verify", "--beta0", "0.3", "--beta1", "0"],         # contraction_bound
+    ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
+    ["decompose", "[[1,0],[0,-1]]"],
+    ["decompose", "[[0,1],[1,0]]"],                        # c_params is None
+    ["sweep", "--beta0", "-0.25", "--beta1", "0", "--steps", "9", "--format", "json"],
+    ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "400", "--steps", "2",
+     "--format", "json"],
+    ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--z-im", "-1", "--format", "json"],
+    ["smatrix", "--beta0", "-0.25", "--beta1", "0", "--z-im", "-3", "--format", "json"],
+], ids=lambda argv: " ".join(argv[:5]))
+def test_json_output_equals_json_dumps(capsys, monkeypatch, argv):
+    emitted = []
+    emit_json = cli._emit_json
+
+    def recording(obj, path):
+        emitted.append(obj)
+        emit_json(obj, path)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    _, out, _ = run(capsys, argv)
+    [obj] = emitted
+    assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if argv[0] == "sweep":
+        assert any(rec["singular"] for rec in obj["records"])
+
+
+class _Float(float):
+    pass
+
+
+EDGE_VALUES = [
+    {}, [], (), "", 0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    np.float64(0.1), np.float64(math.nan), _Float(2.5), True, False, None, 10 ** 40,
+    "\"\\\n\t\x00\x1f\x7f é   \ud800 \U0001f600",
+    {"b": [1, (2.0, {})], "a": {"": [], "é": None}, "\n": [[[]]]},
+    {1: "int key", 2.5: "float key", -1: [True]},
+    [{"k": _Float(-0.0)}, ({"x": np.float64(-math.inf)},)],
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_VALUES, ids=range(len(EDGE_VALUES)))
+def test_json_writer_handles_edge_values(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1j, np.int64(1), {1, 2}, [object()], {"a": b"x"},
+                                 {(1, 2): 0}, {1: 0, "a": 1}])
+def test_json_writer_raises_what_json_raises(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(expected.value)

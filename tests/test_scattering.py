@@ -22,7 +22,7 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
 from ptscatter.matrix2 import _operator_norms, _singular_error, as_matrix
 from ptscatter.scattering import (_finite, _interior_point, _metric_defect,
                                   _metric_defects, _off_axis, _quotient,
-                                  _s_batch, _spectral_point, _terms,
+                                  _s_batch, _spectral_point, _terms, _worst,
                                   _zero_range_terms)
 from ptscatter.verify import (WITNESS_POINTS, draw_extension_params,
                               run_parameter_suite)
@@ -892,3 +892,56 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
     property_report(t_from_betas(e), e.metric)
     assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,
                      "scattering._hermitian_lows": 1}
+
+
+def _reference_worsts(z, checks, res):
+    """The per-check reduction: each check in list order raises for its
+    first non-finite matrix, then takes _worst of its residuals res."""
+    out, start = [], 0
+    for name, i, m in checks:
+        _finite(m, z[i], name)
+        out.append(_worst(z[i], res[start:start + len(m)]))
+        start += len(m)
+    return out
+
+
+def _worsts_outcome(f):
+    try:
+        return [(type(r), r, type(w), w) for r, w in f()]
+    except ArgumentError as exc:
+        return str(exc)
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize("norms, bad", [
+    ([[1.0, 3.0, 3.0, 2.0], [5.0, 5.0], [0.0]], None),                  # ties: first wins
+    ([[nan, 2.0, -inf, 2.0], [-inf, 1.0, nan], [inf, 1.0, inf]], None),  # skips, inf kept
+    ([[1.0, 2.0], [], [3.0]], None),                                    # empty check
+    ([[1.0, 2.0], [3.0, 4.0, 5.0]], (1, 1)),                            # bad matrix after a good check
+    ([[1.0, 2.0], [nan, nan], [1.0]], (2, 0)),                          # all-NaN before a bad matrix
+    ([[1.0], [1.0, 2.0], [nan, -inf]], (1, 0)),                         # bad matrix before all-NaN
+    ([[nan, nan]], None),                                               # all-NaN norms
+], ids=["ties", "skips", "empty", "bad-matrix", "all-nan-first", "bad-matrix-first",
+        "all-nan"])
+def test_worsts_equals_the_per_check_reduction(monkeypatch, norms, bad):
+    import ptscatter.scattering as scattering
+    # the residuals come from the patched norm call, so any finite matrix
+    # stands for one; bad puts a non-finite entry into (check, row)
+    res = np.array([x for check in norms for x in check])
+    monkeypatch.setattr(scattering, "_operator_norms", lambda m: res.copy())
+    z = np.arange(len(res)) * (1 - 0.5j) - 1j
+    checks, start = [], 0
+    for k, check in enumerate(norms):
+        i = np.arange(start, start + len(check))
+        m = np.zeros((len(check), 2, 2), dtype=complex)
+        if bad is not None and bad[0] == k:
+            m[bad[1], 1, 0] = complex(0.0, inf)
+        checks.append((f"check {k}", i, m))
+        start += len(check)
+    got = _worsts_outcome(lambda: scattering._worsts(z, checks))
+    assert got == _worsts_outcome(lambda: _reference_worsts(z, checks, res))
+    if norms[0] == [1.0, 3.0, 3.0, 2.0]:
+        assert got == [(float, 3.0, complex, complex(z[1])), (float, 5.0, complex, complex(z[4])),
+                       (float, 0.0, complex, complex(z[6]))]

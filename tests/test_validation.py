@@ -139,7 +139,8 @@ def test_malformed_grid_and_count_raise_argument_error(call, message):
         call()
 
 
-# a finite matrix whose symmetry defect overflows: the error names the defect
+# a finite matrix whose symmetry defect or Pauli coefficient overflows: the
+# error names the defect or the coefficient
 HUGE = [[1e308 + 1e308j, 0], [0, -1e308 - 1e308j]]
 SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
 
@@ -153,8 +154,12 @@ SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
     (lambda: pts.is_krein_selfadjoint(HUGE, 0.3), "the Krein defect overflows"),
     (lambda: pts.c_symmetry_defect(HUGE, SIGMA2_C), "the C-symmetry defect overflows"),
     (lambda: pts.is_c_symmetric(HUGE, SIGMA2_C), "the C-symmetry defect overflows"),
+    (lambda: pts.pauli_decompose(HUGE), "the Pauli coefficient a1 overflows from the given entries"),
+    (lambda: pts.pauli_decompose(HUGE, 0.3),
+     "the Pauli coefficient a1 overflows from the given entries"),
 ], ids=["pt_defect", "is_pt_symmetric", "solve_xi", "symmetry_report", "krein_defect",
-        "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric"])
+        "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric", "pauli_decompose",
+        "pauli_decompose-xi"])
 def test_overflowing_symmetry_defect_is_named(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

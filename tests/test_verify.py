@@ -236,6 +236,14 @@ def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
                         recording("zero_range", scattering._zero_range_terms))
     for name in ("s_matrix", "s_matrix_zero_range"):
         monkeypatch.setattr(scattering, name, per_point)
+    kernel = []
+    s_batch = scattering._s_batch
+
+    def recording_kernel(num, den):
+        kernel.append(len(num))
+        return s_batch(num, den)
+
+    monkeypatch.setattr(scattering, "_s_batch", recording_kernel)
     run_parameter_suite(extension_params(0.2, 0.1, chi=0.5, xi=0.3))
     # one batched evaluation over the 58 points of the property report and
     # the Mobius witnesses -1j, -2j, 1-1j and -0.5-0.3j with their
@@ -245,3 +253,29 @@ def test_parameter_suite_evaluates_each_distinct_point_once(monkeypatch):
     assert len(generic) == len(set(generic)) == 62
     assert all(z in generic for z in (-1j, -2j, 1 - 1j, -0.5 - 0.3j, 0.5 - 0.3j))
     assert batches["zero_range"] == [generic]
+    # one kernel call fills the tables of both routes
+    assert kernel == [2 * 62]
+
+
+def test_parameter_suite_forms_the_metric_and_p_xi_once(monkeypatch):
+    import ptscatter.extensions as extensions
+    import ptscatter.scattering as scattering
+    import ptscatter.verify as verify
+    calls = {"metric": 0, "p_xi": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, count, raising=False)
+
+    # the parametrized route builds P_xi for its own basis, as
+    # s_matrix_zero_range does, so scattering's p_xi is left out
+    for module in (verify, extensions, scattering):
+        counting(module, "metric")
+    for module in (verify, extensions):
+        counting(module, "p_xi")
+    assert run_parameter_suite(extension_params(0.2, 0.1, chi=0.5, xi=0.3))["consistent"]
+    assert calls == {"metric": 1, "p_xi": 1}

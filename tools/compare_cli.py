@@ -30,6 +30,7 @@ COMMANDS = [
     ["verify", "--beta0", "-0.26", "--beta1", "0.01"],               # pole at z = -3i
     ["verify", "--beta0", "-0.25", "--beta1", "0"],                  # pole at z = -3i
     ["verify", "--beta0", "0.75", "--beta1", "0"],
+    ["verify", "--beta0", "0.3", "--beta1", "0"],                   # contraction_bound
     ["sweep", *PARAMS],
     ["sweep", *PARAMS, "--chi", "1.5", "--xi", "0.7", "--steps", "16"],
     ["sweep", "--beta0", "0.25", "--beta1", "0", "--steps", "9"],
@@ -38,6 +39,8 @@ COMMANDS = [
      "--re-min", "-1", "--re-max", "2", "--im-min", "-2", "--im-max", "0", "--steps", "5"],
     ["sweep", *PARAMS, "--chi", "0.5", "--xi", "0.3", "--steps", "16", "--format", "json"],
     ["sweep", *PARAMS, "--chi", "400", "--steps", "2"],
+    ["sweep", *PARAMS, "--chi", "400", "--steps", "2", "--format", "json"],  # exit 4
+    ["sweep", "--beta0", "-0.25", "--beta1", "0", "--steps", "9", "--format", "json"],  # pole -3i
     ["sweep", *PARAMS, "--re-min=-1e308", "--re-max=1e308"],       # exit 2
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=-0.0", "--im-min=-1", "--im-max=-0.0",
      "--steps", "3"],                                   # z_re holds 0 and -0
@@ -50,6 +53,9 @@ COMMANDS = [
     ["decompose", "[[1e308+1e308j,0],[0,-1e308-1e308j]]"],
     ["decompose", "[[1e200,0],[0,1e200]]"],                           # exit 2
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
+    ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1",
+     "--format", "json"],
+    ["smatrix", "--beta0", "-0.25", "--beta1", "0", "--z-im", "-3", "--format", "json"],  # exit 4
 ]
 
 
