@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, _check_tol,
-                     _finite_complex, _finite_real)
+                     _finite_complex, _finite_real, _instance)
 from .matrix2 import _defect, _finite_array, as_matrix
 
 DEFAULT_TOL = 1e-10
@@ -137,22 +137,36 @@ def _coefficients(*values) -> PauliCoefficients:
     return PauliCoefficients(*values)
 
 
+def _cosh_sinh(params, name) -> tuple[float, float]:
+    """cosh(chi) and sinh(chi) of params, after raising
+    :class:`ArgumentError` naming chi and xi when the largest entry of the
+    matrix name, cosh(chi) + |sin(xi) sinh(chi)|, overflows."""
+    _instance("params", params, KreinMetricParams)
+    ch, sh = math.cosh(params.chi), math.sinh(params.chi)
+    if ch + abs(math.sin(params.xi) * sh) == math.inf:
+        raise ArgumentError(f"the {name} overflows at chi={params.chi!r}, xi={params.xi!r}")
+    return ch, sh
+
+
 def c_operator(params: KreinMetricParams) -> np.ndarray:
     """C = e^{chi i R P_xi} P_xi = cosh(chi) P_xi + i sinh(chi) R.
 
-    Satisfies C^2 = I and commutes with the antilinear PT map.
+    Satisfies C^2 = I and commutes with the antilinear PT map.  An entry
+    that overflows raises :class:`ArgumentError`.
     """
-    return math.cosh(params.chi) * p_xi(params.xi) + 1j * math.sinh(params.chi) * SIGMA1
+    ch, sh = _cosh_sinh(params, "C-operator")
+    return ch * p_xi(params.xi) + 1j * sh * SIGMA1
 
 
 def metric(params: KreinMetricParams) -> np.ndarray:
     """The positive metric e^{-chi i R P_xi} = cosh(chi) I - sinh(chi) (i R P_xi).
 
     Hermitian with eigenvalues e^{chi} and e^{-chi}; multiplying it by the
-    matching :func:`c_operator` gives back P_xi.
+    matching :func:`c_operator` gives back P_xi.  An entry that overflows
+    raises :class:`ArgumentError`.
     """
-    j = 1j * (SIGMA1 @ p_xi(params.xi))
-    return math.cosh(params.chi) * SIGMA0 - math.sinh(params.chi) * j
+    ch, sh = _cosh_sinh(params, "metric")
+    return ch * SIGMA0 - sh * (1j * (SIGMA1 @ p_xi(params.xi)))
 
 
 def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:

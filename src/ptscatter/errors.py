@@ -60,6 +60,14 @@ def _integer(name, value) -> int:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _instance(name, value, kind):
+    """Raise :class:`ArgumentError` naming the parameter and the type it got
+    when value is not a kind."""
+    if not isinstance(value, kind):
+        raise ArgumentError(f"{name} must be of type {kind.__name__}, "
+                            f"got {type(value).__name__}")
+
+
 def _check_tol(tol):
     """Reject a tolerance that is not a positive number (NaN and non-numbers
     included)."""

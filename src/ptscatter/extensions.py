@@ -30,7 +30,7 @@ import numpy as np
 from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
 from .errors import (ArgumentError, AssumptionError, _check_tol,
-                     _finite_complex, _finite_real)
+                     _finite_complex, _finite_real, _instance)
 from .matrix2 import (_det, _operator_norm, as_matrix, hermitian_eigenvalues,
                       is_hermitian)
 from .symmetry import c_params_from_matrix
@@ -52,14 +52,14 @@ class BoundaryData:
 
 def gamma0(b: BoundaryData) -> np.ndarray:
     """Mean and jump of the boundary values, as a C^2 vector."""
+    _instance("b", b, BoundaryData)
     return np.array([(b.f_plus + b.f_minus) / 2.0,
                      (b.f_plus - b.f_minus) / 2.0])
 
 
 def gamma1(b: BoundaryData) -> np.ndarray:
     """2*Gamma_0 plus the vector (derivative jump, derivative sum)."""
-    jump = np.array([b.fp_plus - b.fp_minus, b.fp_plus + b.fp_minus])
-    return 2.0 * gamma0(b) + jump
+    return 2.0 * gamma0(b) + np.array([b.fp_plus - b.fp_minus, b.fp_plus + b.fp_minus])
 
 
 def in_domain(t, b: BoundaryData, tol: float = DEFAULT_TOL) -> bool:
@@ -88,8 +88,7 @@ class ExtensionParams:
     def __post_init__(self):
         object.__setattr__(self, "beta0", _finite_real("beta0", self.beta0))
         object.__setattr__(self, "beta1", _finite_real("beta1", self.beta1))
-        if not isinstance(self.metric, KreinMetricParams):
-            raise ArgumentError("metric must be a KreinMetricParams instance")
+        _instance("metric", self.metric, KreinMetricParams)
 
 
 def extension_params(beta0: float, beta1: float, chi: float = 0.0,
@@ -100,6 +99,7 @@ def extension_params(beta0: float, beta1: float, chi: float = 0.0,
 
 def t_from_betas(e: ExtensionParams) -> np.ndarray:
     """T = beta0 I + beta1 C."""
+    _instance("e", e, ExtensionParams)
     return e.beta0 * SIGMA0 + e.beta1 * c_operator(e.metric)
 
 
@@ -170,6 +170,7 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
     :class:`ArgumentError` naming it and chi.
     """
     _check_tol(tol)
+    _instance("e", e, ExtensionParams)
     return _classify(e, tol, metric(e.metric), p_xi(e.metric.xi))
 
 

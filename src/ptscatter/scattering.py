@@ -30,11 +30,12 @@ holds exactly when T is PT-symmetric.
 Each condition is one residual expression in S (larger is worse), written
 once over the (N, 2, 2) stack of S at the sampled points; a residual equals
 its one-point form bit for bit.  A check is a triple (name, positions in a
-flat point array, residual matrices there).  One verdict pass, ``_worsts``,
-norms the residuals of a list of checks in one ``_operator_norms`` call and
-reduces them in one segmented pass ((a) takes one ``_hermitian_lows`` call):
-the largest residual wins, the first point attaining it is the witness, and
-NaN and -inf residuals are skipped.
+flat point array, residual matrices there).  The only reducer, ``_worsts``,
+takes the residuals of a list of checks in one segmented pass: minus the
+lowest eigenvalues of (a)'s metric gaps (one ``_hermitian_lows`` call, the
+worst clamped at 0), then the other checks' norms (one ``_operator_norms``
+call).  The largest residual wins, the first point attaining it is the
+witness, and NaN and -inf residuals are skipped.
 
 Every evaluation of S at many points goes through one kernel, ``_s_batch``,
 on the numerator and denominator stacks that ``_terms`` builds from T and
@@ -61,11 +62,12 @@ of its first point.  The products the conditions share (G S, S* G,
 G - S* G S, P_xi S and S* P_xi) are formed once over the table rows and
 associate as each condition writes them, so every gathered row keeps its
 bits.  The batching does not change the error order: every check picks its
-points before any verdict is drawn, and the verdicts come in list order,
-each first raising for its check's first non-finite residual matrix (an
-:class:`ArgumentError` naming the check and the point), then for a check
-with no residual or none left after the skips.  Numpy's floating-point
-warnings are off while residuals are formed and normed.
+points before any verdict is drawn.  On a fault the pass walks the checks
+in list order over the arrays it holds (a finiteness mask of the rows, the
+checks' sizes, their kept residuals) and raises for the first check with a
+non-finite residual matrix (an :class:`ArgumentError` naming the check and
+the point), no residual, or none left after the skips.  Numpy's
+floating-point warnings are off while residuals are formed and normed.
 """
 from __future__ import annotations
 
@@ -78,7 +80,7 @@ import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, KreinMetricParams, metric,
                        p_xi)
-from .errors import ArgumentError, _check_tol, _finite_complex
+from .errors import ArgumentError, _check_tol, _finite_complex, _instance
 from .extensions import ExtensionParams
 from .grids import lower_half_plane_grid, real_axis_points
 from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
@@ -172,6 +174,7 @@ def s_matrix_zero_range(e: ExtensionParams, z) -> ScatteringEvaluation:
     well conditioned.
     """
     zz = _spectral_point(z)
+    _instance("e", e, ExtensionParams)
     sx, hyp = _zero_range_basis(e)
     c0, c1, c2, c3 = _zero_range_coefficients(e, zz)
     s, cond = _quotient(c0 * sx - c1 * hyp, c2 * sx - c3 * hyp, zz)
@@ -333,67 +336,41 @@ def _kept(i, tables, mirror=False):
     return i[keep]
 
 
-def _finite(m, z, name) -> np.ndarray:
-    """The residual stack m of the check name over the points z, after
-    raising :class:`ArgumentError` for its first non-finite matrix."""
-    if not np.isfinite(m).all():
-        first = np.argmin(np.isfinite(m).all(axis=(1, 2)))
-        raise ArgumentError(f"the {name} residual matrix overflows at z={complex(z[first])}")
-    return m
-
-
-def _worst(z, res):
-    """(largest residual, its point) over the points z and the array of their
-    residuals res: the first point attaining the maximum is the witness,
-    and NaN and -inf residuals are skipped, as a running ``res > worst``
-    skips them; a list whose every residual is skipped raises."""
-    if not len(res):
-        raise ArgumentError("zs must be nonempty")
-    kept = np.where(res > -math.inf, res, -math.inf)
-    i = int(np.argmax(kept))
-    if kept[i] == -math.inf:
-        raise ArgumentError("the residual norm overflowed at every point")
-    return float(res[i]), complex(z[i])
-
-
 def _check(residual, witness, tol) -> PropertyCheck:
     return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
 
 
-def _worsts(z, checks) -> list:
-    """_worst of each check (name, i, m) in order, m holding its residual
-    matrices at the points z[i], from one norm call and one segmented pass;
-    a check that is empty, has a non-finite matrix or skips every residual
-    sends the list through the per-check loop, which raises its fault."""
+def _worsts(z, checks, res=None) -> list:
+    """(largest residual, its point) of each check (name, i, m) in order, m
+    holding its residual matrices at the points z[i] and res the residuals
+    of all checks end to end (by default their norms, from one call).  The
+    first point attaining a maximum is the witness, and NaN and -inf
+    residuals are skipped.  The first check in order with a non-finite
+    matrix, no residual or only skipped ones raises :class:`ArgumentError`."""
     names, idx, ms = zip(*checks)
     m = np.concatenate(ms)
-    with np.errstate(all="ignore"):
-        res = _operator_norms(m)
+    if res is None:
+        with np.errstate(all="ignore"):
+            res = _operator_norms(m)
     sizes = list(map(len, ms))
-    ends = list(accumulate(sizes))
-    if all(sizes) and np.isfinite(m).all():
-        kept = np.where(res > -math.inf, res, -math.inf)
-        starts = [0] + ends[:-1]
+    starts = [0, *accumulate(sizes)][:-1]
+    finite = np.isfinite(m)
+    kept = np.where(res > -math.inf, res, -math.inf)
+    if all(sizes) and finite.all():
         top = np.maximum.reduceat(kept, starts)
         if top.min() > -math.inf:
             hits = np.flatnonzero(kept == np.repeat(top, sizes))
             first = hits[np.searchsorted(hits, starts)]
             return list(zip(res[first].tolist(), z[np.concatenate(idx)][first].tolist()))
-    worsts = []
-    for name, i, m, end in zip(names, idx, ms, ends):
-        _finite(m, z[i], name)
-        worsts.append(_worst(z[i], res[end - len(m):end]))
-    return worsts
-
-
-@np.errstate(all="ignore")
-def _verdict_a(z, r, tol) -> PropertyCheck:
-    """Condition (a) from its metric gaps r = (name, i, m) at the points
-    z[i]: the residual is minus the lowest eigenvalue, clamped at 0."""
-    name, i, m = r
-    z = z[i]
-    worst, witness = _worst(z, -_hermitian_lows(_finite(m, z, name)))
-    return _check(max(0.0, worst), witness, tol)
+    for name, i, start, n in zip(names, idx, starts, sizes):
+        bad = np.flatnonzero(~finite[start:start + n].all(axis=(1, 2)))
+        if len(bad):
+            at = complex(z[i[bad[0]]])
+            raise ArgumentError(f"the {name} residual matrix overflows at z={at}")
+        if not n:
+            raise ArgumentError("zs must be nonempty")
+        if kept[start:start + n].max() == -math.inf:
+            raise ArgumentError("the residual norm overflowed at every point")
 
 
 def _ct(s) -> np.ndarray:
@@ -474,7 +451,10 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     """
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    return _verdict_a(s_of.z, _cond_a(s_of, i, _products(s_of.s, metric(p))[2]), tol)
+    a = _cond_a(s_of, i, _products(s_of.s, metric(p))[2])
+    with np.errstate(all="ignore"):
+        worst, witness = _worsts(s_of.z, [a], -_hermitian_lows(a[2]))[0]
+    return _check(max(0.0, worst), witness, tol)
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -568,10 +548,15 @@ def _checks(s_of, g, px, positions) -> list:
             _cond_pt(s_of, pt)]
 
 
+@np.errstate(all="ignore")
 def _report(s_of, checks, tol):
     """(PropertyReport of the first five checks, from _checks, and the list
-    of the worsts of the rest), the verdicts drawn in order."""
-    a, *rest = checks
-    cond_a = _verdict_a(s_of.z, a, tol)
-    worsts = _worsts(s_of.z, rest)
+    of the worsts of the rest) from one verdict pass: (a) reduces minus the
+    lowest eigenvalues of its metric gaps, clamped at 0, the rest their
+    norms."""
+    (_, _, gap), *rest = checks
+    norms = _operator_norms(np.concatenate([m for *_, m in rest]))
+    res = np.concatenate([-_hermitian_lows(gap), norms])
+    (worst, witness), *worsts = _worsts(s_of.z, checks, res)
+    cond_a = _check(max(0.0, worst), witness, tol)
     return PropertyReport(cond_a, *(_check(*w, tol) for w in worsts[:4])), worsts[4:]

@@ -34,11 +34,12 @@ classification and the metric inequality (which validates T), a check
 left with no regular point, the scalar t_from_s calls of the Mobius round
 trip, then the verdicts (a), (b), (c), (d), PT, Mobius round trip,
 z-independence, formula equivalence and plain norm, each raising for
-its first non-finite residual matrix; one verdict pass norms every
-residual but those of (a) in one call and reduces them in one segmented
-pass.  A suite is *consistent* when every actual outcome equals its
-expected one; the random battery reports the first inconsistent draw in
-replayable form.
+its first non-finite residual matrix, then for no residual left.  One
+verdict pass reduces them all in this order, (a) from one
+``_hermitian_lows`` call and every other check from one norm call.  A
+suite is *consistent* when every actual outcome equals its expected one;
+the random battery reports the first inconsistent draw in replayable
+form.
 """
 
 from __future__ import annotations

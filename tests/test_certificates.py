@@ -1,11 +1,16 @@
 """Symbolic certificates for the identities the verify battery samples.
 
-For T = beta0 I + beta1 C the characteristic properties (b) and (d) and the
-PT criterion hold at every z of the closed lower half-plane, for every real
-(beta0, beta1, chi, xi).  The battery checks them on a grid; here sympy
-proves them.  With c = cosh chi, s = sinh chi, co = cos xi, si = sin xi and
-z = x + iy all real symbols, S(z) = N adj(D) / det D, so each identity is
-cross-multiplied by the determinants it divides by.  The real and imaginary
+For T = beta0 I + beta1 C the characteristic properties (b), (c) and (d)
+and the PT criterion hold at every z of the closed lower half-plane, for
+every real (beta0, beta1, chi, xi).  The metric gap G - S* G S splits over
+the spectral projections Pi+- of T into (1 - |s(lambda+-, z)|^2) G Pi+-,
+s(lambda, z) being S for the scalar T = lambda, and each G Pi+- is positive
+semidefinite, so (a) holds exactly when |s| <= 1 at both eigenvalues
+lambda+- = beta0 +- beta1, that is on the nonnegativity diamond.  The
+battery checks these on a grid; here sympy proves them.  With c = cosh chi,
+s = sinh chi, co = cos xi, si = sin xi and z = x + iy all real symbols,
+S(z) = N adj(D) / det D, so each identity is cross-multiplied by the
+determinants it divides by.  The real and imaginary
 parts of every entry then reduce to zero modulo c^2 - s^2 - 1 and
 co^2 + si^2 - 1 (``sympy.reduced``; the two relations have coprime leading
 terms, so they form a Groebner basis and a zero remainder is a proof).
@@ -79,6 +84,40 @@ def test_reflection_symmetry_holds_for_every_family_member(j):
 def test_pt_criterion_holds_for_every_family_member():
     # sigma_3 conj(S(z)) sigma_3 = S(-conj z)
     assert vanishes(SIGMA3 * SZ.conjugate() * SIGMA3 * DW - SW * sp.conjugate(DZ))
+
+
+def test_condition_c_holds_for_every_family_member():
+    # (Re z)[G - S* G S] = i (Im z)[S* G - G S], times |det D|^2
+    dd = DZ * sp.conjugate(DZ)
+    assert vanishes(x * (G * dd - SZ.H * G * SZ)
+                    - sp.I * y * (SZ.H * G * DZ - G * SZ * sp.conjugate(DZ)))
+
+
+# T = sum lambda+- Pi+- with lambda+- = beta0 +- beta1 and Pi+- = (I +- C)/2,
+# so S(z) = sum s(lambda+-, z) Pi+- with the scalar Mobius factor
+# s(lambda, z) = (1 - 2(1+iz) lambda) / (1 - 2(1-iz) lambda)
+PROJECTIONS = [(b0 + b1, (I2 + C) / 2), (b0 - b1, (I2 - C) / 2)]
+
+
+def test_the_metric_gap_splits_over_the_spectral_projections():
+    # G - S* G S = sum (1 - |s(lambda+-, z)|^2) G Pi+-, times
+    # |det D|^2 = |d+ d-|^2 with s(lambda+-, z) = n+- / d+-
+    parts = [(1 - 2 * (1 + sp.I * Z) * lam_, 1 - 2 * (1 - sp.I * Z) * lam_, pi)
+             for lam_, pi in PROJECTIONS]
+    sq = [(n * sp.conjugate(n), d * sp.conjugate(d)) for n, d, _ in parts]
+    rhs = ((sq[0][1] - sq[0][0]) * sq[1][1] * G * parts[0][2]
+           + (sq[1][1] - sq[1][0]) * sq[0][1] * G * parts[1][2])
+    assert vanishes(DZ * sp.conjugate(DZ) * G - SZ.H * G * SZ - rhs)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
+def test_g_times_each_spectral_projection_is_positive_semidefinite(k):
+    # G Pi+- is Hermitian with trace cosh chi >= 1 and determinant 0, so
+    # both its eigenvalues are >= 0
+    gp = G * PROJECTIONS[k][1]
+    assert vanishes(gp - gp.H)
+    assert vanishes([gp.trace() - c])
+    assert vanishes([gp.det()])
 
 
 def test_poles_sit_at_minus_i_times_one_minus_half_the_inverse_eigenvalue():

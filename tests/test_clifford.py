@@ -1,6 +1,8 @@
 """Pauli composition, the P_xi family, C-operators and the metric."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +139,21 @@ def test_metric_properties():
         assert hi == pytest.approx(math.exp(abs(p.chi)), abs=1e-10)
         # multiplying by the C-operator recovers P_xi
         assert norm(g @ c_operator(p) - p_xi(p.xi)) <= 1e-12
+
+
+@pytest.mark.parametrize("chi", [710.4, -710.4])
+@pytest.mark.parametrize("f, name", [(metric, "metric"), (c_operator, "C-operator")],
+                         ids=["metric", "c_operator"])
+def test_an_overflowing_entry_raises_naming_chi_and_xi_without_a_warning(f, name, chi):
+    # KreinMetricParams accepts chi, as cosh(chi) is finite, but the largest
+    # entry cosh(chi) + |sin(xi) sinh(chi)| overflows at xi = 3 pi / 2
+    p = KreinMetricParams(3 * math.pi / 2, chi)
+    message = f"the {name} overflows at chi={chi!r}, xi={p.xi!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            f(p)
+        assert np.isfinite(f(KreinMetricParams(0.0, chi))).all()
 
 
 # ---------------------------------------------------------------- exponentials

@@ -19,10 +19,11 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        pauli_compose, property_report, real_axis_points,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
-from ptscatter.matrix2 import _operator_norms, _singular_error, as_matrix
-from ptscatter.scattering import (_finite, _interior_point, _metric_defect,
+from ptscatter.matrix2 import (_hermitian_lows, _operator_norms,
+                               _singular_error, as_matrix)
+from ptscatter.scattering import (_interior_point, _metric_defect,
                                   _metric_defects, _off_axis, _quotient,
-                                  _s_batch, _spectral_point, _terms, _worst,
+                                  _s_batch, _spectral_point, _terms, _worsts,
                                   _zero_range_terms)
 from ptscatter.verify import (WITNESS_POINTS, draw_extension_params,
                               run_parameter_suite)
@@ -797,18 +798,19 @@ def test_an_overflowing_residual_matrix_is_named_apart_from_a_malformed_t():
         check_condition_a(np.full((2, 2), np.inf), p, [-1j])
 
 
-def test_finite_names_the_first_non_finite_residual_matrix():
+def test_worsts_names_the_first_non_finite_residual_matrix():
     z = np.array([1 - 1j, 2 - 1j, 3 - 1j, 4 - 1j])
     m = np.zeros((4, 2, 2), dtype=complex)
-    assert _finite(m, z, "PT criterion") is m
+    checks = [("PT criterion", np.arange(4), m)]
+    assert _worsts(z, checks) == [(0.0, 1 - 1j)]
     m[2, 1, 0] = complex(0.0, np.inf)
     m[3, 0, 0] = np.nan
     with pytest.raises(ArgumentError,
                        match=r"^the PT criterion residual matrix overflows at z=\(3-1j\)$"):
-        _finite(m, z, "PT criterion")
+        _worsts(z, checks)
     m[1, 0, 1] = np.nan
     with pytest.raises(ArgumentError, match=r"at z=\(2-1j\)$"):
-        _finite(m, z, "PT criterion")
+        _worsts(z, checks)
 
 
 def test_nothing_is_evaluated_point_by_point(monkeypatch):
@@ -896,12 +898,25 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
 
 def _reference_worsts(z, checks, res):
     """The per-check reduction: each check in list order raises for its
-    first non-finite matrix, then takes _worst of its residuals res."""
+    first non-finite matrix, then for no residual, then for none left after
+    a running ``r > worst`` skips NaN and -inf, and otherwise gives its
+    first largest residual and that residual's point."""
     out, start = [], 0
     for name, i, m in checks:
-        _finite(m, z[i], name)
-        out.append(_worst(z[i], res[start:start + len(m)]))
+        rs, zs = res[start:start + len(m)].tolist(), z[i].tolist()
         start += len(m)
+        for zi, x in zip(zs, m):
+            if not np.isfinite(x).all():
+                raise ArgumentError(f"the {name} residual matrix overflows at z={zi}")
+        if not rs:
+            raise ArgumentError("zs must be nonempty")
+        worst, witness = -inf, None
+        for zi, r in zip(zs, rs):
+            if r > worst:
+                worst, witness = r, zi
+        if witness is None:
+            raise ArgumentError("the residual norm overflowed at every point")
+        out.append((worst, witness))
     return out
 
 
@@ -915,33 +930,65 @@ def _worsts_outcome(f):
 nan, inf = math.nan, math.inf
 
 
-@pytest.mark.parametrize("norms, bad", [
-    ([[1.0, 3.0, 3.0, 2.0], [5.0, 5.0], [0.0]], None),                  # ties: first wins
-    ([[nan, 2.0, -inf, 2.0], [-inf, 1.0, nan], [inf, 1.0, inf]], None),  # skips, inf kept
-    ([[1.0, 2.0], [], [3.0]], None),                                    # empty check
-    ([[1.0, 2.0], [3.0, 4.0, 5.0]], (1, 1)),                            # bad matrix after a good check
-    ([[1.0, 2.0], [nan, nan], [1.0]], (2, 0)),                          # all-NaN before a bad matrix
-    ([[1.0], [1.0, 2.0], [nan, -inf]], (1, 0)),                         # bad matrix before all-NaN
-    ([[nan, nan]], None),                                               # all-NaN norms
+def _gap(r):
+    """A finite Hermitian metric gap whose residual, minus its lowest
+    eigenvalue, is r: -r I for a finite r; for NaN, a matrix whose
+    eigenvalue formula meets inf - inf."""
+    if math.isnan(r):
+        off = complex(1.7e308, 1.7e308)
+        return np.array([[1e308, off], [off.conjugate(), 1e308]])
+    return -r * np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("lows, norms, bad", [
+    (None, [[1.0, 3.0, 3.0, 2.0], [5.0, 5.0], [0.0]], None),          # ties: first wins
+    (None, [[nan, 2.0, -inf, 2.0], [-inf, 1.0, nan], [inf, 1.0, inf]], None),  # skips, inf kept
+    (None, [[1.0, 2.0], [], [3.0]], None),                            # empty check
+    (None, [[1.0, 2.0], [3.0, 4.0, 5.0]], (1, 1)),                    # bad after a good check
+    (None, [[1.0, 2.0], [nan, nan], [1.0]], (2, 0)),                  # all-NaN before a bad one
+    (None, [[1.0], [1.0, 2.0], [nan, -inf]], (1, 0)),                 # bad before all-NaN
+    (None, [[nan, nan]], None),                                       # all-NaN norms
+    ([-1.0, 0.5, nan, 0.5], [[0.5, 2.0], [1.0]], None),               # (a) in the pass
+    ([1.0, 2.0], [[1.0], [nan, nan], []], (0, 1)),                    # (a) bad before faults
+    ([nan, nan], [[1.0, 2.0]], None),                                 # (a) all-NaN
+    ([], [[1.0, 2.0], [3.0]], None),                                  # (a) empty
 ], ids=["ties", "skips", "empty", "bad-matrix", "all-nan-first", "bad-matrix-first",
-        "all-nan"])
-def test_worsts_equals_the_per_check_reduction(monkeypatch, norms, bad):
+        "all-nan", "a-in-the-pass", "a-bad-matrix-first", "a-all-nan", "a-empty"])
+def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     import ptscatter.scattering as scattering
-    # the residuals come from the patched norm call, so any finite matrix
-    # stands for one; bad puts a non-finite entry into (check, row)
-    res = np.array([x for check in norms for x in check])
-    monkeypatch.setattr(scattering, "_operator_norms", lambda m: res.copy())
-    z = np.arange(len(res)) * (1 - 0.5j) - 1j
+    # the norms come from the patched norm call, so any finite matrix stands
+    # for one; lows, when given, are condition (a)'s residuals, in front of
+    # the norms, from real metric gaps; bad puts a non-finite entry into
+    # (check, row)
+    norm_res = np.array([x for check in norms for x in check])
+    monkeypatch.setattr(scattering, "_operator_norms", lambda m: norm_res.copy())
+    ms = [np.zeros((len(check), 2, 2), dtype=complex) for check in norms]
+    names = [f"check {k}" for k in range(len(norms))]
+    if lows is not None:
+        ms.insert(0, np.array([_gap(r) for r in lows], dtype=complex).reshape(-1, 2, 2))
+        names.insert(0, "condition (a)")
+        with np.errstate(all="ignore"):
+            assert np.array_equal(-_hermitian_lows(ms[0]), lows, equal_nan=True)
+    if bad is not None:
+        ms[bad[0]][bad[1], 1, 0] = complex(0.0, inf)
+    z = np.arange(sum(map(len, ms))) * (1 - 0.5j) - 1j
     checks, start = [], 0
-    for k, check in enumerate(norms):
-        i = np.arange(start, start + len(check))
-        m = np.zeros((len(check), 2, 2), dtype=complex)
-        if bad is not None and bad[0] == k:
-            m[bad[1], 1, 0] = complex(0.0, inf)
-        checks.append((f"check {k}", i, m))
-        start += len(check)
-    got = _worsts_outcome(lambda: scattering._worsts(z, checks))
+    for name, m in zip(names, ms):
+        checks.append((name, np.arange(start, start + len(m)), m))
+        start += len(m)
+    if lows is None:
+        res, args = norm_res, ()
+    else:
+        with np.errstate(all="ignore"):
+            res = np.concatenate([-_hermitian_lows(ms[0]), norm_res])
+        args = (res,)
+    got = _worsts_outcome(lambda: scattering._worsts(z, checks, *args))
     assert got == _worsts_outcome(lambda: _reference_worsts(z, checks, res))
     if norms[0] == [1.0, 3.0, 3.0, 2.0]:
         assert got == [(float, 3.0, complex, complex(z[1])), (float, 5.0, complex, complex(z[4])),
                        (float, 0.0, complex, complex(z[6]))]
+    if lows == [-1.0, 0.5, nan, 0.5]:
+        assert got == [(float, 0.5, complex, complex(z[1])), (float, 2.0, complex, complex(z[5])),
+                       (float, 1.0, complex, complex(z[6]))]
+    if bad == (0, 1):
+        assert got == f"the condition (a) residual matrix overflows at z={complex(z[1])}"

@@ -208,6 +208,49 @@ def test_overflowing_oracle_matrix_is_named(call, message):
             call()
 
 
+# an object of the wrong type where a parameter object is expected ends in
+# ArgumentError naming the parameter and the type it got
+KREIN, EXTENSION, BOUNDARY = ("params", "KreinMetricParams"), ("e", "ExtensionParams"), \
+    ("b", "BoundaryData")
+WRONG_TYPE_CALLS = {
+    "s_matrix_zero_range": (lambda x: pts.s_matrix_zero_range(x, -1j), EXTENSION),
+    "t_from_betas": (lambda x: pts.t_from_betas(x), EXTENSION),
+    "classify_nonnegative": (lambda x: pts.classify_nonnegative(x), EXTENSION),
+    "run_parameter_suite": (lambda x: pts.run_parameter_suite(x), EXTENSION),
+    "formula_equivalence_residual":
+        (lambda x: pts.formula_equivalence_residual(x, [-1j]), EXTENSION),
+    "metric": (lambda x: pts.metric(x), KREIN),
+    "c_operator": (lambda x: pts.c_operator(x), KREIN),
+    "check_condition_a": (lambda x: pts.check_condition_a(T, x, [1 - 1j]), KREIN),
+    "check_condition_b": (lambda x: pts.check_condition_b(T, x, [1 - 1j]), KREIN),
+    "check_condition_c": (lambda x: pts.check_condition_c(T, x, 1 - 1j), KREIN),
+    "property_report": (lambda x: pts.property_report(T, x), KREIN),
+    "check_metric_inequality": (lambda x: pts.check_metric_inequality(T, x), KREIN),
+    "c_symmetry_defect": (lambda x: pts.c_symmetry_defect(T, x), KREIN),
+    "is_c_symmetric": (lambda x: pts.is_c_symmetric(T, x), KREIN),
+    "in_domain": (lambda x: pts.in_domain(T, x), BOUNDARY),
+    "gamma0": (lambda x: pts.gamma0(x), BOUNDARY),
+    "gamma1": (lambda x: pts.gamma1(x), BOUNDARY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
+def test_a_wrong_parameter_type_raises_argument_error(name):
+    call, (param, kind) = WRONG_TYPE_CALLS[name]
+    # another of the parameter objects, a tuple of their fields, or None
+    wrong = {"KreinMetricParams": E, "ExtensionParams": P, "BoundaryData": (1.0, 0.5, 0.2, -0.1)}
+    for x, got in ((wrong[kind], type(wrong[kind]).__name__), (None, "NoneType")):
+        message = f"^{param} must be of type {kind}, got {got}$"
+        with pytest.raises(pts.ArgumentError, match=message):
+            call(x)
+
+
+def test_extension_params_names_a_metric_of_the_wrong_type():
+    with pytest.raises(pts.ArgumentError,
+                       match="^metric must be of type KreinMetricParams, got tuple$"):
+        pts.ExtensionParams(0.2, 0.1, (0.3, 0.5))
+
+
 # a point or coefficient that complex() rejects is malformed, and the error
 # names it
 @pytest.mark.parametrize("make, name", [

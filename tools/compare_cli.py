@@ -40,6 +40,7 @@ COMMANDS = [
     ["sweep", *PARAMS, "--chi", "0.5", "--xi", "0.3", "--steps", "16", "--format", "json"],
     ["sweep", *PARAMS, "--chi", "400", "--steps", "2"],
     ["sweep", *PARAMS, "--chi", "400", "--steps", "2", "--format", "json"],  # exit 4
+    ["sweep", *PARAMS, "--chi", "710.4", "--xi", "4.71238898038469", "--steps", "2"],  # exit 2
     ["sweep", "--beta0", "-0.25", "--beta1", "0", "--steps", "9", "--format", "json"],  # pole -3i
     ["sweep", *PARAMS, "--re-min=-1e308", "--re-max=1e308"],       # exit 2
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=-0.0", "--im-min=-1", "--im-max=-0.0",
