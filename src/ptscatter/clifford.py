@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, _check_tol,
                      _finite_complex, _finite_real, _instance)
-from .matrix2 import _defect, _finite_array, as_matrix
+from .matrix2 import _defect, _finite_array, _formed, as_matrix
 
 DEFAULT_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
@@ -54,9 +54,6 @@ class PauliCoefficients:
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "a3"):
             object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2, self.a3])
 
 
 @dataclass(frozen=True)
@@ -90,18 +87,21 @@ def p_xi(xi: float) -> np.ndarray:
     return np.array([[c, -1j * s], [1j * s, -c]], dtype=complex)
 
 
+@np.errstate(all="ignore")
 def pauli_compose(coeffs, xi: float = 0.0) -> np.ndarray:
     """a0*I + a1*P_xi + a2*R + a3*(i R P_xi).
 
     The default xi = 0 is the plain basis {I, sigma_3, sigma_1, sigma_2};
     nonzero xi expands in the rotated involution pair (P_xi, R) instead.
+    An entry that overflows raises :class:`ArgumentError`.
     """
     if isinstance(coeffs, PauliCoefficients):
         a0, a1, a2, a3 = coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
     else:
         a0, a1, a2, a3 = _finite_array(coeffs, (4,), "coefficient vector")
     j = p_xi(xi)
-    return a0 * SIGMA0 + a1 * j + a2 * SIGMA1 + a3 * (1j * (SIGMA1 @ j))
+    return _formed("Pauli composition",
+                   a0 * SIGMA0 + a1 * j + a2 * SIGMA1 + a3 * (1j * (SIGMA1 @ j)))
 
 
 def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
@@ -169,10 +169,12 @@ def metric(params: KreinMetricParams) -> np.ndarray:
     return ch * SIGMA0 - sh * (1j * (SIGMA1 @ p_xi(params.xi)))
 
 
+@np.errstate(all="ignore")
 def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
     """e^{theta j} = cosh(theta) I + sinh(theta) j for an involution j.
 
-    Raises :class:`AssumptionError` when ``||j^2 - I||`` exceeds ``tol``.
+    Raises :class:`AssumptionError` when ``||j^2 - I||`` exceeds ``tol``,
+    :class:`ArgumentError` when an entry overflows.
     """
     _check_tol(tol)
     jm = as_matrix(j)
@@ -180,7 +182,8 @@ def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
     defect = _defect("involution", jm @ jm - SIGMA0)
     if defect > tol:
         raise AssumptionError(f"j is not an involution: ||j^2 - I|| = {defect:.3e}")
-    return np.cosh(th) * SIGMA0 + np.sinh(th) * jm
+    return _formed("exponential e^{theta j}", np.cosh(th) * SIGMA0 + np.sinh(th) * jm,
+                   f" at theta={th!r}")
 
 
 def is_unitary_involution(m, tol: float = DEFAULT_TOL) -> bool:

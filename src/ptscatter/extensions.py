@@ -29,9 +29,9 @@ import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
-from .errors import (ArgumentError, AssumptionError, _check_tol,
-                     _finite_complex, _finite_real, _instance)
-from .matrix2 import (_det, _operator_norm, as_matrix, hermitian_eigenvalues,
+from .errors import (AssumptionError, _check_tol, _finite_complex,
+                     _finite_real, _instance)
+from .matrix2 import (_defect, _det, _formed, as_matrix, hermitian_eigenvalues,
                       is_hermitian)
 from .symmetry import c_params_from_matrix
 
@@ -97,10 +97,12 @@ def extension_params(beta0: float, beta1: float, chi: float = 0.0,
     return ExtensionParams(beta0, beta1, KreinMetricParams(xi=xi, chi=chi))
 
 
+@np.errstate(all="ignore")
 def t_from_betas(e: ExtensionParams) -> np.ndarray:
-    """T = beta0 I + beta1 C."""
+    """T = beta0 I + beta1 C; an entry that overflows raises :class:`ArgumentError`."""
     _instance("e", e, ExtensionParams)
-    return e.beta0 * SIGMA0 + e.beta1 * c_operator(e.metric)
+    return _formed("matrix T = beta0 I + beta1 C",
+                   e.beta0 * SIGMA0 + e.beta1 * c_operator(e.metric))
 
 
 def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
@@ -127,18 +129,19 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
         raise AssumptionError("beta0^2 - det(t) < 0: t is not beta0 I + beta1 C")
     beta1 = math.sqrt(max(b1_sq, 0.0))
     if beta1 <= tol:
-        residual = _operator_norm(a - beta0 * SIGMA0)
+        residual = _defect("beta0 I", a - beta0 * SIGMA0)
         if residual > tol:
             raise AssumptionError(
                 f"t deviates from beta0 I by {residual:.3e} although beta1 = 0")
         return ExtensionParams(beta0, 0.0, KreinMetricParams(0.0, 0.0),
                                metric_identifiable=False)
     try:
-        params = c_params_from_matrix((a - beta0 * SIGMA0) / beta1, tol)
+        params = c_params_from_matrix(
+            _formed("C-operator (T - beta0 I) / beta1", (a - beta0 * SIGMA0) / beta1), tol)
     except AssumptionError as exc:
         raise AssumptionError(f"t is not beta0 I + beta1 C: {exc}") from exc
     result = ExtensionParams(beta0, beta1, params)
-    residual = _operator_norm(t_from_betas(result) - a)
+    residual = _defect("reconstruction", t_from_betas(result) - a)
     if residual > tol:
         raise AssumptionError(f"reconstruction residual {residual:.3e} exceeds tol")
     return result
@@ -176,26 +179,17 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
 
 def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
     """classify_nonnegative(e, tol) given the metric g and P_xi j of e."""
-    b0, b1 = e.beta0, e.beta1
+    b0, b1, at = e.beta0, e.beta1, f" at chi={e.metric.chi!r}"
     closed = (b0 >= -tol and b0 <= 0.5 + tol
               and abs(b1) <= min(0.5 - b0, b0) + tol)
-    lower = _oracle_eigenvalues("beta0 G + beta1 P_xi", b0 * g + b1 * j, e.metric.chi)
-    upper = _oracle_eigenvalues("(1/2 - beta0) G - beta1 P_xi", (0.5 - b0) * g - b1 * j,
-                                e.metric.chi)
+    lower = hermitian_eigenvalues(_formed("oracle matrix beta0 G + beta1 P_xi",
+                                          b0 * g + b1 * j, at))
+    upper = hermitian_eigenvalues(_formed("oracle matrix (1/2 - beta0) G - beta1 P_xi",
+                                          (0.5 - b0) * g - b1 * j, at))
     oracle = lower[0] >= -tol and upper[0] >= -tol
     return SpectraClassification(nonnegative=closed, closed_form_verdict=closed,
                                  oracle_verdict=oracle,
                                  eigenvalues_lower=lower, eigenvalues_upper=upper)
-
-
-def _oracle_eigenvalues(name, m, chi) -> tuple[float, float]:
-    """hermitian_eigenvalues of the oracle matrix m; an m that overflowed
-    raises :class:`ArgumentError` naming it and chi rather than the finite
-    parameters it came from."""
-    try:
-        return hermitian_eigenvalues(m)
-    except ArgumentError:
-        raise ArgumentError(f"the oracle matrix {name} overflows at chi={chi!r}") from None
 
 
 def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> bool:
@@ -214,11 +208,10 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
 def _metric_inequality(a, g, chi, tol) -> bool:
     """check_metric_inequality of the validated matrix a, given the metric g
     of the parameter chi."""
+    at = f" at chi={chi!r}"
     with np.errstate(all="ignore"):
-        gt, gu = g @ a, g @ (0.5 * SIGMA0 - a)
-    for name, m in (("G T", gt), ("G (I/2 - T)", gu)):
-        if not np.isfinite(m).all():
-            raise ArgumentError(f"the metric product {name} overflows at chi={chi!r}")
+        gt = _formed("metric product G T", g @ a, at)
+        gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
     if not is_hermitian(gt, tol):
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")

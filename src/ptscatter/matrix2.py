@@ -73,17 +73,11 @@ def det(m) -> complex:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value, from the eigenvalues of m* m."""
+    """Largest singular value, from the eigenvalues of m* m.  It calls the
+    public det, which validates m again, so that its traced call tree stays
+    the one ``benchmarks/test_bench.py::test_spans_record_parents`` pins."""
     a = as_matrix(m)
     return _norm(a, det(a))
-
-
-def _operator_norm(m) -> float:
-    """operator_norm(m), validating m once; operator_norm itself keeps its
-    call of the public det, which validates again, so its traced call tree
-    stays as the benchmark records it."""
-    a = as_matrix(m)
-    return _norm(a, _det(a))
 
 
 def _norm(a, d) -> float:
@@ -95,14 +89,18 @@ def _norm(a, d) -> float:
     return math.sqrt(t / 2.0 + math.sqrt(disc))
 
 
+def _formed(what, m, at=""):
+    """m, a matrix formed from validated input; an inf or NaN entry raises
+    :class:`ArgumentError` naming it, ``the {what} overflows{at}``."""
+    if not all(map(cmath.isfinite, m.ravel().tolist())):
+        raise ArgumentError(f"the {what} overflows{at}")
+    return m
+
+
 def _defect(name, difference) -> float:
-    """operator_norm(difference), the name defect of a validated matrix; a
-    difference that overflowed raises :class:`ArgumentError` naming the
-    defect rather than the finite matrix it came from."""
-    try:
-        return _operator_norm(difference)
-    except ArgumentError:
-        raise ArgumentError(f"the {name} defect overflows") from None
+    """operator_norm of the formed matrix difference, the name defect."""
+    d = _formed(f"{name} defect", difference)
+    return _norm(d, _det(d))
 
 
 def _sum4(x) -> np.ndarray:
@@ -215,7 +213,7 @@ def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
 def is_hermitian(m, tol: float) -> bool:
     _check_tol(tol)
     a = as_matrix(m)
-    return _operator_norm(a - a.conj().T) <= tol
+    return _defect("Hermiticity", a - a.conj().T) <= tol
 
 
 def _hypot(x: float, y: float) -> float:
@@ -233,15 +231,23 @@ def hermitian_eigenvalues(m) -> tuple[float, float]:
     Only the real parts of the diagonal and the modulus of the (0, 1) entry
     enter, so an almost-Hermitian matrix is quietly projected; callers that
     need a hard Hermiticity guarantee must check :func:`is_hermitian` first.
+    Where p + s or p - s of the diagonal overflows, both are formed from
+    p / 2 and s / 2 (halving first everywhere would round subnormals).
     """
     p, q, _, s = as_matrix(m).ravel().tolist()
     p, s = p.real, s.real
-    mid = (p + s) / 2.0
-    rad = _hypot((p - s) / 2.0, _hypot(q.real, q.imag))
+    mid, half = (p + s) / 2.0, (p - s) / 2.0
+    if math.isinf(mid) or math.isinf(half):
+        mid, half = p / 2.0 + s / 2.0, p / 2.0 - s / 2.0
+    rad = _hypot(half, _hypot(q.real, q.imag))
     return (mid - rad, mid + rad)
 
 
 def _hermitian_lows(m) -> np.ndarray:
     """hermitian_eigenvalues(m)[0] for each matrix of a stack (N, 2, 2)."""
     p, q, off = m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1]
-    return (p + q) / 2.0 - np.hypot((p - q) / 2.0, np.hypot(off.real, off.imag))
+    mid, half = (p + q) / 2.0, (p - q) / 2.0
+    over = np.isinf(mid) | np.isinf(half)
+    if over.any():
+        mid, half = np.where(over, p / 2.0 + q / 2.0, mid), np.where(over, p / 2.0 - q / 2.0, half)
+    return mid - np.hypot(half, np.hypot(off.real, off.imag))

@@ -67,7 +67,8 @@ in list order over the arrays it holds (a finiteness mask of the rows, the
 checks' sizes, their kept residuals) and raises for the first check with a
 non-finite residual matrix (an :class:`ArgumentError` naming the check and
 the point), no residual, or none left after the skips.  Numpy's
-floating-point warnings are off while residuals are formed and normed.
+floating-point warnings are off while the terms of S and the residuals are
+formed and the residuals normed.
 """
 from __future__ import annotations
 
@@ -282,10 +283,11 @@ class _Table:
         self.regular = not self.singular.any()
 
 
+@np.errstate(all="ignore")
 def _tables(plan, a, *e):
     """The table of s_matrix(a, z) over the plan and, given e, the table of
     s_matrix_zero_range(e, z) over it, from one kernel call over the
-    stacked terms of both routes."""
+    stacked terms of both routes, formed under the kernel's errstate."""
     terms = [_terms(a, plan.points), *(_zero_range_terms(x, plan.points) for x in e)]
     batch = _s_batch(*map(np.concatenate, zip(*terms)))
     return [_Table(plan, batch, k) for k in range(len(terms))]

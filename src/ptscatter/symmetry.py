@@ -25,8 +25,7 @@ import numpy as np
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA2, SIGMA3, TWO_PI,
                        KreinMetricParams, c_operator, p_xi, pauli_decompose)
 from .errors import ArgumentError, AssumptionError, _check_tol
-from .matrix2 import (_defect, _finite_array, _operator_norm, as_matrix,
-                      as_vector)
+from .matrix2 import _defect, _finite_array, as_matrix, as_vector
 
 
 def pt_apply(v) -> np.ndarray:
@@ -52,7 +51,7 @@ def pt_conjugate(m) -> np.ndarray:
 def pt_defect(m) -> float:
     """||pt_conjugate(m) - m||; zero exactly for PT-symmetric m."""
     a = as_matrix(m)
-    return _defect("PT", pt_conjugate(a) - a)
+    return _defect("PT", _pt_images(a) - a)
 
 
 def is_pt_symmetric(m, tol: float = DEFAULT_TOL) -> bool:
@@ -119,13 +118,13 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
     if pt_defect(a) > tol:
         raise AssumptionError("m is not PT-symmetric")
-    if _operator_norm(a - SIGMA0) <= tol or _operator_norm(a + SIGMA0) <= tol:
+    if _defect("+I", a - SIGMA0) <= tol or _defect("-I", a + SIGMA0) <= tol:
         raise AssumptionError("m = +-I is trivial; (xi, chi) is not determined")
     co = pauli_decompose(a)
     chi = math.asinh(co.a2.imag)
     xi = math.atan2(co.a3.real, co.a1.real) % TWO_PI
     params = KreinMetricParams(xi=xi, chi=chi)
-    residual = _operator_norm(c_operator(params) - a)
+    residual = _defect("C reconstruction", c_operator(params) - a)
     if residual > tol:
         raise AssumptionError(
             f"m passed the involution and PT checks but does not reconstruct "
@@ -157,7 +156,7 @@ def krein_selfadjoint_reduction(m, alpha, tol: float = DEFAULT_TOL) -> float:
     if not is_pt_symmetric(a, tol):
         raise AssumptionError("m is not PT-symmetric")
     j = a1 * SIGMA3 + a2 * SIGMA1 + a3 * SIGMA2
-    j_defect = _operator_norm(j @ a - a.conj().T @ j)
+    j_defect = _defect("Krein", j @ a - a.conj().T @ j)
     if j_defect > tol:
         raise AssumptionError(
             f"m is not self-adjoint w.r.t. the given involution (defect {j_defect:.3e})")
@@ -205,6 +204,6 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
         except AssumptionError:
             cp = None
         if cp is not None:
-            residuals["c_reconstruction"] = _operator_norm(c_operator(cp) - a)
+            residuals["c_reconstruction"] = _defect("C reconstruction", c_operator(cp) - a)
     return SymmetryReport(pt_symmetric=pt_ok, krein_xi=xi, xi_degenerate=degenerate,
                           c_params=cp, residuals=residuals)

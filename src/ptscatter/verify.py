@@ -29,8 +29,8 @@ routes, the generic one and the parametrized one it is compared with, in
 two tables over the plan.  A draw forms G and P_xi once.  Every check
 skips the points where S is singular (the route gap those where either
 route is), and the suite lists the distinct singular points of its table
-as ``singular_z``.  The batching leaves the errors in this order: the
-classification and the metric inequality (which validates T), a check
+as ``singular_z``.  The batching leaves the errors in this order: an
+overflowing T, the classification and the metric inequality, a check
 left with no regular point, the scalar t_from_s calls of the Mobius round
 trip, then the verdicts (a), (b), (c), (d), PT, Mobius round trip,
 z-independence, formula equivalence and plain norm, each raising for
@@ -54,7 +54,6 @@ from .errors import ArgumentError, _check_tol, _finite_real, _integer
 from .extensions import (ExtensionParams, _classify, _metric_inequality,
                          t_from_betas)
 from .grids import lower_half_plane_grid, real_axis_points
-from .matrix2 import as_matrix
 from .scattering import (_checks, _interior_point, _kept, _plain_norms,
                          _point_list, _report, _report_plan, _route_gap,
                          _s_table, _spectral_point, _tables, _worsts,
@@ -192,7 +191,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
     t = t_from_betas(e)
     g, px = metric(e.metric), p_xi(e.metric.xi)
     cls = _classify(e, tol, g, px)
-    metric_ok = _metric_inequality(as_matrix(t), g, e.metric.chi, tol)
+    metric_ok = _metric_inequality(t, g, e.metric.chi, tol)
     plan, positions, mobius = _default_plan()
     s_of, zr = _tables(plan, t, e)
     grid = positions[0]      # (a) reads the interior grid

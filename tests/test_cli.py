@@ -97,6 +97,20 @@ def test_verify_overflowing_metric_product_names_chi(capsys):
     assert err == "error: the metric product G T overflows at chi=700.0\n"
 
 
+def test_verify_overflowing_t_names_t(capsys):
+    code, out, err = run(capsys, ["verify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the matrix T = beta0 I + beta1 C overflows\n"
+
+
+def test_classify_finite_hermitian_oracle_has_finite_eigenvalues(capsys):
+    code, out, _ = run(capsys, ["classify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["eigenvalues_lower"] == rep["eigenvalues_upper"] == [-1e308, 1e308]
+
+
 def test_classify_internal_disagreement_exits_3(capsys, monkeypatch):
     from ptscatter.extensions import SpectraClassification
 

@@ -16,7 +16,7 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, DEFAULT_TOL, SIGMA0,
                        c_params_from_matrix, extension_params,
                        pauli_decompose, s_matrix, t_from_betas, t_from_s)
 from ptscatter.matrix2 import (_adjugate, _det_condition, _det_conditions,
-                               _operator_norms, _singular_error,
+                               _hermitian_lows, _operator_norms, _singular_error,
                                as_matrix, condition_number, det,
                                hermitian_eigenvalues, inverse, is_hermitian,
                                operator_norm)
@@ -298,6 +298,7 @@ def test_one_matrix_forms_keep_the_bits_of_their_numpy_references():
     [[1, 2, 3], [4, 5, 6]], [1, 2], np.zeros((2, 2, 1)), [[-0.0, 0.0], [0.0, -0.0]],
     [[complex(-0.0, -0.0), 1], [2, 3]], [[1 + 1j, 2], [2, 3]], [[2, 1], [1, 2]],
     [[1.3e154, 0], [0, 1.3e154 + 1.3e154j]],
+    [[1.5e-323, 0], [0, 1e-323]],      # subnormal diagonal: summed before it is halved
 ])
 def test_one_matrix_forms_match_their_references_on_edge_cases(m):
     with np.errstate(all="ignore"):
@@ -363,6 +364,26 @@ def test_scalar_forms_give_their_stack_forms_where_the_determinant_modulus_overf
             with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                 inverse(m)
     assert math.isnan(operator_norm([[1.3e154, 0], [0, 1.3e154 + 1.3e154j]]))
+
+
+def test_scalar_forms_give_their_stack_forms_where_the_diagonal_sum_overflows():
+    # diagonals of either sign near the largest float, so p + s or p - s
+    # passes the float range; off-diagonal entries zero or up to 1e307
+    rng = np.random.default_rng(15)
+    n = 2000
+    m = np.zeros((n, 2, 2), dtype=complex)
+    for k in (0, 1):
+        m[:, k, k] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.9e308, 1.79e308, n)
+    m[n // 2:, 0, 1] = 1e307 * (rng.standard_normal(n - n // 2)
+                                + 1j * rng.standard_normal(n - n // 2))
+    m[:, 1, 0] = m[:, 0, 1].conj()
+    with np.errstate(all="ignore"):
+        lows = _hermitian_lows(m)
+    for a, low in zip(m, lows.tolist()):
+        assert bits(hermitian_eigenvalues(a)[0]) == bits(low), a.tolist()
+    diagonal = m[: n // 2]
+    assert np.isfinite(lows[: n // 2]).all()
+    assert np.isfinite([hermitian_eigenvalues(a)[1] for a in diagonal]).all()
 
 
 # The scan path's scalar arithmetic around the primitives, as it was: the

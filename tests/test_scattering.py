@@ -223,6 +223,18 @@ def test_kernel_emits_no_warnings():
                 _metric_defects(g, s)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, p: property_report(t, p),
+    lambda t, p: check_condition_b(t, p, GRID + real_axis_points()),
+], ids=["property_report", "check_condition_b"])
+def test_overflowing_terms_raise_without_warnings(call):
+    # 2(1 +- iz) T passes the float range at the far sample points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            call(3e307 * np.eye(2), KreinMetricParams(0.3, 0.5))
+
+
 def test_numerator_and_denominator_commute():
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -932,12 +944,13 @@ nan, inf = math.nan, math.inf
 
 def _gap(r):
     """A finite Hermitian metric gap whose residual, minus its lowest
-    eigenvalue, is r: -r I for a finite r; for NaN, a matrix whose
-    eigenvalue formula meets inf - inf."""
-    if math.isnan(r):
+    eigenvalue, is r: -r I for a finite r; for inf, a matrix whose
+    off-diagonal modulus overflows.  No finite gap has a NaN residual, so
+    a NaN r goes to the pass as given, over a zero gap."""
+    if math.isinf(r):
         off = complex(1.7e308, 1.7e308)
         return np.array([[1e308, off], [off.conjugate(), 1e308]])
-    return -r * np.eye(2, dtype=complex)
+    return (0.0 if math.isnan(r) else -r) * np.eye(2, dtype=complex)
 
 
 @pytest.mark.parametrize("lows, norms, bad", [
@@ -949,17 +962,19 @@ def _gap(r):
     (None, [[1.0], [1.0, 2.0], [nan, -inf]], (1, 0)),                 # bad before all-NaN
     (None, [[nan, nan]], None),                                       # all-NaN norms
     ([-1.0, 0.5, nan, 0.5], [[0.5, 2.0], [1.0]], None),               # (a) in the pass
+    ([1.0, inf, nan], [[1.0]], None),                                 # (a) inf kept
     ([1.0, 2.0], [[1.0], [nan, nan], []], (0, 1)),                    # (a) bad before faults
     ([nan, nan], [[1.0, 2.0]], None),                                 # (a) all-NaN
     ([], [[1.0, 2.0], [3.0]], None),                                  # (a) empty
 ], ids=["ties", "skips", "empty", "bad-matrix", "all-nan-first", "bad-matrix-first",
-        "all-nan", "a-in-the-pass", "a-bad-matrix-first", "a-all-nan", "a-empty"])
+        "all-nan", "a-in-the-pass", "a-inf-kept", "a-bad-matrix-first", "a-all-nan",
+        "a-empty"])
 def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     import ptscatter.scattering as scattering
     # the norms come from the patched norm call, so any finite matrix stands
     # for one; lows, when given, are condition (a)'s residuals, in front of
-    # the norms, from real metric gaps; bad puts a non-finite entry into
-    # (check, row)
+    # the norms, from real metric gaps where not NaN; bad puts a non-finite
+    # entry into (check, row)
     norm_res = np.array([x for check in norms for x in check])
     monkeypatch.setattr(scattering, "_operator_norms", lambda m: norm_res.copy())
     ms = [np.zeros((len(check), 2, 2), dtype=complex) for check in norms]
@@ -967,8 +982,9 @@ def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     if lows is not None:
         ms.insert(0, np.array([_gap(r) for r in lows], dtype=complex).reshape(-1, 2, 2))
         names.insert(0, "condition (a)")
+        given = ~np.isnan(lows)
         with np.errstate(all="ignore"):
-            assert np.array_equal(-_hermitian_lows(ms[0]), lows, equal_nan=True)
+            assert np.array_equal(-_hermitian_lows(ms[0])[given], np.array(lows)[given])
     if bad is not None:
         ms[bad[0]][bad[1], 1, 0] = complex(0.0, inf)
     z = np.arange(sum(map(len, ms))) * (1 - 0.5j) - 1j
@@ -979,8 +995,7 @@ def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     if lows is None:
         res, args = norm_res, ()
     else:
-        with np.errstate(all="ignore"):
-            res = np.concatenate([-_hermitian_lows(ms[0]), norm_res])
+        res = np.concatenate([lows, norm_res])
         args = (res,)
     got = _worsts_outcome(lambda: scattering._worsts(z, checks, *args))
     assert got == _worsts_outcome(lambda: _reference_worsts(z, checks, res))
@@ -990,5 +1005,7 @@ def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     if lows == [-1.0, 0.5, nan, 0.5]:
         assert got == [(float, 0.5, complex, complex(z[1])), (float, 2.0, complex, complex(z[5])),
                        (float, 1.0, complex, complex(z[6]))]
+    if lows == [1.0, inf, nan]:
+        assert got == [(float, inf, complex, complex(z[1])), (float, 1.0, complex, complex(z[3]))]
     if bad == (0, 1):
         assert got == f"the condition (a) residual matrix overflows at z={complex(z[1])}"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ptscatter as pts
+from ptscatter.matrix2 import _hermitian_lows
 
 E = pts.extension_params(0.2, 0.1, chi=0.5, xi=0.3)
 T = pts.t_from_betas(E)
@@ -139,8 +140,8 @@ def test_malformed_grid_and_count_raise_argument_error(call, message):
         call()
 
 
-# a finite matrix whose symmetry defect or Pauli coefficient overflows: the
-# error names the defect or the coefficient
+# a finite matrix whose symmetry defect, Pauli coefficient or C-operator
+# overflows: the error names the defect, the coefficient or the matrix
 HUGE = [[1e308 + 1e308j, 0], [0, -1e308 - 1e308j]]
 SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
 
@@ -157,9 +158,16 @@ SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
     (lambda: pts.pauli_decompose(HUGE), "the Pauli coefficient a1 overflows from the given entries"),
     (lambda: pts.pauli_decompose(HUGE, 0.3),
      "the Pauli coefficient a1 overflows from the given entries"),
+    (lambda: pts.is_hermitian([[1e308, -1e308], [1e308, 1e308]], 1e-10),
+     "the Hermiticity defect overflows"),
+    (lambda: pts.krein_selfadjoint_reduction([[1e308, 1e308j], [-1e308j, 1e308]], [1, 0, 0]),
+     "the Krein defect overflows"),
+    # tr T overflows, so beta0 does and (T - beta0 I) / beta1 is NaN
+    (lambda: pts.betas_from_t([[1e308, 0], [0, 1e308]]),
+     "the C-operator (T - beta0 I) / beta1 overflows"),
 ], ids=["pt_defect", "is_pt_symmetric", "solve_xi", "symmetry_report", "krein_defect",
         "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric", "pauli_decompose",
-        "pauli_decompose-xi"])
+        "pauli_decompose-xi", "is_hermitian", "krein_selfadjoint_reduction", "betas_from_t"])
 def test_overflowing_symmetry_defect_is_named(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -206,6 +214,41 @@ def test_overflowing_oracle_matrix_is_named(call, message):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
             call()
+
+
+# finite input whose formed matrix overflows: the error names that matrix,
+# with no numpy warning
+T_OVERFLOWS = pts.extension_params(0, 1e308, chi=2)      # beta1 C passes the float range
+T_MESSAGE = "the matrix T = beta0 I + beta1 C overflows"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pts.t_from_betas(T_OVERFLOWS), T_MESSAGE),
+    (lambda: pts.run_parameter_suite(T_OVERFLOWS), T_MESSAGE),
+    (lambda: pts.pauli_compose([1e308] * 4), "the Pauli composition overflows"),
+    (lambda: pts.exp_involution(800.0, pts.SIGMA3),
+     "the exponential e^{theta j} overflows at theta=(800+0j)"),
+], ids=["t_from_betas", "run_parameter_suite", "pauli_compose", "exp_involution"])
+def test_overflowing_formed_matrix_is_named_without_warnings(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# finite Hermitian input whose diagonal sum or difference passes the float
+# range has finite eigenvalues
+@pytest.mark.parametrize("call, expected", [
+    (lambda: pts.hermitian_eigenvalues([[1.7e308, 0], [0, 1.7e308]]), (1.7e308, 1.7e308)),
+    (lambda: pts.hermitian_eigenvalues([[1.7e308, 0], [0, -1.7e308]]), (-1.7e308, 1.7e308)),
+    (lambda: _hermitian_lows(np.array([np.diag([1.7e308, -1.7e308])], dtype=complex)).tolist(),
+     [-1.7e308]),
+    (lambda: pts.classify_nonnegative(T_OVERFLOWS).eigenvalues_lower, (-1e308, 1e308)),
+], ids=["hermitian_eigenvalues-sum", "hermitian_eigenvalues-difference", "_hermitian_lows",
+        "classify_nonnegative"])
+def test_finite_hermitian_input_has_finite_eigenvalues(call, expected):
+    with np.errstate(all="ignore"):
+        assert call() == expected
 
 
 # an object of the wrong type where a parameter object is expected ends in

@@ -47,7 +47,9 @@ COMMANDS = [
      "--steps", "3"],                                   # z_re holds 0 and -0
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=0.0", "--steps", "2"],
     ["sweep", *PARAMS, "--chi", "-1.2", "--xi", "2.5", "--steps", "64"],
+    ["verify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"],     # exit 2, T overflows
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
+    ["classify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"],   # finite eigenvalues
     ["classify", "--beta0", "1.3165760051555746", "--beta1", "-0.020132417011519577",
      "--chi", "709.8642557525455", "--xi", "5.305185825219249"],     # exit 2
     ["decompose", "[[1,0],[0,-1]]"],

@@ -5,18 +5,22 @@
 OLD_SRC and NEW_SRC are directories holding a ``ptscatter`` package (for
 example ``src`` of two checkouts).  Each tree runs in its own interpreter
 over the same N seeded input sets (default 3000).  A set holds a T (valid,
-large chi up to 709.86, singular, overflowing or malformed), metric and
-extension parameters, and point lists mixing interior and real-axis points,
-the upper half-plane, NaN, inf, strings, None, signed zeros and poles of S.
-Per set the tool calls the five checks, ``standard_contraction_norm``,
-``property_report`` (given and default grids),
-``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
+large chi up to 709.86, singular, overflowing, with entries near the
+largest float or malformed), metric and extension parameters (beta1 now and
+then 1e308, so T overflows), point lists mixing interior and real-axis
+points, the upper half-plane, NaN, inf, strings, None, signed zeros and
+poles of S, Pauli coefficients and an exponent, either of which may
+overflow.  Per set the tool calls the five checks,
+``standard_contraction_norm``, ``property_report`` (given and default
+grids), ``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
 ``run_parameter_suite``, ``classify_nonnegative``,
-``check_metric_inequality``, ``betas_from_t``, ``c_params_from_matrix`` (of
-T and of a C-operator), ``pt_defect``, ``krein_defect``,
-``c_symmetry_defect`` and ``symmetry_report``, and records the result's
-repr, or the exception's type, message and ``z``, together with the numpy
-warnings the call emits.
+``check_metric_inequality``, ``t_from_betas``, ``betas_from_t``,
+``c_params_from_matrix`` (of T and of a C-operator), ``pt_defect``,
+``krein_defect``, ``c_symmetry_defect``, ``symmetry_report``,
+``is_hermitian``, ``hermitian_eigenvalues``,
+``krein_selfadjoint_reduction``, ``pauli_compose`` and
+``exp_involution``, and records the result's repr, or the exception's
+type, message and ``z``, together with the numpy warnings the call emits.
 It prints every call that differs and a count per kind of difference, and
 exits 1 if any call differs.
 """
@@ -41,6 +45,11 @@ SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), compl
 ODD_POINTS = [complex(NAN, -1.0), complex(1.0, NAN), complex(INF, -1.0), complex(0.0, -INF),
               "1-1j", "-2j", "x", None, 2.0, 1, -1j]
 CHIS = [6.0, 50.0, 300.0, 700.0, -700.0, 709.8642557525455]
+# finite T whose Hermiticity or Krein defect, trace, Mobius terms or
+# eigenvalue formula overflows
+HUGE_TS = [np.array([[1e308, -1e308], [1e308, 1e308]]),
+           np.array([[1e308, 1e308j], [-1e308j, 1e308]]), np.diag([1e308, 1e308]),
+           3e307 * np.eye(2), np.diag([1.7e308, 1.7e308]), np.diag([1.7e308, -1.7e308])]
 
 
 def _chi(rng) -> float:
@@ -54,15 +63,16 @@ def _t(rng, pts, e):
         try:
             return pts.t_from_betas(e)
         except pts.ArgumentError:
-            # C overflows: the T with C's inf entries that a tree without
-            # the overflow check returns, so both trees get the same T
+            # C or T overflows: the T with inf entries that a tree without
+            # the overflow checks returns, so both trees get the same T
             chi, xi = e.metric.chi, e.metric.xi
             with np.errstate(all="ignore"):
                 c = math.cosh(chi) * pts.p_xi(xi) + 1j * math.sinh(chi) * pts.SIGMA1
                 return e.beta0 * pts.SIGMA0 + e.beta1 * c
     if kind < 0.7:
         structured = [np.zeros((2, 2)), np.eye(2), np.eye(2) / 2, np.diag([(1 + 1j) / 2, 0]),
-                      np.diag([100.0, 0.0]), np.array([[0.0, 1e300], [1e300, 0.0]])]
+                      np.diag([100.0, 0.0]), np.array([[0.0, 1e300], [1e300, 0.0]]),
+                      *HUGE_TS]
         return structured[rng.integers(len(structured))]
     if kind < 0.88:
         return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -120,6 +130,8 @@ def _calls(pts, k: int, seed: int):
     """(name, thunk) for every call of input set k."""
     rng = np.random.default_rng([seed, k])
     beta0, beta1 = float(rng.uniform(-0.5, 1.0)), float(rng.uniform(-0.5, 0.5))
+    if rng.random() < 0.02:
+        beta1 = 1e308
     xi, chi = float(rng.uniform(0.0, 2 * math.pi)), _chi(rng)
     e = pts.extension_params(beta0, beta1, chi=chi, xi=xi)
     p = pts.KreinMetricParams(float(rng.uniform(0.0, 2 * math.pi)), _chi(rng))
@@ -131,6 +143,8 @@ def _calls(pts, k: int, seed: int):
     one = (zs or _points(rng, poles) or [1 - 1j])[0]
     witness = 1 - 1j if rng.random() < 0.5 else one
     tol = _tol(rng)
+    coeffs = [1e308] * 4 if rng.random() < 0.1 else rng.standard_normal(4).tolist()
+    theta = 800.0 if rng.random() < 0.1 else float(rng.uniform(-5.0, 5.0))
     yield "check_condition_a", lambda: pts.check_condition_a(t, p, zs, tol)
     yield "check_condition_b", lambda: pts.check_condition_b(t, p, zs, tol)
     yield "check_condition_c", lambda: pts.check_condition_c(t, p, one, tol)
@@ -144,6 +158,7 @@ def _calls(pts, k: int, seed: int):
     yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol)
     yield "classify_nonnegative", lambda: pts.classify_nonnegative(e, tol)
     yield "check_metric_inequality", lambda: pts.check_metric_inequality(t, p, tol)
+    yield "t_from_betas", lambda: pts.t_from_betas(e)
     yield "betas_from_t", lambda: pts.betas_from_t(t, tol)
     yield "c_params_from_matrix", lambda: pts.c_params_from_matrix(t, tol)
     yield "c_params_from_c_operator", lambda: pts.c_params_from_matrix(pts.c_operator(p), tol)
@@ -151,6 +166,11 @@ def _calls(pts, k: int, seed: int):
     yield "krein_defect", lambda: pts.krein_defect(t, p.xi)
     yield "c_symmetry_defect", lambda: pts.c_symmetry_defect(t, p)
     yield "symmetry_report", lambda: pts.symmetry_report(t, tol)
+    yield "is_hermitian", lambda: pts.is_hermitian(t, tol)
+    yield "hermitian_eigenvalues", lambda: pts.hermitian_eigenvalues(t)
+    yield "krein_selfadjoint_reduction", lambda: pts.krein_selfadjoint_reduction(t, [1, 0, 0], tol)
+    yield "pauli_compose", lambda: pts.pauli_compose(coeffs, xi)
+    yield "exp_involution", lambda: pts.exp_involution(theta, pts.SIGMA3, tol)
 
 
 def _outcome(thunk) -> str:
@@ -159,7 +179,7 @@ def _outcome(thunk) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = repr(thunk())
+            out = repr(thunk()).replace("\n", " ")   # an array repr spans lines
         except Exception as exc:   # every exception is an outcome to compare
             z = getattr(exc, "z", None)
             out = f"raises {type(exc).__name__} {str(exc)!r} z={z!r}"
