@@ -25,13 +25,12 @@ with floats printed to 17 significant digits.  Sweep rows are emitted
 row-major: imaginary part outer (ascending), real part inner (ascending).
 Singular points keep their row with NaN fields and are counted in a trailing
 comment line.  sweep evaluates its whole grid in one batched pass (S,
-std_norm and metric_defect as arrays); its CSV formats each distinct z
-coordinate once (a grid repeats each of them steps times, and +0.0 and
--0.0 count as distinct) and the ten other fields of a line with one
-``%.17g`` template.  smatrix takes its one point through the scalar
-s_matrix_zero_range, which is faster there.  Either way the output equals
-a per-point loop over s_matrix_zero_range, operator_norm and the lowest
-eigenvalue of G - S* G S bit for bit.
+std_norm and metric_defect as arrays); smatrix takes its one point through
+the scalar s_matrix_zero_range, which is faster there.  Either way the
+output equals a per-point loop over s_matrix_zero_range, operator_norm and
+the lowest eigenvalue of G - S* G S bit for bit.  Both write their CSV
+fields in one vectorised pass (``_decimal17``) with the bytes of
+``'%.17g' % v`` for every value.
 
 JSON output equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for
 byte; it is written by writers dispatched on the type of each value (the
@@ -50,6 +49,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._decimal17 import csv_rows
 from .clifford import DEFAULT_TOL, metric, pauli_decompose
 from .errors import ArgumentError, AssumptionError, SingularMatrixError, _check_tol
 from .extensions import classify_nonnegative, extension_params
@@ -63,7 +63,6 @@ from .verify import (_classification, _pair, run_parameter_suite,
 
 CSV_HEADER = ("z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,"
               "s22_re,s22_im,std_norm,metric_defect")
-_CSV_ROW = "%s,%s," + ",".join(["%.17g"] * 10)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -228,20 +227,9 @@ def _sweep_cells(e, zs, s) -> np.ndarray:
                             _operator_norms(s), _metric_defects(metric(e.metric), s)])
 
 
-def _formatted(column) -> list[str]:
-    """'%.17g' of each value of a float column, each distinct value formatted
-    once; values are keyed by their bits, so +0.0 and -0.0 stay apart."""
-    keys = column.view(np.int64).tolist()
-    text = {k: "%.17g" % x for k, x in dict(zip(keys, column.tolist())).items()}
-    return [text[k] for k in keys]
-
-
 def _cells_to_csv(cells, singular) -> str:
-    lines = [CSV_HEADER]
-    lines += map(_CSV_ROW.__mod__, zip(_formatted(cells[:, 0]), _formatted(cells[:, 1]),
-                                       *cells[:, 2:].T.tolist()))
-    lines.append(f"# singular_points: {int(singular.sum())}/{len(cells)}")
-    return "\n".join(lines) + "\n"
+    return (f"{CSV_HEADER}\n{csv_rows(cells)}"
+            f"# singular_points: {int(singular.sum())}/{len(cells)}\n")
 
 
 def _cells_to_json(cells, singular, config: dict) -> dict:

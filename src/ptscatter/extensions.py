@@ -31,8 +31,7 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
 from .errors import (AssumptionError, _check_tol, _finite_complex,
                      _finite_real, _instance)
-from .matrix2 import (_defect, _det, _formed, as_matrix, hermitian_eigenvalues,
-                      is_hermitian)
+from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, as_matrix
 from .symmetry import c_params_from_matrix
 
 
@@ -182,10 +181,10 @@ def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
     b0, b1, at = e.beta0, e.beta1, f" at chi={e.metric.chi!r}"
     closed = (b0 >= -tol and b0 <= 0.5 + tol
               and abs(b1) <= min(0.5 - b0, b0) + tol)
-    lower = hermitian_eigenvalues(_formed("oracle matrix beta0 G + beta1 P_xi",
-                                          b0 * g + b1 * j, at))
-    upper = hermitian_eigenvalues(_formed("oracle matrix (1/2 - beta0) G - beta1 P_xi",
-                                          (0.5 - b0) * g - b1 * j, at))
+    lower = _hermitian_eigenvalues(_formed("oracle matrix beta0 G + beta1 P_xi",
+                                           b0 * g + b1 * j, at))
+    upper = _hermitian_eigenvalues(_formed("oracle matrix (1/2 - beta0) G - beta1 P_xi",
+                                           (0.5 - b0) * g - b1 * j, at))
     oracle = lower[0] >= -tol and upper[0] >= -tol
     return SpectraClassification(nonnegative=closed, closed_form_verdict=closed,
                                  oracle_verdict=oracle,
@@ -212,9 +211,10 @@ def _metric_inequality(a, g, chi, tol) -> bool:
     with np.errstate(all="ignore"):
         gt = _formed("metric product G T", g @ a, at)
         gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
-    if not is_hermitian(gt, tol):
+        hermitian = _defect("Hermiticity", gt - gt.conj().T, at) <= tol
+    if not hermitian:
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")
-    lower = hermitian_eigenvalues(gt)
-    upper = hermitian_eigenvalues(gu)
+    lower = _hermitian_eigenvalues(gt)
+    upper = _hermitian_eigenvalues(gu)
     return lower[0] >= -tol and upper[0] >= -tol

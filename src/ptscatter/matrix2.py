@@ -97,9 +97,9 @@ def _formed(what, m, at=""):
     return m
 
 
-def _defect(name, difference) -> float:
+def _defect(name, difference, at="") -> float:
     """operator_norm of the formed matrix difference, the name defect."""
-    d = _formed(f"{name} defect", difference)
+    d = _formed(f"{name} defect", difference, at)
     return _norm(d, _det(d))
 
 
@@ -234,7 +234,12 @@ def hermitian_eigenvalues(m) -> tuple[float, float]:
     Where p + s or p - s of the diagonal overflows, both are formed from
     p / 2 and s / 2 (halving first everywhere would round subnormals).
     """
-    p, q, _, s = as_matrix(m).ravel().tolist()
+    return _hermitian_eigenvalues(as_matrix(m))
+
+
+def _hermitian_eigenvalues(a) -> tuple[float, float]:
+    """hermitian_eigenvalues of the validated matrix a."""
+    p, q, _, s = a.ravel().tolist()
     p, s = p.real, s.real
     mid, half = (p + s) / 2.0, (p - s) / 2.0
     if math.isinf(mid) or math.isinf(half):

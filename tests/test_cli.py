@@ -347,6 +347,22 @@ def test_sweep_and_smatrix_match_the_per_point_loop(capsys, monkeypatch):
         assert got == want, argv
 
 
+def test_sweep_csv_edge_fields_match_the_per_field_loop(capsys, monkeypatch):
+    # z = -0.5i is a pole of T = I; z_re holds +0 and a decade the CSV
+    # writer leaves to '%.17g' itself, z_im holds -0
+    argv = ["sweep", "--beta0", "1", "--beta1", "0", "--re-min=-2e-7", "--re-max=0.0",
+            "--im-min=-1", "--im-max=-0.0", "--steps", "3"]
+    got = run(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_points", reference_run_points)
+        want = run(capsys, argv)
+    assert got == want
+    rows = [line.split(",") for line in got[1].splitlines()[1:-1]]
+    assert ["0", "-0.5"] + ["nan"] * 10 in rows
+    assert {"-1.9999999999999999e-07", "-9.9999999999999995e-08", "0"} <= {r[0] for r in rows}
+    assert "-0" in {r[1] for r in rows}
+
+
 def test_sweep_does_not_evaluate_point_by_point(capsys, monkeypatch):
     import ptscatter.matrix2 as matrix2
     import ptscatter.scattering as scattering

@@ -228,7 +228,10 @@ T_MESSAGE = "the matrix T = beta0 I + beta1 C overflows"
     (lambda: pts.pauli_compose([1e308] * 4), "the Pauli composition overflows"),
     (lambda: pts.exp_involution(800.0, pts.SIGMA3),
      "the exponential e^{theta j} overflows at theta=(800+0j)"),
-], ids=["t_from_betas", "run_parameter_suite", "pauli_compose", "exp_involution"])
+    (lambda: pts.check_metric_inequality([[0, 1e308], [-1e308, 0]], pts.KreinMetricParams(0, 0)),
+     "the Hermiticity defect overflows at chi=0.0"),
+], ids=["t_from_betas", "run_parameter_suite", "pauli_compose", "exp_involution",
+        "check_metric_inequality"])
 def test_overflowing_formed_matrix_is_named_without_warnings(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

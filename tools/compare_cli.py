@@ -47,6 +47,14 @@ COMMANDS = [
      "--steps", "3"],                                   # z_re holds 0 and -0
     ["sweep", *PARAMS, "--re-min=-0.0", "--re-max=0.0", "--steps", "2"],
     ["sweep", *PARAMS, "--chi", "-1.2", "--xi", "2.5", "--steps", "64"],
+    # CSV fields the vectorised writer leaves to '%.17g': |v| < 1e-6 or >= 1e17
+    ["sweep", *PARAMS, "--re-min=-1e18", "--re-max=1e18", "--steps", "3"],
+    ["sweep", "--beta0", "0.2", "--beta1", "1e-9", "--chi", "1.5", "--xi", "0.7",
+     "--steps", "4"],
+    ["sweep", *PARAMS, "--chi", "15.5", "--steps", "4"],            # large |S|, pole rows
+    # z in [1e-5, 1e-4): exponent notation up to 1e-4, fixed from there
+    ["sweep", *PARAMS, "--chi", "0.5", "--re-min=-5e-5", "--re-max=5e-5", "--steps", "4"],
+    ["smatrix", *PARAMS, "--chi", "0.5", "--z-re=5e-5", "--z-im=-5e-5"],
     ["verify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"],     # exit 2, T overflows
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
     ["classify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"],   # finite eigenvalues

@@ -17,10 +17,11 @@ another, after a few untimed warm-up calls, and times each:
 * ``scan``: one parameter set of ``benchmarks/workloads.py``'s ``scan``.
 
 The CLI writes its output under DIR (use a RAM disk such as ``/dev/shm`` to
-keep file-system cost out of the timings).  The tool prints each pair's p50
-and p90 in ms for both trees, then each side's median and quartiles of the
-pairs' p50 and p90, the gap between the medians and the number of pairs in
-which NEW has the lower p90.
+keep file-system cost out of the timings).  Each child's peak RSS is read
+with ``os.wait4``, as ``benchmarks/run.py`` reads it.  The tool prints each
+pair's p50 and p90 in ms and peak RSS in MB for both trees, then for each
+of the three each side's median and quartiles over the pairs, the gap
+between the medians and the number of pairs in which NEW reads lower.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -76,15 +78,21 @@ def child(workload: str, calls: int, seed: int, out: Path) -> None:
     print(json.dumps(latency))
 
 
-def run(src: Path, args, seed: int) -> list:
+def run(src: Path, args, seed: int) -> tuple[list, float]:
+    """The per-call latencies of one child run and its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--child", "--workload", args.workload,
-                           "--calls", str(args.calls), "--seed", str(seed),
-                           "--out-dir", str(args.out_dir)],
-                          env=env, capture_output=True, text=True, timeout=3600)
-    if proc.returncode:
-        sys.exit(f"{src}: the child run failed:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, __file__, "--child", "--workload",
+                                 args.workload, "--calls", str(args.calls), "--seed", str(seed),
+                                 "--out-dir", str(args.out_dir)],
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        if status:
+            err.seek(0)
+            sys.exit(f"{src}: the child run failed:\n{err.read()[-2000:].decode()}")
+    return json.loads(out.splitlines()[-1]), usage.ru_maxrss / 1024.0
 
 
 def percentile_ms(latency, q) -> float:
@@ -92,9 +100,9 @@ def percentile_ms(latency, q) -> float:
     return ordered[min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1)] / 1e6
 
 
-def quartiles(values) -> str:
+def quartiles(values, unit) -> str:
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return f"median {q2:.3f} ms, quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
+    return f"median {q2:.3f} {unit}, quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
 
 
 def main(argv=None) -> int:
@@ -114,23 +122,25 @@ def main(argv=None) -> int:
         parser.error("expected OLD_SRC and NEW_SRC")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     trees = [Path(a).resolve() for a in args.trees]
-    stats = {"old": {"p50": [], "p90": []}, "new": {"p50": [], "p90": []}}
+    units = {"p50": "ms", "p90": "ms", "rss": "MB"}
+    stats = {side: {metric: [] for metric in units} for side in ("old", "new")}
     for k in range(args.pairs):
         order = [("old", trees[0]), ("new", trees[1])][::1 if k % 2 == 0 else -1]
-        row = {}
         for side, src in order:
-            latency = run(src, args, args.seed * 100003 + k)
-            row[side] = (percentile_ms(latency, 0.5), percentile_ms(latency, 0.9))
-            stats[side]["p50"].append(row[side][0])
-            stats[side]["p90"].append(row[side][1])
-        print(f"pair {k:2} ({order[0][0]} first): p50 {row['old'][0]:.3f} -> {row['new'][0]:.3f}"
-              f"  p90 {row['old'][1]:.3f} -> {row['new'][1]:.3f} ms", flush=True)
-    for metric in ("p50", "p90"):
+            latency, rss = run(src, args, args.seed * 100003 + k)
+            stats[side]["p50"].append(percentile_ms(latency, 0.5))
+            stats[side]["p90"].append(percentile_ms(latency, 0.9))
+            stats[side]["rss"].append(rss)
+        old, new = ({m: v[-1] for m, v in stats[side].items()} for side in ("old", "new"))
+        print(f"pair {k:2} ({order[0][0]} first): p50 {old['p50']:.3f} -> {new['p50']:.3f}"
+              f"  p90 {old['p90']:.3f} -> {new['p90']:.3f} ms"
+              f"  rss {old['rss']:.2f} -> {new['rss']:.2f} MB", flush=True)
+    for metric, unit in units.items():
         for side in ("old", "new"):
-            print(f"{metric} {side}: {quartiles(stats[side][metric])}")
+            print(f"{metric} {side}: {quartiles(stats[side][metric], unit)}")
         gap = statistics.median(stats["old"][metric]) - statistics.median(stats["new"][metric])
         wins = sum(n < o for o, n in zip(stats["old"][metric], stats["new"][metric]))
-        print(f"{metric}: median gap {gap:.3f} ms, new lower in {wins} of {args.pairs} pairs")
+        print(f"{metric}: median gap {gap:.3f} {unit}, new lower in {wins} of {args.pairs} pairs")
     return 0
 
 
