@@ -186,6 +186,7 @@ def exp_involution(theta, j, tol: float = DEFAULT_TOL) -> np.ndarray:
                    f" at theta={th!r}")
 
 
+@np.errstate(all="ignore")
 def is_unitary_involution(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m^2 = I and m m* = I within tol (operator norm)."""
     _check_tol(tol)

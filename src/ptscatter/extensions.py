@@ -32,7 +32,7 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
 from .errors import (AssumptionError, _check_tol, _finite_complex,
                      _finite_real, _instance)
 from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, as_matrix
-from .symmetry import c_params_from_matrix
+from .symmetry import _c_params
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,16 @@ def extension_params(beta0: float, beta1: float, chi: float = 0.0,
 def t_from_betas(e: ExtensionParams) -> np.ndarray:
     """T = beta0 I + beta1 C; an entry that overflows raises :class:`ArgumentError`."""
     _instance("e", e, ExtensionParams)
+    return _t(e)
+
+
+def _t(e) -> np.ndarray:
+    """t_from_betas(e), under the caller's errstate."""
     return _formed("matrix T = beta0 I + beta1 C",
                    e.beta0 * SIGMA0 + e.beta1 * c_operator(e.metric))
 
 
+@np.errstate(all="ignore")
 def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
     """Invert :func:`t_from_betas`: beta0 = tr(T)/2, beta1 = sqrt(beta0^2 - det T).
 
@@ -135,12 +141,12 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
         return ExtensionParams(beta0, 0.0, KreinMetricParams(0.0, 0.0),
                                metric_identifiable=False)
     try:
-        params = c_params_from_matrix(
+        params = _c_params(
             _formed("C-operator (T - beta0 I) / beta1", (a - beta0 * SIGMA0) / beta1), tol)
     except AssumptionError as exc:
         raise AssumptionError(f"t is not beta0 I + beta1 C: {exc}") from exc
     result = ExtensionParams(beta0, beta1, params)
-    residual = _defect("reconstruction", t_from_betas(result) - a)
+    residual = _defect("reconstruction", _t(result) - a)
     if residual > tol:
         raise AssumptionError(f"reconstruction residual {residual:.3e} exceeds tol")
     return result
@@ -191,6 +197,7 @@ def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
                                  eigenvalues_lower=lower, eigenvalues_upper=upper)
 
 
+@np.errstate(all="ignore")
 def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> bool:
     """Operator inequality 0 <= G t <= (1/2) G for the metric G.
 
@@ -200,21 +207,11 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
     raises :class:`ArgumentError`.
     """
     _check_tol(tol)
-    a = as_matrix(t)
-    return _metric_inequality(a, metric(p), p.chi, tol)
-
-
-def _metric_inequality(a, g, chi, tol) -> bool:
-    """check_metric_inequality of the validated matrix a, given the metric g
-    of the parameter chi."""
-    at = f" at chi={chi!r}"
-    with np.errstate(all="ignore"):
-        gt = _formed("metric product G T", g @ a, at)
-        gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
-        hermitian = _defect("Hermiticity", gt - gt.conj().T, at) <= tol
-    if not hermitian:
+    a, g = as_matrix(t), metric(p)
+    at = f" at chi={p.chi!r}"
+    gt = _formed("metric product G T", g @ a, at)
+    gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
+    if not _defect("Hermiticity", gt - gt.conj().T, at) <= tol:   # a NaN norm fails
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")
-    lower = _hermitian_eigenvalues(gt)
-    upper = _hermitian_eigenvalues(gu)
-    return lower[0] >= -tol and upper[0] >= -tol
+    return _hermitian_eigenvalues(gt)[0] >= -tol and _hermitian_eigenvalues(gu)[0] >= -tol

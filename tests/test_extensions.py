@@ -8,10 +8,11 @@ import pytest
 from ptscatter import (SIGMA0, SIGMA1, AssumptionError, BoundaryData,
                        ArgumentError, ExtensionParams, KreinMetricParams,
                        betas_from_t, check_metric_inequality,
-                       classify_nonnegative, extension_params, gamma0, gamma1,
-                       in_domain, is_c_symmetric, is_krein_selfadjoint,
-                       is_pt_symmetric, metric, operator_norm, p_xi,
-                       pauli_decompose, t_from_betas)
+                       classify_nonnegative, draw_extension_params,
+                       extension_params, gamma0, gamma1, in_domain,
+                       is_c_symmetric, is_krein_selfadjoint, is_pt_symmetric,
+                       metric, operator_norm, p_xi, pauli_decompose, pt_defect,
+                       t_from_betas)
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +168,12 @@ def test_t_from_betas_has_all_three_symmetries():
         assert is_pt_symmetric(t, 1e-10)
         assert is_krein_selfadjoint(t, p.xi, 1e-10)
         assert is_c_symmetric(t, p, 1e-10)
+    # the off-diagonal real parts and diagonal imaginary parts of T are exact
+    # zeros at every chi, so the verify suite expects the PT criterion to pass
+    for _ in range(200):
+        p = KreinMetricParams(rng.uniform(0, TWO_PI), rng.uniform(-300, 300))
+        e = ExtensionParams(rng.uniform(-1, 1), rng.uniform(-1, 1), p)
+        assert pt_defect(t_from_betas(e)) == 0.0
 
 
 def test_commutation_iff_rotated_r_coefficient_matches_tanh():
@@ -204,6 +211,14 @@ def test_check_metric_inequality_endpoints_and_oracle_match():
         e = ExtensionParams(rng.uniform(-0.2, 0.7), rng.uniform(-0.5, 0.5), pp)
         assert check_metric_inequality(t_from_betas(e), pp) == \
             classify_nonnegative(e).oracle_verdict
+    # the verify suite takes the metric inequality from the oracle verdict:
+    # G C = P_xi makes G T and G (I/2 - T) the oracle's two matrices
+    rng = np.random.default_rng(2207)
+    for i in range(400):
+        e = draw_extension_params(rng, admissible=(i % 2 == 0))
+        for tol in (1e-10, 1e-8):
+            assert check_metric_inequality(t_from_betas(e), e.metric, tol) == \
+                classify_nonnegative(e, tol).oracle_verdict
 
 
 def test_check_metric_inequality_names_chi_when_a_metric_product_overflows():

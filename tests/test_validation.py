@@ -141,7 +141,8 @@ def test_malformed_grid_and_count_raise_argument_error(call, message):
 
 
 # a finite matrix whose symmetry defect, Pauli coefficient or C-operator
-# overflows: the error names the defect, the coefficient or the matrix
+# overflows: the error names the defect, the coefficient or the matrix,
+# with no numpy warning
 HUGE = [[1e308 + 1e308j, 0], [0, -1e308 - 1e308j]]
 SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
 
@@ -165,18 +166,22 @@ SIGMA2_C = pts.KreinMetricParams(math.pi / 2, 0.0)     # C = sigma_2
     # tr T overflows, so beta0 does and (T - beta0 I) / beta1 is NaN
     (lambda: pts.betas_from_t([[1e308, 0], [0, 1e308]]),
      "the C-operator (T - beta0 I) / beta1 overflows"),
+    # beta0^2 and det T overflow, so beta1 is NaN
+    (lambda: pts.betas_from_t(1e160 * pts.t_from_betas(pts.extension_params(0.2, 0.1, 0.5, 0.3))),
+     "the C-operator (T - beta0 I) / beta1 overflows"),
 ], ids=["pt_defect", "is_pt_symmetric", "solve_xi", "symmetry_report", "krein_defect",
         "is_krein_selfadjoint", "c_symmetry_defect", "is_c_symmetric", "pauli_decompose",
-        "pauli_decompose-xi", "is_hermitian", "krein_selfadjoint_reduction", "betas_from_t"])
+        "pauli_decompose-xi", "is_hermitian", "krein_selfadjoint_reduction", "betas_from_t",
+        "betas_from_t-scaled"])
 def test_overflowing_symmetry_defect_is_named(call, message):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
             call()
 
 
 # finite matrices whose involution or unitarity residual m m - I, m m* - I
-# overflows: the error names the residual
+# overflows: the error names the residual, with no numpy warning
 SQUARE_OVERFLOWS = [[1e200, 0], [0, 1e200]]
 ADJOINT_OVERFLOWS = [[0, 1e200], [1e-200, 0]]     # m m = I
 
@@ -191,7 +196,7 @@ ADJOINT_OVERFLOWS = [[0, 1e200], [1e-200, 0]]     # m m = I
         "is_unitary_involution-adjoint", "exp_involution"])
 def test_overflowing_involution_residual_is_named(call, message):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
             call()
 

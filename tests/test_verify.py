@@ -10,13 +10,15 @@ from ptscatter import (check_metric_inequality, classify_nonnegative,
                        formula_equivalence_residual, hermitian_eigenvalues,
                        is_pt_symmetric, lower_half_plane_grid, metric,
                        mobius_round_trip_residuals, operator_norm, p_xi,
-                       property_report, real_axis_points, run_parameter_suite,
-                       run_random_suite, s_matrix, s_matrix_zero_range,
-                       t_from_betas)
+                       property_report, real_axis_points,
+                       run_parameter_suite, run_random_suite, s_matrix,
+                       s_matrix_zero_range, t_from_betas)
 from ptscatter.errors import ArgumentError, SingularMatrixError
-from ptscatter.verify import (CONTRACTION_SLACK, CONTRACTION_WITNESS_MARGIN,
-                              FORMULA_EQUIVALENCE_COND_SCALE,
+from ptscatter.verify import (CONTRACTION_SLACK, FORMULA_EQUIVALENCE_COND_SCALE,
                               FORMULA_EQUIVALENCE_TOL, _check_entry, _entry)
+
+# a plain norm above 1 + WITNESS_MARGIN witnesses that S is not a contraction
+WITNESS_MARGIN = 1e-6
 
 
 def test_draws_respect_region_and_margins():
@@ -55,7 +57,7 @@ def test_parameter_suite_admissible_is_consistent():
     assert suite["classification"]["nonnegative"]
     assert suite["metric_inequality"]
     assert suite["checks"]["condition_a"]["passed"]
-    assert suite["contraction_witness_found"]
+    assert suite["standard_norm_max"] > 1.0 + WITNESS_MARGIN
 
 
 def test_parameter_suite_inadmissible_is_still_consistent():
@@ -106,8 +108,25 @@ def test_chi_zero_draws_have_no_contraction_witness():
         e = extension_params(d.beta0, d.beta1, chi=0.0, xi=d.metric.xi)
         suite = run_parameter_suite(e)
         assert e.beta1 != 0.0 and suite["consistent"]
-        assert suite["standard_norm_max"] <= 1.0 + CONTRACTION_WITNESS_MARGIN
-        assert suite["contraction_witness_found"] is False
+        assert suite["standard_norm_max"] <= 1.0 + WITNESS_MARGIN
+
+
+@pytest.mark.parametrize("chi", [8.0, 13.0])
+def test_parameter_suite_reports_large_chi_draws(chi):
+    # past the sampled |chi| <= 2 band rounding outgrows the absolute
+    # tolerance; the suite reports the draw instead of raising
+    suite = run_parameter_suite(extension_params(0.25, 0.2, chi=chi, xi=0.3))
+    assert len(suite["checks"]) == 10 and isinstance(suite["consistent"], bool)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: an admissible draw 1.05e-7 inside the "
+                   "diamond's upper edge puts a pole of S about 2e-7 above z = 0, and (b) "
+                   "fails there at 1.19e-10 against the absolute 1e-10")
+def test_near_edge_battery_draw_is_consistent():
+    # the admissible draw of battery seed 8006
+    e = extension_params(0.32472377566224225, -0.17527611941705315,
+                         chi=-0.48338643672087844, xi=1.7775422709950994)
+    assert run_parameter_suite(e)["consistent"]
 
 
 # ------------------------------------------- reference: one S call per use
@@ -171,7 +190,6 @@ def reference_parameter_suite(e, tol=1e-10):
         },
         "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
-        "contraction_witness_found": bool(max_norm > 1.0 + CONTRACTION_WITNESS_MARGIN),
         "singular_z": [],
         "checks": checks,
         "consistent": all(entry["consistent"] for entry in checks.values()),

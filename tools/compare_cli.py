@@ -26,6 +26,11 @@ COMMANDS = [
     ["verify", *POLE_REPLAY],                                       # exit 5
     ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "6"],  # exit 5
     ["verify", *PARAMS, "--chi", "700"],
+    # past the sampled |chi| <= 2 band: a metric product rounding past tol
+    # once made the suite raise "metric * t is not Hermitian"
+    ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "8"],
+    ["verify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "13"],
+    ["verify", "--beta0", "0.6", "--beta1", "-0.1", "--chi", "-12", "--xi", "1.1"],
     ["verify", "--beta0", "0.25", "--beta1", "0.25"],                # pole at z = 0
     ["verify", "--beta0", "-0.26", "--beta1", "0.01"],               # pole at z = -3i
     ["verify", "--beta0", "-0.25", "--beta1", "0"],                  # pole at z = -3i
