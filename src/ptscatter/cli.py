@@ -33,9 +33,10 @@ fields in one vectorised pass (``_decimal17``) with the bytes of
 ``'%.17g' % v`` for every value.
 
 JSON output equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for
-byte; it is written by writers dispatched on the type of each value (the
-standard library's pure-Python encoder, which ``indent`` selects, is about
-twice as slow).
+byte.  One recursive function writes it over the seven exact types the
+documents hold (dict with str keys, list, str, int, bool, None, float) and
+raises json's ``TypeError`` for any other; the standard library's
+pure-Python encoder, which ``indent`` selects, is about twice as slow.
 """
 
 from __future__ import annotations
@@ -86,66 +87,41 @@ def _emit_json(obj, path):
     _emit(_json_text(obj) + "\n", path)
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) without the pure-Python
-    encoder that indent selects."""
-    return _JSON.get(type(obj), _json_other)(obj, "\n")
-
-
-# Each writer returns the text of o, whose lines after the first start with
-# pad, a newline and the indentation.
-
-def _json_float(x, pad) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_list(o, pad) -> str:
-    if not o:
-        return "[]"
-    inner = pad + "  "
-    items = [_JSON.get(type(x), _json_other)(x, inner) for x in o]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _json_dict(o, pad) -> str:
-    if not o:
-        return "{}"
-    inner = pad + "  "
-    items = [encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
-             + _JSON.get(type(v), _json_other)(v, inner) for k, v in sorted(o.items())]
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
-
-
-def _json_key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _json_float(k, None)
-    if k is True or k is False or k is None:
-        return _JSON[type(k)](k, None)
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _json_other(o, pad) -> str:
-    """The writer of a subclass, by json's isinstance order."""
-    for kind in (str, int, float, list, tuple, dict):
-        if isinstance(o, kind):
-            return _JSON[kind](o, pad)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-_JSON = {str: lambda o, pad: encode_basestring_ascii(o), int: lambda o, pad: int.__repr__(o),
-         float: _json_float, bool: lambda o, pad: "true" if o else "false",
-         type(None): lambda o, pad: "null", list: _json_list, tuple: _json_list,
-         dict: _json_dict}
+def _json_text(o, pad="\n") -> str:
+    """json.dumps(o, sort_keys=True, indent=2) for the exact types the
+    documents hold: dict with str keys, list, str, int, bool, None and
+    float.  Lines after the first start with pad, a newline and the
+    indentation."""
+    kind = type(o)
+    if kind is float:
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return repr(o)
+    if kind is bool:
+        return "true" if o else "false"
+    if kind is list:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in o]) + pad + "]"
+    if kind is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return repr(o)
+    if o is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _parse_matrix(text: str) -> np.ndarray:

@@ -68,12 +68,12 @@ def _instance(name, value, kind):
                             f"got {type(value).__name__}")
 
 
-def _check_tol(tol):
-    """Reject a tolerance that is not a positive number (NaN and non-numbers
-    included)."""
+def _check_tol(tol, name="tol"):
+    """Reject a tolerance or limit that is not a positive number (NaN,
+    non-numbers and arrays of more than one value included)."""
     try:
-        positive = tol > 0
-    except TypeError:
+        positive = bool(tol > 0)
+    except (TypeError, ValueError):
         positive = False
     if not positive:
-        raise ArgumentError("tol must be positive")
+        raise ArgumentError(f"{name} must be positive")

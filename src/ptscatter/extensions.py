@@ -31,7 +31,7 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
                        metric, p_xi)
 from .errors import (AssumptionError, _check_tol, _finite_complex,
                      _finite_real, _instance)
-from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, as_matrix
+from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, _norm, as_matrix
 from .symmetry import _c_params
 
 
@@ -201,7 +201,8 @@ def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
 def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> bool:
     """Operator inequality 0 <= G t <= (1/2) G for the metric G.
 
-    Requires G t Hermitian within tol (t metric self-adjoint), otherwise
+    Requires G t Hermitian (t metric self-adjoint) within
+    tol * max(1, ||G|| ||t||), the rounding scale of the product, otherwise
     :class:`AssumptionError`; then both G t and G (I/2 - t) must be positive
     semidefinite with eigenvalues >= -tol.  A metric product that overflows
     raises :class:`ArgumentError`.
@@ -211,7 +212,9 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
     at = f" at chi={p.chi!r}"
     gt = _formed("metric product G T", g @ a, at)
     gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
-    if not _defect("Hermiticity", gt - gt.conj().T, at) <= tol:   # a NaN norm fails
+    scale = max(1.0, _norm(g, _det(g)) * _norm(a, _det(a)))
+    # a NaN quotient (an overflowed defect over an overflowed scale) fails
+    if not _defect("Hermiticity", gt - gt.conj().T, at) / scale <= tol:
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")
     return _hermitian_eigenvalues(gt)[0] >= -tol and _hermitian_eigenvalues(gu)[0] >= -tol

@@ -202,10 +202,13 @@ def condition_number(m) -> float:
 def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
     """Adjugate-over-determinant inverse.
 
-    When ``condition_limit`` is given, matrices whose condition number
-    exceeds it are rejected with :class:`SingularMatrixError` (carrying the
-    spectral point ``z`` if supplied).
+    When ``condition_limit`` (None or a positive number) is given, matrices
+    whose condition number exceeds it are rejected with
+    :class:`SingularMatrixError` (carrying the spectral point ``z`` if
+    supplied).
     """
+    if condition_limit is not None:
+        _check_tol(condition_limit, "condition_limit")
     adj, d, _ = _adjugate(as_matrix(m), condition_limit, z)
     return adj / d
 

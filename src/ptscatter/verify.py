@@ -51,7 +51,7 @@ from functools import cache
 import numpy as np
 
 from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams, metric, p_xi
-from .errors import ArgumentError, _check_tol, _finite_real, _integer
+from .errors import ArgumentError, _check_tol, _finite_real, _instance, _integer
 from .extensions import ExtensionParams, _classify, t_from_betas
 from .grids import lower_half_plane_grid, real_axis_points
 from .scattering import (_checks, _interior_point, _kept, _plain_norms,
@@ -83,6 +83,7 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
     chi is uniform over [-2, 2] (optionally with |chi| >= min_chi) and xi
     uniform over [0, 2*pi).
     """
+    _instance("rng", rng, np.random.Generator)
     min_beta1 = _finite_real("min_beta1", min_beta1)
     min_chi = _finite_real("min_chi", min_chi)
     if not 0.0 <= min_beta1 < 0.25:

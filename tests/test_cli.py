@@ -609,6 +609,7 @@ def test_overflowing_chi_verify_writes_only_its_error_line():
     ["classify", "--beta0", "0.25", "--beta1", "0.2", "--chi", "1"],
     ["decompose", "[[1,0],[0,-1]]"],
     ["decompose", "[[0,1],[1,0]]"],                        # c_params is None
+    ["decompose", "[[1,2],[3,4]]"],                        # krein_xi is None too
     ["sweep", "--beta0", "-0.25", "--beta1", "0", "--steps", "9", "--format", "json"],
     ["sweep", "--beta0", "0.2", "--beta1", "0.1", "--chi", "400", "--steps", "2",
      "--format", "json"],
@@ -627,21 +628,39 @@ def test_json_output_equals_json_dumps(capsys, monkeypatch, argv):
     _, out, _ = run(capsys, argv)
     [obj] = emitted
     assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # the writer takes only these exact types: a document that gains a
+    # numpy scalar, a tuple or a non-str key fails here
+    values, keys = set(), set()
+    _collect_types(obj, values, keys)
+    assert values <= {dict, list, str, int, bool, type(None), float}
+    assert keys == {str}
     if argv[0] == "sweep":
         assert any(rec["singular"] for rec in obj["records"])
 
 
-class _Float(float):
-    pass
+def _collect_types(o, values, keys):
+    """Add the exact type of o and of every value in it to values, and of
+    every dict key in it to keys."""
+    values.add(type(o))
+    if type(o) is dict:
+        keys.update(map(type, o))
+        for v in o.values():
+            _collect_types(v, values, keys)
+    elif type(o) is list:
+        for v in o:
+            _collect_types(v, values, keys)
 
 
 EDGE_VALUES = [
-    {}, [], (), "", 0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
-    np.float64(0.1), np.float64(math.nan), _Float(2.5), True, False, None, 10 ** 40,
-    "\"\\\n\t\x00\x1f\x7f é   \ud800 \U0001f600",
-    {"b": [1, (2.0, {})], "a": {"": [], "é": None}, "\n": [[[]]]},
-    {1: "int key", 2.5: "float key", -1: [True]},
-    [{"k": _Float(-0.0)}, ({"x": np.float64(-math.inf)},)],
+    {}, [], [1e16, 1e-7, -2.5e-300, 0.1 + 0.2, 123456789.0], "", 0, -0.0, 5e-324,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    [-5e-324, -1.7976931348623157e308, -10 ** 40],
+    {"z": [0.0, -3.0], "singular": True, "s11": [math.nan, -math.inf]},
+    [[True, None], {"k": -1}, "é"], True, False, None, 10 ** 40,
+    "\"\\\n\t\x00\x1f\x7f é   \ud800 \U0001f600",
+    {"b": [1, [2.0, {}]], "a": {"": [], "é": None}, "\n": [[[]]]},
+    {"b": 1, "a": 2, "B": 3, "": 4, "é": 5, "\x00": 6, "aa": 7},
+    [{"k": -0.0}, [{"x": -math.inf}]],
 ]
 
 
@@ -651,10 +670,23 @@ def test_json_writer_handles_edge_values(obj):
 
 
 @pytest.mark.parametrize("obj", [1j, np.int64(1), {1, 2}, [object()], {"a": b"x"},
-                                 {(1, 2): 0}, {1: 0, "a": 1}])
+                                 np.array([1.0]), {"a": [np.float32(1.0)]}])
 def test_json_writer_raises_what_json_raises(obj):
     with pytest.raises(TypeError) as expected:
         json.dumps(obj, sort_keys=True, indent=2)
     with pytest.raises(TypeError) as got:
         cli._json_text(obj)
     assert str(got.value) == str(expected.value)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("obj", [(), [(1.0, 2.0)], np.float64(0.1), {"a": _Float(2.5)}],
+                         ids=["tuple", "nested-tuple", "float64", "float-subclass"])
+def test_json_writer_takes_only_exact_types(obj):
+    # json.dumps writes these; no document holds them, so the writer does not
+    with pytest.raises(TypeError, match="^Object of type (tuple|float64|_Float) "
+                                        "is not JSON serializable$"):
+        cli._json_text(obj)

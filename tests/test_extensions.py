@@ -236,3 +236,16 @@ def test_check_metric_inequality_names_chi_when_a_metric_product_overflows():
 def test_check_metric_inequality_rejects_non_metric_selfadjoint():
     with pytest.raises(AssumptionError):
         check_metric_inequality([[0, 1], [0, 0]], KreinMetricParams(0.0, 0.0))
+    # a defect of 2.2e-9 relative to ||G|| ||T|| is no rounding
+    e = extension_params(0.25, 0.2, chi=8.0, xi=0.3)
+    with pytest.raises(AssumptionError, match="metric \\* t is not Hermitian"):
+        check_metric_inequality(t_from_betas(e) + 1e-6 * np.array([[0, 1], [0, 0]]), e.metric)
+
+
+@pytest.mark.parametrize("chi", [8.0, 13.0])
+def test_check_metric_inequality_scales_hermiticity_with_the_product(chi):
+    # the rounding defect of G T grows with ||G|| ||T||; an in-family T
+    # passes the precondition and meets the oracle
+    e = extension_params(0.25, 0.2, chi=chi, xi=0.3)
+    assert check_metric_inequality(t_from_betas(e), e.metric) == \
+        classify_nonnegative(e).oracle_verdict

@@ -53,7 +53,7 @@ def test_table_covers_every_public_function_taking_tol():
     assert takes_tol == set(CALLS)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x", None, 1j])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x", None, 1j, np.array([1.0, 2.0])])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_bad_tol_raises(name, tol):
     with pytest.raises(pts.ArgumentError, match="tol must be positive"):
@@ -134,6 +134,10 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "zs must be an iterable of points, got float"),
     (lambda: pts.mobius_round_trip_residuals(T, None),
      "zs must be an iterable of points, got NoneType"),
+    (lambda: pts.inverse(np.eye(2), condition_limit="x"), "condition_limit must be positive"),
+    (lambda: pts.inverse(np.eye(2), condition_limit=np.array([1.0, 2.0])),
+     "condition_limit must be positive"),
+    (lambda: pts.draw_extension_params(None), "rng must be of type Generator, got NoneType"),
 ])
 def test_malformed_grid_and_count_raise_argument_error(call, message):
     with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):

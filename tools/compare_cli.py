@@ -66,12 +66,16 @@ COMMANDS = [
     ["classify", "--beta0", "1.3165760051555746", "--beta1", "-0.020132417011519577",
      "--chi", "709.8642557525455", "--xi", "5.305185825219249"],     # exit 2
     ["decompose", "[[1,0],[0,-1]]"],
+    ["decompose", "[[0,1],[1,0]]"],                                   # c_params null
+    ["decompose", "[[1,2],[3,4]]"],                                   # krein_xi null too
     ["decompose", "[[1e308+1e308j,0],[0,-1e308-1e308j]]"],
     ["decompose", "[[1e200,0],[0,1e200]]"],                           # exit 2
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1",
      "--format", "json"],
     ["smatrix", "--beta0", "-0.25", "--beta1", "0", "--z-im", "-3", "--format", "json"],  # exit 4
+    ["--help"],
+    *([command, "--help"] for command in ("decompose", "classify", "smatrix", "sweep", "verify")),
 ]
 
 

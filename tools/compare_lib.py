@@ -14,7 +14,8 @@ overflow.  Per set the tool calls the five checks,
 ``standard_contraction_norm``, ``property_report`` (given and default
 grids), ``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
 ``run_parameter_suite``, ``classify_nonnegative``,
-``check_metric_inequality``, ``t_from_betas``, ``betas_from_t``,
+``check_metric_inequality`` (with a drawn metric and with e's),
+``t_from_betas``, ``betas_from_t``,
 ``c_params_from_matrix`` (of T and of a C-operator), ``pt_defect``,
 ``krein_defect``, ``c_symmetry_defect``, ``symmetry_report``,
 ``is_hermitian``, ``hermitian_eigenvalues``,
@@ -158,6 +159,9 @@ def _calls(pts, k: int, seed: int):
     yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol)
     yield "classify_nonnegative", lambda: pts.classify_nonnegative(e, tol)
     yield "check_metric_inequality", lambda: pts.check_metric_inequality(t, p, tol)
+    # T from e is metric self-adjoint for e's metric, large chi included
+    yield "check_metric_inequality_own_metric", \
+        lambda: pts.check_metric_inequality(t, e.metric, tol)
     yield "t_from_betas", lambda: pts.t_from_betas(e)
     yield "betas_from_t", lambda: pts.betas_from_t(t, tol)
     yield "c_params_from_matrix", lambda: pts.c_params_from_matrix(t, tol)
