@@ -30,13 +30,13 @@ for b1 in beta1s:
         cls = classify_nonnegative(extension_params(float(b0), float(b1),
                                                     chi=CHI, xi=XI))
         disagreements += cls.closed_form_verdict != cls.oracle_verdict
-        row.append("#" if cls.nonnegative else ".")
+        row.append("#" if cls.closed_form_verdict else ".")
     print("".join(row))
 
 print("\ncells where closed form and eigenvalue oracle disagree:", disagreements)
 
 e = extension_params(0.25, 0.2, chi=CHI, xi=XI)
 cls = classify_nonnegative(e)
-print("\nexample (0.25, 0.2): nonnegative =", cls.nonnegative)
+print("\nexample (0.25, 0.2): nonnegative =", cls.closed_form_verdict)
 print("  oracle eigenvalues lower bound matrix:", cls.eigenvalues_lower)
 print("  oracle eigenvalues upper bound matrix:", cls.eigenvalues_upper)

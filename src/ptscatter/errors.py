@@ -12,6 +12,8 @@ import cmath
 import math
 import operator
 
+import numpy as np
+
 
 class ArgumentError(ValueError):
     """Raised when an argument is malformed (shape, finiteness, range)."""
@@ -70,9 +72,9 @@ def _instance(name, value, kind):
 
 def _check_tol(tol, name="tol"):
     """Reject a tolerance or limit that is not a positive number (NaN,
-    non-numbers and arrays of more than one value included)."""
+    non-numbers and arrays of any size included)."""
     try:
-        positive = bool(tol > 0)
+        positive = not isinstance(tol, np.ndarray) and bool(tol > 0)
     except (TypeError, ValueError):
         positive = False
     if not positive:

@@ -156,12 +156,10 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
 class SpectraClassification:
     """Nonnegativity verdicts plus the oracle eigenvalues.
 
-    ``nonnegative`` repeats ``closed_form_verdict``; a disagreement between
-    the closed form and the eigenvalue oracle is an internal-consistency
-    failure, never a valid state.
+    A disagreement between the closed form and the eigenvalue oracle is an
+    internal-consistency failure, never a valid state.
     """
 
-    nonnegative: bool
     closed_form_verdict: bool
     oracle_verdict: bool
     eigenvalues_lower: tuple[float, float]
@@ -192,8 +190,7 @@ def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
     upper = _hermitian_eigenvalues(_formed("oracle matrix (1/2 - beta0) G - beta1 P_xi",
                                            (0.5 - b0) * g - b1 * j, at))
     oracle = lower[0] >= -tol and upper[0] >= -tol
-    return SpectraClassification(nonnegative=closed, closed_form_verdict=closed,
-                                 oracle_verdict=oracle,
+    return SpectraClassification(closed_form_verdict=closed, oracle_verdict=oracle,
                                  eigenvalues_lower=lower, eigenvalues_upper=upper)
 
 

@@ -9,8 +9,7 @@ with its theory-expected outcome:
   * condition (a) must pass exactly when the metric inequality
     0 <= G T <= G/2 holds.  G C = P_xi makes G T = beta0 G + beta1 P_xi and
     G (I/2 - T) = (1/2 - beta0) G - beta1 P_xi, the two matrices of the
-    eigenvalue oracle, so the oracle verdict is the expected outcome and
-    the JSON's ``metric_inequality``;
+    eigenvalue oracle, so the oracle verdict is the expected outcome;
   * the closed-form region verdict must agree with the eigenvalue oracle;
   * the Mobius inverse must recover T from every witness point where S is
     regular, and the recovered T must not depend on the witness;
@@ -55,9 +54,8 @@ from .errors import ArgumentError, _check_tol, _finite_real, _instance, _integer
 from .extensions import ExtensionParams, _classify, t_from_betas
 from .grids import lower_half_plane_grid, real_axis_points
 from .scattering import (_checks, _interior_point, _kept, _plain_norms,
-                         _point_list, _report, _report_plan, _route_gap,
-                         _s_table, _spectral_point, _tables, _worsts,
-                         s_matrix, t_from_s)
+                         _report, _report_plan, _route_gap, _s_table,
+                         _spectral_point, _tables, _worsts, s_matrix, t_from_s)
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
 
@@ -112,12 +110,12 @@ def draw_extension_params(rng: np.random.Generator, admissible: bool = True,
     return ExtensionParams(beta0, beta1, KreinMetricParams(xi=xi, chi=chi))
 
 
-def mobius_round_trip_residuals(t, zs=WITNESS_POINTS) -> tuple[float, float]:
+def mobius_round_trip_residuals(t) -> tuple[float, float]:
     """(worst recovery error, worst cross-witness disagreement) for
-    t_from_s(s_matrix(t, z), z), called point by point."""
-    zs = _point_list("zs", zs)
-    recovered = [t_from_s(s_matrix(t, z).s, z) for z in zs]
-    z = np.array([complex(p) for p in zs], dtype=complex)
+    t_from_s(s_matrix(t, z), z) over the WITNESS_POINTS, called point by
+    point."""
+    recovered = [t_from_s(s_matrix(t, z).s, z) for z in WITNESS_POINTS]
+    z = np.array(WITNESS_POINTS, dtype=complex)
     (recovery, _), (spread, _) = _worsts(z, _round_trip(recovered, t, np.arange(len(z))))
     return recovery, spread
 
@@ -161,8 +159,7 @@ def _entry(passed, residual, expected_pass: bool = True, **extra) -> dict:
 
 def _classification(cls) -> dict:
     """The JSON record of a SpectraClassification."""
-    return {"nonnegative": bool(cls.nonnegative),
-            "closed_form_verdict": bool(cls.closed_form_verdict),
+    return {"closed_form_verdict": bool(cls.closed_form_verdict),
             "oracle_verdict": bool(cls.oracle_verdict),
             "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
             "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper]}
@@ -231,7 +228,6 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
             "xi": float(e.metric.xi),
         },
         "classification": _classification(cls),
-        "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
         # the distinct points of the table where S is singular; every check
         # skipped them

@@ -60,19 +60,19 @@ def test_classify_examples(capsys):
     code, out, _ = run(capsys, ["classify", "--beta0", "0.25", "--beta1", "0.2",
                                 "--chi", "1.0", "--xi", "0.0"])
     assert code == 0
-    assert json.loads(out)["nonnegative"] is True
+    assert json.loads(out)["closed_form_verdict"] is True
 
     code, out, _ = run(capsys, ["classify", "--beta0", "0.25", "--beta1", "0.3",
                                 "--chi", "1.0", "--xi", "0.0"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["nonnegative"] is False
+    assert rep["closed_form_verdict"] is False
     assert rep["eigenvalues_lower"][0] < 0
 
     code, out, _ = run(capsys, ["classify", "--beta0", "0.6", "--beta1", "0.0",
                                 "--chi", "0.0", "--xi", "0.0"])
     assert code == 0
-    assert json.loads(out)["nonnegative"] is False
+    assert json.loads(out)["closed_form_verdict"] is False
 
 
 def test_classify_non_numeric_flag_exits_2():
@@ -117,7 +117,7 @@ def test_classify_internal_disagreement_exits_3(capsys, monkeypatch):
     from ptscatter.extensions import SpectraClassification
 
     def fake(e, tol):
-        return SpectraClassification(True, True, False, (0.0, 1.0), (0.0, 1.0))
+        return SpectraClassification(True, False, (0.0, 1.0), (0.0, 1.0))
 
     monkeypatch.setattr(cli, "classify_nonnegative", fake)
     code, _, err = run(capsys, ["classify", "--beta0", "0.1", "--beta1", "0.0"])
@@ -470,6 +470,22 @@ def test_verify_skips_a_pole_at_its_sample_points_and_lists_it(capsys, beta0, be
     assert suite["consistent"]
     # the route gap's tolerance scales with the condition of the kept points
     assert suite["checks"]["formula_equivalence"]["tolerance"] < 1e-8
+
+
+CLASSIFICATION_KEYS = {"closed_form_verdict", "oracle_verdict", "eigenvalues_lower",
+                       "eigenvalues_upper"}
+
+
+def test_classify_and_verify_documents_hold_each_verdict_once(capsys):
+    code, out, _ = run(capsys, ["classify", "--beta0", "0.25", "--beta1", "0.2"])
+    assert code == 0
+    assert set(json.loads(out)) == {"beta0", "beta1", "chi", "xi"} | CLASSIFICATION_KEYS
+    code, out, _ = run(capsys, ["verify", "--random", "1"])
+    assert code == 0
+    [suite] = json.loads(out)["results"]
+    assert set(suite) == {"params", "classification", "standard_norm_max", "singular_z",
+                          "checks", "consistent", "draw", "admissible_draw"}
+    assert set(suite["classification"]) == CLASSIFICATION_KEYS
 
 
 def test_verify_requires_parameters_or_random():

@@ -124,11 +124,11 @@ def test_betas_from_t_rejects_other_matrices():
 
 
 def test_classify_examples():
-    assert classify_nonnegative(extension_params(0.25, 0.2, 1.0, 0.7)).nonnegative
+    assert classify_nonnegative(extension_params(0.25, 0.2, 1.0, 0.7)).closed_form_verdict
     cls = classify_nonnegative(extension_params(0.25, 0.3, 1.0, 0.0))
-    assert not cls.nonnegative and not cls.oracle_verdict
+    assert not cls.closed_form_verdict and not cls.oracle_verdict
     assert cls.eigenvalues_lower[0] < 0
-    assert not classify_nonnegative(extension_params(0.6, 0.0)).nonnegative
+    assert not classify_nonnegative(extension_params(0.6, 0.0)).closed_form_verdict
 
 
 def test_classify_oracle_equivalence_on_design_grid():
@@ -141,7 +141,6 @@ def test_classify_oracle_equivalence_on_design_grid():
                     cls = classify_nonnegative(extension_params(b0, b1, chi, xi))
                     assert cls.closed_form_verdict == cls.oracle_verdict, \
                         (b0, b1, chi, xi)
-                    assert cls.nonnegative == cls.closed_form_verdict
 
 
 def test_oracle_eigenvalues_match_numpy():

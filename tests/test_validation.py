@@ -53,7 +53,8 @@ def test_table_covers_every_public_function_taking_tol():
     assert takes_tol == set(CALLS)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x", None, 1j, np.array([1.0, 2.0])])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x", None, 1j, np.array([1.0, 2.0]),
+                                 np.array([1e-10])])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_bad_tol_raises(name, tol):
     with pytest.raises(pts.ArgumentError, match="tol must be positive"):
@@ -116,7 +117,6 @@ def test_non_real_parameter_raises_argument_error(make, name):
     (lambda: pts.run_random_suite(1, 2.5), "seed must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, "7"), "seed must be an integer, got '7'"),
     (lambda: pts.formula_equivalence_residual(E, []), "zs must be nonempty"),
-    (lambda: pts.mobius_round_trip_residuals(T, []), "zs must be nonempty"),
     (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, "abc"),
      "expected a vector of shape (3,) with numeric entries: "
      "complex() arg is a malformed string"),
@@ -132,10 +132,10 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "zs must be an iterable of points, got int"),
     (lambda: pts.standard_contraction_norm(np.eye(2) / 4, 5.0),
      "zs must be an iterable of points, got float"),
-    (lambda: pts.mobius_round_trip_residuals(T, None),
-     "zs must be an iterable of points, got NoneType"),
     (lambda: pts.inverse(np.eye(2), condition_limit="x"), "condition_limit must be positive"),
     (lambda: pts.inverse(np.eye(2), condition_limit=np.array([1.0, 2.0])),
+     "condition_limit must be positive"),
+    (lambda: pts.inverse(np.diag([1, 1e-13]), condition_limit=np.array([1e12])),
      "condition_limit must be positive"),
     (lambda: pts.draw_extension_params(None), "rng must be of type Generator, got NoneType"),
 ])

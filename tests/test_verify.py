@@ -25,13 +25,13 @@ def test_draws_respect_region_and_margins():
     rng = np.random.default_rng(50)
     for _ in range(200):
         e = draw_extension_params(rng, admissible=True)
-        assert classify_nonnegative(e).nonnegative
+        assert classify_nonnegative(e).closed_form_verdict
         e = draw_extension_params(rng, admissible=False)
-        assert not classify_nonnegative(e).nonnegative
+        assert not classify_nonnegative(e).closed_form_verdict
     for _ in range(100):
         e = draw_extension_params(rng, admissible=True, min_beta1=0.05, min_chi=0.5)
         assert abs(e.beta1) >= 0.05 and abs(e.metric.chi) >= 0.5
-        assert classify_nonnegative(e).nonnegative
+        assert classify_nonnegative(e).closed_form_verdict
     with pytest.raises(ArgumentError):
         draw_extension_params(rng, min_beta1=0.3)
 
@@ -54,8 +54,8 @@ def test_residual_helpers_are_small_for_betas_family():
 def test_parameter_suite_admissible_is_consistent():
     suite = run_parameter_suite(extension_params(0.25, 0.2, chi=1.0, xi=0.0))
     assert suite["consistent"]
-    assert suite["classification"]["nonnegative"]
-    assert suite["metric_inequality"]
+    assert suite["classification"]["closed_form_verdict"]
+    assert suite["classification"]["oracle_verdict"]
     assert suite["checks"]["condition_a"]["passed"]
     assert suite["standard_norm_max"] > 1.0 + WITNESS_MARGIN
 
@@ -63,8 +63,8 @@ def test_parameter_suite_admissible_is_consistent():
 def test_parameter_suite_inadmissible_is_still_consistent():
     suite = run_parameter_suite(extension_params(0.25, 0.3, chi=1.0, xi=0.0))
     assert suite["consistent"]
-    assert not suite["classification"]["nonnegative"]
-    assert not suite["metric_inequality"]
+    assert not suite["classification"]["closed_form_verdict"]
+    assert not suite["classification"]["oracle_verdict"]
     entry = suite["checks"]["condition_a"]
     assert not entry["passed"] and not entry["expected_pass"] and entry["consistent"]
     for name in ("condition_b", "condition_c", "condition_d", "pt_criterion"):
@@ -84,7 +84,7 @@ def test_scalar_family_outside_the_diamond_expects_no_contraction(beta0):
     suite = run_parameter_suite(extension_params(beta0, 0.0))
     entry = suite["checks"]["contraction_bound"]
     assert not entry["passed"] and not entry["expected_pass"]
-    assert suite["consistent"] and not suite["metric_inequality"]
+    assert suite["consistent"] and not suite["classification"]["oracle_verdict"]
 
 
 def test_random_suite_consistent_and_deterministic():
@@ -181,14 +181,13 @@ def reference_parameter_suite(e, tol=1e-10):
     return {
         "params": {"beta0": float(e.beta0), "beta1": float(e.beta1),
                    "chi": float(e.metric.chi), "xi": float(e.metric.xi)},
+        # the oracle verdict is the metric inequality, computed on its own
         "classification": {
-            "nonnegative": bool(cls.nonnegative),
             "closed_form_verdict": bool(cls.closed_form_verdict),
-            "oracle_verdict": bool(cls.oracle_verdict),
+            "oracle_verdict": bool(metric_ok),
             "eigenvalues_lower": [float(x) for x in cls.eigenvalues_lower],
             "eigenvalues_upper": [float(x) for x in cls.eigenvalues_upper],
         },
-        "metric_inequality": bool(metric_ok),
         "standard_norm_max": float(max_norm),
         "singular_z": [],
         "checks": checks,

@@ -155,7 +155,7 @@ def _calls(pts, k: int, seed: int):
     yield "property_report", lambda: pts.property_report(t, p, interior, boundary, witness, tol)
     yield "property_report_default", lambda: pts.property_report(t, p, tol=tol)
     yield "formula_equivalence_residual", lambda: pts.formula_equivalence_residual(e, zs)
-    yield "mobius_round_trip_residuals", lambda: pts.mobius_round_trip_residuals(t, zs)
+    yield "mobius_round_trip_residuals", lambda: pts.mobius_round_trip_residuals(t)
     yield "run_parameter_suite", lambda: pts.run_parameter_suite(e, tol)
     yield "classify_nonnegative", lambda: pts.classify_nonnegative(e, tol)
     yield "check_metric_inequality", lambda: pts.check_metric_inequality(t, p, tol)
