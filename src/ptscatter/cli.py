@@ -14,7 +14,9 @@ disagreement, 4 every sweep point singular, 5 property violation.  A pole of
 S on a grid is not an error: sweep flags its row and verify skips it in
 every check and lists it in the result's singular_z.  Each input is
 validated by the library function it enters; exit 2 prints one
-``error: <message>`` line on stderr and nothing on stdout.  The only
+``error: <message>`` line on stderr and nothing on stdout, and so does an
+input too large to handle (a literal nested too deeply to parse, a grid
+too large to allocate).  The only
 exceptions are argparse's own usage errors (an unknown flag, a non-numeric
 value, a missing required flag, and a verify run with neither --random nor
 --beta0/--beta1), which print argparse's usage message instead.
@@ -129,7 +131,7 @@ def _parse_matrix(text: str) -> np.ndarray:
     [[0,1j],[1j,0]]."""
     try:
         return as_matrix(ast.literal_eval(text))
-    except (ValueError, SyntaxError, TypeError) as exc:
+    except (ValueError, SyntaxError, TypeError, RecursionError) as exc:
         raise ArgumentError(f"cannot parse matrix literal: {exc}") from exc
 
 
@@ -343,6 +345,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ArgumentError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a grid or literal too large to hold: numpy names the array, the
+        # parser names nothing
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

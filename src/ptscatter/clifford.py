@@ -110,7 +110,13 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     With xi = 0: a0 = (m00+m11)/2, a1 = (m00-m11)/2, a2 = (m01+m10)/2,
     a3 = i(m01-m10)/2.  General xi rotates the (a1, a3) pair by -xi.
     """
-    m00, m01, m10, m11 = as_matrix(m).ravel().tolist()
+    return PauliCoefficients(*_decompose(as_matrix(m), xi))
+
+
+def _decompose(a, xi=0.0) -> tuple[complex, complex, complex, complex]:
+    """The coefficients (a0, a1, a2, a3) that pauli_decompose gives for the
+    validated matrix a, each finite."""
+    m00, m01, m10, m11 = a.ravel().tolist()
     # Real factors enter as complex(x, 0.0), as numpy promotes them: from
     # Python 3.14 a float times or over a complex skips the zero imaginary
     # part, which can flip the sign of a zero.
@@ -127,14 +133,14 @@ def pauli_decompose(m, xi: float = 0.0) -> PauliCoefficients:
     return _coefficients(a0, c * s1 + s * s3, s2, ms * s1 + c * s3)
 
 
-def _coefficients(*values) -> PauliCoefficients:
-    """PauliCoefficients of values formed from finite matrix entries; a
-    value that overflowed raises :class:`ArgumentError` naming its
-    coefficient rather than the NaN or inf it became."""
+def _coefficients(*values) -> tuple[complex, complex, complex, complex]:
+    """values, formed from finite matrix entries; a value that overflowed
+    raises :class:`ArgumentError` naming its coefficient rather than the NaN
+    or inf it became."""
     for name, v in zip(("a0", "a1", "a2", "a3"), values):
         if not cmath.isfinite(v):
             raise ArgumentError(f"the Pauli coefficient {name} overflows from the given entries")
-    return PauliCoefficients(*values)
+    return values
 
 
 def _cosh_sinh(params, name) -> tuple[float, float]:

@@ -100,13 +100,12 @@ def extension_params(beta0: float, beta1: float, chi: float = 0.0,
 def t_from_betas(e: ExtensionParams) -> np.ndarray:
     """T = beta0 I + beta1 C; an entry that overflows raises :class:`ArgumentError`."""
     _instance("e", e, ExtensionParams)
-    return _t(e)
+    return _t(e.beta0, e.beta1, c_operator(e.metric))
 
 
-def _t(e) -> np.ndarray:
-    """t_from_betas(e), under the caller's errstate."""
-    return _formed("matrix T = beta0 I + beta1 C",
-                   e.beta0 * SIGMA0 + e.beta1 * c_operator(e.metric))
+def _t(beta0, beta1, c) -> np.ndarray:
+    """beta0 I + beta1 c for the C-operator c, under the caller's errstate."""
+    return _formed("matrix T = beta0 I + beta1 C", beta0 * SIGMA0 + beta1 * c)
 
 
 @np.errstate(all="ignore")
@@ -121,12 +120,12 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
     """
     _check_tol(tol)
     a = as_matrix(t)
-    p, _, _, s = a.ravel().tolist()
+    p, q, r, s = a.ravel().tolist()
     tr = p + s
     if abs(tr.imag) > tol:
         raise AssumptionError("tr(t) is not real: t is not beta0 I + beta1 C")
     beta0 = tr.real / 2.0
-    disc = beta0 * beta0 - _det(a)
+    disc = beta0 * beta0 - (p * s - q * r)
     if abs(disc.imag) > tol:
         raise AssumptionError("det(t) is not real: t is not beta0 I + beta1 C")
     b1_sq = disc.real
@@ -141,12 +140,12 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
         return ExtensionParams(beta0, 0.0, KreinMetricParams(0.0, 0.0),
                                metric_identifiable=False)
     try:
-        params = _c_params(
+        params, c = _c_params(
             _formed("C-operator (T - beta0 I) / beta1", (a - beta0 * SIGMA0) / beta1), tol)
     except AssumptionError as exc:
         raise AssumptionError(f"t is not beta0 I + beta1 C: {exc}") from exc
     result = ExtensionParams(beta0, beta1, params)
-    residual = _defect("reconstruction", _t(result) - a)
+    residual = _defect("reconstruction", _t(beta0, beta1, c) - a)
     if residual > tol:
         raise AssumptionError(f"reconstruction residual {residual:.3e} exceeds tol")
     return result

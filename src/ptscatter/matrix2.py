@@ -21,6 +21,12 @@ which rules out three shortcuts:
   multiply-adds (and divide through a reciprocal) where Python rounds each
   step.
 
+A matrix is read once.  A helper that needs the entries of a matrix its
+caller has already read or validated takes them from the caller (as
+``_det_condition`` takes ``p, q, r, s`` from ``_adjugate``'s one
+``tolist``) rather than reading or validating the matrix again, and one
+read serves both the finiteness test and the determinant of a defect.
+
 The underscored stack forms (``_det_conditions``, ``_adjugates``,
 ``_operator_norms``, ``_hermitian_lows``) apply the same formulas to arrays of
 shape (N, 2, 2) and reproduce the one-matrix results bit for bit: products of
@@ -92,15 +98,23 @@ def _norm(a, d) -> float:
 def _formed(what, m, at=""):
     """m, a matrix formed from validated input; an inf or NaN entry raises
     :class:`ArgumentError` naming it, ``the {what} overflows{at}``."""
-    if not all(map(cmath.isfinite, m.ravel().tolist())):
-        raise ArgumentError(f"the {what} overflows{at}")
+    _formed_entries(what, m, at)
     return m
 
 
+def _formed_entries(what, m, at=""):
+    """The four entries of the matrix m, checked as :func:`_formed` checks them."""
+    entries = m.ravel().tolist()
+    if not all(map(cmath.isfinite, entries)):
+        raise ArgumentError(f"the {what} overflows{at}")
+    return entries
+
+
 def _defect(name, difference, at="") -> float:
-    """operator_norm of the formed matrix difference, the name defect."""
-    d = _formed(f"{name} defect", difference, at)
-    return _norm(d, _det(d))
+    """operator_norm of the formed matrix difference, the name defect; its
+    finiteness test and its determinant share one read of the entries."""
+    p, q, r, s = _formed_entries(f"{name} defect", difference, at)
+    return _norm(difference, p * s - q * r)
 
 
 def _sum4(x) -> np.ndarray:
@@ -127,18 +141,18 @@ def _operator_norms(a) -> np.ndarray:
     return np.sqrt(t / 2.0 + np.sqrt(_clip0(t * t / 4.0 - absd * absd)))
 
 
-def _det_condition(a) -> tuple[complex, float]:
-    """Determinant and condition number s_max / s_min (inf when singular).
+def _det_condition(p, q, r, s) -> tuple[complex, float]:
+    """Determinant and condition number s_max / s_min (inf when singular) of
+    the matrix with entries p, q (first row) and r, s (second row).
 
     s_min comes from |det a| = s_max * s_min, which avoids the cancellation
     the direct eigenvalue formula suffers for ill-conditioned input.  An
     estimate that overflows to inf or NaN counts as singular.
     """
-    d = _det(a)
+    d = p * s - q * r
     absd = _hypot(d.real, d.imag)
     if absd == 0.0:
         return d, math.inf
-    p, q, r, s = a.ravel().tolist()
     frob = (((p.real * p.real + p.imag * p.imag) + (q.real * q.real + q.imag * q.imag))
             + (r.real * r.real + r.imag * r.imag)) + (s.real * s.real + s.imag * s.imag)
     disc = max(frob * frob / 4.0 - absd * absd, 0.0)
@@ -177,11 +191,11 @@ def _adjugate(a, condition_limit, z=None, name="matrix"):
     """(adjugate, determinant, condition number) of a 2x2 array; raises
     :class:`SingularMatrixError` carrying ``z`` when a is singular or its
     condition number exceeds ``condition_limit`` (None: no limit)."""
-    d, cond = _det_condition(a)
+    p, q, r, s = a.ravel().tolist()
+    d, cond = _det_condition(p, q, r, s)
     err = _singular_error(cond, condition_limit, z, name)
     if err is not None:
         raise err
-    p, q, r, s = a.ravel().tolist()
     return np.array([[s, -q], [-r, p]]), d, cond
 
 
@@ -196,7 +210,7 @@ def _adjugates(a) -> np.ndarray:
 
 def condition_number(m) -> float:
     """Spectral condition number s_max / s_min; inf for singular matrices."""
-    return _det_condition(as_matrix(m))[1]
+    return _det_condition(*as_matrix(m).ravel().tolist())[1]
 
 
 def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:

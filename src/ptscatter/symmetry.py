@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, SIGMA2, SIGMA3, TWO_PI,
-                       KreinMetricParams, c_operator, p_xi, pauli_decompose)
+                       KreinMetricParams, _decompose, c_operator, p_xi)
 from .errors import ArgumentError, AssumptionError, _check_tol
 from .matrix2 import _defect, _finite_array, as_matrix, as_vector
 
@@ -84,9 +84,8 @@ def solve_xi(m, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     a = as_matrix(m)
     if not is_pt_symmetric(a, tol):
         raise AssumptionError("m is not PT-symmetric; no Krein involution P_xi applies")
-    c = pauli_decompose(a)
-    a1 = c.a1.real
-    a3 = c.a3.real
+    _, a1, _, a3 = _decompose(a)
+    a1, a3 = a1.real, a3.real
     if abs(a1) <= tol and abs(a3) <= tol:
         return 0.0, True
     return math.atan2(a3, a1) % TWO_PI, False
@@ -116,11 +115,12 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     verified before returning.
     """
     _check_tol(tol)
-    return _c_params(as_matrix(m), tol)
+    return _c_params(as_matrix(m), tol)[0]
 
 
-def _c_params(a, tol) -> KreinMetricParams:
-    """c_params_from_matrix of the validated matrix a, under the caller's errstate."""
+def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray]:
+    """c_params_from_matrix of the validated matrix a, under the caller's
+    errstate, and the C-operator of those parameters that reconstructs a."""
     inv_defect = _defect("involution", a @ a - SIGMA0)
     if inv_defect > tol:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
@@ -128,16 +128,17 @@ def _c_params(a, tol) -> KreinMetricParams:
         raise AssumptionError("m is not PT-symmetric")
     if _defect("+I", a - SIGMA0) <= tol or _defect("-I", a + SIGMA0) <= tol:
         raise AssumptionError("m = +-I is trivial; (xi, chi) is not determined")
-    co = pauli_decompose(a)
-    chi = math.asinh(co.a2.imag)
-    xi = math.atan2(co.a3.real, co.a1.real) % TWO_PI
+    _, a1, a2, a3 = _decompose(a)
+    chi = math.asinh(a2.imag)
+    xi = math.atan2(a3.real, a1.real) % TWO_PI
     params = KreinMetricParams(xi=xi, chi=chi)
-    residual = _defect("C reconstruction", c_operator(params) - a)
+    c = c_operator(params)
+    residual = _defect("C reconstruction", c - a)
     if residual > tol:
         raise AssumptionError(
             f"m passed the involution and PT checks but does not reconstruct "
             f"as a C-operator (residual {residual:.3e})")
-    return params
+    return params, c
 
 
 @np.errstate(all="ignore")
@@ -210,10 +211,10 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
         xi, degenerate = solve_xi(a, tol)
         residuals["krein"] = krein_defect(a, xi)
         try:
-            cp = c_params_from_matrix(a, tol)
+            cp, c = _c_params(a, tol)
         except AssumptionError:
             cp = None
-        if cp is not None:
-            residuals["c_reconstruction"] = _defect("C reconstruction", c_operator(cp) - a)
+        else:
+            residuals["c_reconstruction"] = _defect("C reconstruction", c - a)
     return SymmetryReport(pt_symmetric=pt_ok, krein_xi=xi, xi_degenerate=degenerate,
                           c_params=cp, residuals=residuals)

@@ -575,6 +575,12 @@ def test_bad_tolerance_exits_2_on_every_subcommand(capsys, argv, tol):
     ["decompose", "[[1,2],[3]]"],
     ["decompose", "[[1,2],[3,{}]]"],
     pytest.param(["decompose", "[[1%s,0],[0,1]]" % ("0" * 400)], id="decompose 10**400"),
+    # ast.literal_eval raises RecursionError, and MemoryError when deeper
+    pytest.param(["decompose", "[[1,0],[0,%s1]]" % ("-" * 3000)], id="decompose 3000 minus"),
+    pytest.param(["decompose", "[[1,0],[0,%s1]]" % ("-" * 100000)], id="decompose 100000 minus"),
+    # a 4000000 x 4000000 complex grid (about 233 TiB) exceeds a 47-bit
+    # address space; its two axes take 64 MB
+    ["sweep", "--beta0", "0.1", "--beta1", "0.1", "--steps", "4000000"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_prints_one_error_line(capsys, argv):
     # each input is rejected by the library function it enters

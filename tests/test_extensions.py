@@ -111,6 +111,28 @@ def test_betas_round_trip_random_grid():
         assert norm(t_from_betas(rec) - t) <= 1e-10
 
 
+def test_betas_from_t_validates_once_and_builds_one_c_operator(monkeypatch):
+    import ptscatter.clifford
+    import ptscatter.extensions
+    import ptscatter.matrix2
+    import ptscatter.symmetry
+
+    t = t_from_betas(extension_params(0.2, 0.3, chi=1.5, xi=0.7))
+    calls = []
+    for name in ("_finite_array", "c_operator"):
+        for module in (ptscatter.matrix2, ptscatter.clifford, ptscatter.symmetry,
+                       ptscatter.extensions):
+            original = getattr(module, name, None)
+            if original is not None:
+                def counted(*args, _f=original, _name=name):
+                    calls.append(_name)
+                    return _f(*args)
+                monkeypatch.setattr(module, name, counted)
+    e = betas_from_t(t)
+    assert (e.beta0, e.beta1) == pytest.approx((0.2, 0.3), abs=1e-14)
+    assert sorted(calls) == ["_finite_array", "c_operator"]
+
+
 def test_betas_from_t_rejects_other_matrices():
     with pytest.raises(AssumptionError):
         betas_from_t(SIGMA1)                     # involution but no C-operator

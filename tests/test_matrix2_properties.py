@@ -42,7 +42,7 @@ def test_scalar_forms_equal_their_stack_forms(a):
         adjs = _adjugates(a)
     for k, m in enumerate(a):
         assert bits(operator_norm(m)) == bits(float(norms[k]))
-        d, cond = _det_condition(m)
+        d, cond = _det_condition(*m.ravel().tolist())
         assert bits(d) == bits(complex(dets[k]))
         assert bits(cond) == bits(float(conds[k]))
         assert bits(hermitian_eigenvalues(m)[0]) == bits(float(lows[k]))

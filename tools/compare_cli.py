@@ -70,6 +70,10 @@ COMMANDS = [
     ["decompose", "[[1,2],[3,4]]"],                                   # krein_xi null too
     ["decompose", "[[1e308+1e308j,0],[0,-1e308-1e308j]]"],
     ["decompose", "[[1e200,0],[0,1e200]]"],                           # exit 2
+    # too deep for ast.literal_eval: RecursionError, then MemoryError (exit 2)
+    ["decompose", "[[1,0],[0,%s1]]" % ("-" * 3000)],
+    ["decompose", "[[1,0],[0,%s1]]" % ("-" * 100000)],
+    ["sweep", *PARAMS, "--steps", "4000000"],       # exit 2, the grid cannot be allocated
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1"],
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1",
      "--format", "json"],
@@ -88,6 +92,12 @@ def run(src: Path, argv: list) -> tuple[bytes, bytes, int]:
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def _shown(command: list) -> str:
+    """The command line, cut to its first 100 characters when longer than 120."""
+    text = " ".join(command)
+    return text if len(text) <= 120 else f"{text[:100]}... ({len(text)} characters)"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -99,11 +109,11 @@ def main(argv=None) -> int:
         a, b = run(old, command), run(new, command)
         same = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b) if x == y]
         status = "same" if len(same) == 3 else "DIFFERS"
-        print(f"{status:8} exit {a[2]}/{b[2]}  ptscatter {' '.join(command)}")
+        print(f"{status:8} exit {a[2]}/{b[2]}  ptscatter {_shown(command)}")
         if len(same) < 3:
             differing.append((command, a, b))
     for command, a, b in differing:
-        print(f"\n== ptscatter {' '.join(command)}")
+        print(f"\n== ptscatter {_shown(command)}")
         for name, x, y in zip(("stdout", "stderr", "exit"), a, b):
             if x != y:
                 print(f"-- {name}: old {x[-400:] if isinstance(x, bytes) else x!r}\n"

@@ -19,9 +19,14 @@ grids), ``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
 ``c_params_from_matrix`` (of T and of a C-operator), ``pt_defect``,
 ``krein_defect``, ``c_symmetry_defect``, ``symmetry_report``,
 ``is_hermitian``, ``hermitian_eigenvalues``,
-``krein_selfadjoint_reduction``, ``pauli_compose`` and
-``exp_involution``, and records the result's repr, or the exception's
-type, message and ``z``, together with the numpy warnings the call emits.
+``krein_selfadjoint_reduction``, ``pauli_compose``, ``exp_involution``,
+and the one-point primitives ``s_matrix``, ``s_matrix_zero_range``,
+``t_from_s`` (of the S it gives, or of T where it raises),
+``operator_norm``, ``condition_number``, ``inverse`` (with and without a
+drawn ``condition_limit``), ``matrix2.det`` and ``pauli_decompose`` (at
+xi = 0 and at a drawn xi), and records the result's repr (array entries
+with every digit they need), or the exception's type, message and ``z``,
+together with the numpy warnings the call emits.
 It prints every call that differs and a count per kind of difference, and
 exits 1 if any call differs.
 """
@@ -146,6 +151,7 @@ def _calls(pts, k: int, seed: int):
     tol = _tol(rng)
     coeffs = [1e308] * 4 if rng.random() < 0.1 else rng.standard_normal(4).tolist()
     theta = 800.0 if rng.random() < 0.1 else float(rng.uniform(-5.0, 5.0))
+    limit = [1e12, 1e3, 10.0, "x", -1.0][rng.integers(5)]
     yield "check_condition_a", lambda: pts.check_condition_a(t, p, zs, tol)
     yield "check_condition_b", lambda: pts.check_condition_b(t, p, zs, tol)
     yield "check_condition_c", lambda: pts.check_condition_c(t, p, one, tol)
@@ -175,6 +181,25 @@ def _calls(pts, k: int, seed: int):
     yield "krein_selfadjoint_reduction", lambda: pts.krein_selfadjoint_reduction(t, [1, 0, 0], tol)
     yield "pauli_compose", lambda: pts.pauli_compose(coeffs, xi)
     yield "exp_involution", lambda: pts.exp_involution(theta, pts.SIGMA3, tol)
+    yield "s_matrix", lambda: pts.s_matrix(t, one)
+    yield "s_matrix_zero_range", lambda: pts.s_matrix_zero_range(e, one)
+    yield "t_from_s", lambda: pts.t_from_s(_sample(pts, t, one), one)
+    yield "operator_norm", lambda: pts.operator_norm(t)
+    yield "condition_number", lambda: pts.condition_number(t)
+    yield "inverse", lambda: pts.inverse(t)
+    yield "inverse_condition_limit", lambda: pts.inverse(t, condition_limit=limit, z=one)
+    yield "det", lambda: pts.matrix2.det(t)
+    yield "pauli_decompose", lambda: pts.pauli_decompose(t)
+    yield "pauli_decompose_xi", lambda: pts.pauli_decompose(t, xi)
+
+
+def _sample(pts, t, z):
+    """S(z) of t, the input t_from_s inverts, or t itself where s_matrix
+    raises (a malformed t, a point off the half-plane or a pole)."""
+    try:
+        return pts.s_matrix(t, z).s
+    except Exception:   # t_from_s then meets the same bad input
+        return t
 
 
 def _outcome(thunk) -> str:
@@ -193,9 +218,12 @@ def _outcome(thunk) -> str:
 
 def child(sets: int, seed: int) -> None:
     import ptscatter as pts
-    for k in range(sets):
-        for name, thunk in _calls(pts, k, seed):
-            print(f"{k} {name} {_outcome(thunk)}")
+    # arrays print every digit their floats need, so a repr differs
+    # wherever a bit does (numpy's default keeps 8)
+    with np.printoptions(floatmode="unique"):
+        for k in range(sets):
+            for name, thunk in _calls(pts, k, seed):
+                print(f"{k} {name} {_outcome(thunk)}")
 
 
 def run(src: Path, sets: int, seed: int) -> list[str]:
