@@ -140,7 +140,7 @@ def betas_from_t(t, tol: float = DEFAULT_TOL) -> ExtensionParams:
         return ExtensionParams(beta0, 0.0, KreinMetricParams(0.0, 0.0),
                                metric_identifiable=False)
     try:
-        params, c = _c_params(
+        params, c, _ = _c_params(
             _formed("C-operator (T - beta0 I) / beta1", (a - beta0 * SIGMA0) / beta1), tol)
     except AssumptionError as exc:
         raise AssumptionError(f"t is not beta0 I + beta1 C: {exc}") from exc

@@ -29,13 +29,14 @@ holds exactly when T is PT-symmetric.
 
 Each condition is one residual expression in S (larger is worse), written
 once over the (N, 2, 2) stack of S at the sampled points; a residual equals
-its one-point form bit for bit.  A check is a triple (name, positions in a
-flat point array, residual matrices there).  The only reducer, ``_worsts``,
-takes the residuals of a list of checks in one segmented pass: minus the
-lowest eigenvalues of (a)'s metric gaps (one ``_hermitian_lows`` call, the
-worst clamped at 0), then the other checks' norms (one ``_operator_norms``
-call).  The largest residual wins, the first point attaining it is the
-witness, and NaN and -inf residuals are skipped.
+its one-point form bit for bit.  A check is a record (name, positions in
+a flat point array, residual matrices there, tolerance).  The only verdict
+pass, ``_worsts``, turns a list of records into their PropertyChecks in one
+segmented pass: minus the lowest eigenvalues of a leading (a) check's
+metric gaps (one ``_hermitian_lows`` call), then the other checks' norms
+(one ``_operator_norms`` call).  The largest residual wins, clamped at 0,
+and passes when it is at most its tolerance; the first point attaining it
+is the witness, and NaN and -inf residuals are skipped.
 
 Every evaluation of S at many points goes through one kernel, ``_s_batch``,
 on the numerator and denominator stacks that ``_terms`` builds from T and
@@ -66,7 +67,8 @@ points before any verdict is drawn.  On a fault the pass walks the checks
 in list order over the arrays it holds (a finiteness mask of the rows, the
 checks' sizes, their kept residuals) and raises for the first check with a
 non-finite residual matrix (an :class:`ArgumentError` naming the check and
-the point), no residual, or none left after the skips.  Numpy's
+the point), no residual (naming the empty list, ``interior`` in
+``property_report``), or none left after the skips.  Numpy's
 floating-point warnings are off while the terms of S and the residuals are
 formed and the residuals normed.
 """
@@ -338,22 +340,23 @@ def _kept(i, tables, mirror=False):
     return i[keep]
 
 
-def _check(residual, witness, tol) -> PropertyCheck:
-    return PropertyCheck(passed=residual <= tol, residual=residual, witness_z=witness)
-
-
-def _worsts(z, checks, res=None) -> list:
-    """(largest residual, its point) of each check (name, i, m) in order, m
-    holding its residual matrices at the points z[i] and res the residuals
-    of all checks end to end (by default their norms, from one call).  The
-    first point attaining a maximum is the witness, and NaN and -inf
+def _worsts(z, checks, points="zs") -> list:
+    """The PropertyCheck of each check (name, i, m, tol) in order, m holding
+    its residual matrices at the points z[i]: the largest residual, clamped
+    at 0 and held to tol, and the first point attaining it.  A leading
+    condition (a) check reduces minus the lowest eigenvalues of its metric
+    gaps, the others their norms, from one call each; NaN and -inf
     residuals are skipped.  The first check in order with a non-finite
-    matrix, no residual or only skipped ones raises :class:`ArgumentError`."""
-    names, idx, ms = zip(*checks)
+    matrix, no residual (named as the list ``points``) or only skipped ones
+    raises :class:`ArgumentError`."""
+    names, idx, ms, tols = zip(*checks)
+    lead = int(names[0] == "condition (a)")
+    with np.errstate(all="ignore"):
+        res = [-_hermitian_lows(ms[0])] if lead else []
+        if len(ms) > lead:
+            res.append(_operator_norms(np.concatenate(ms[lead:])))
+    res = np.concatenate(res)
     m = np.concatenate(ms)
-    if res is None:
-        with np.errstate(all="ignore"):
-            res = _operator_norms(m)
     sizes = list(map(len, ms))
     starts = [0, *accumulate(sizes)][:-1]
     finite = np.isfinite(m)
@@ -363,14 +366,16 @@ def _worsts(z, checks, res=None) -> list:
         if top.min() > -math.inf:
             hits = np.flatnonzero(kept == np.repeat(top, sizes))
             first = hits[np.searchsorted(hits, starts)]
-            return list(zip(res[first].tolist(), z[np.concatenate(idx)][first].tolist()))
+            worst = [max(0.0, r) for r in res[first].tolist()]
+            witness = z[np.concatenate(idx)][first].tolist()
+            return [PropertyCheck(r <= tol, r, w) for r, w, tol in zip(worst, witness, tols)]
     for name, i, start, n in zip(names, idx, starts, sizes):
         bad = np.flatnonzero(~finite[start:start + n].all(axis=(1, 2)))
         if len(bad):
             at = complex(z[i[bad[0]]])
             raise ArgumentError(f"the {name} residual matrix overflows at z={at}")
         if not n:
-            raise ArgumentError("zs must be nonempty")
+            raise ArgumentError(f"{points} must be nonempty")
         if kept[start:start + n].max() == -math.inf:
             raise ArgumentError("the residual norm overflowed at every point")
 
@@ -398,73 +403,61 @@ def _products(s, j):
     return j @ s, sj, j - sj @ s
 
 
-# One function per condition: its name, the points i of a table s_of it
-# keeps and its residual expression there, from products formed once over
-# the table's rows.
+# One function per condition: its record (name, the points i of a table
+# s_of it keeps, its residual expression there, tol), from products formed
+# once over the table's rows.
 
-def _cond_a(s_of, i, gap):
+def _cond_a(s_of, i, gap, tol):
     """The metric gaps G - S* G S, gap holding them over the table rows."""
     i = _kept(i, [s_of])
-    return "condition (a)", i, gap[s_of.row[i]]
+    return "condition (a)", i, gap[s_of.row[i]], tol
 
 
 @np.errstate(all="ignore")
-def _cond_reflection(s_of, i, js, sj, name):
+def _cond_reflection(s_of, i, js, sj, name, tol):
     """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
     i = _kept(i, [s_of], mirror=True)
-    return name, i, js[s_of.row[i]] - sj[s_of.mirror[i]]
+    return name, i, js[s_of.row[i]] - sj[s_of.mirror[i]], tol
 
 
 @np.errstate(all="ignore")
-def _cond_c(s_of, i, gs, sg, gap):
+def _cond_c(s_of, i, gs, sg, gap, tol):
     i = _kept(i, [s_of])
     z, row = s_of.z[i], s_of.row[i]
     re = z.real[:, None, None]
     im = (1j * z.imag)[:, None, None]
-    return "condition (c)", i, re * gap[row] - im * (sg[row] - gs[row])
+    return "condition (c)", i, re * gap[row] - im * (sg[row] - gs[row]), tol
 
 
 @np.errstate(all="ignore")
-def _cond_pt(s_of, i):
+def _cond_pt(s_of, i, tol):
     i = _kept(i, [s_of], mirror=True)
-    return "PT criterion", i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]]
+    return "PT criterion", i, _pt_images(s_of.s[s_of.row[i]]) - s_of.s[s_of.mirror[i]], tol
 
 
-def _plain_norms(s_of, i):
+def _plain_norms(s_of, i, tol):
     """S itself, whose norm is the plain C^2 norm."""
     i = _kept(i, [s_of])
-    return "plain norm", i, s_of.s[s_of.row[i]]
-
-
-def _route_gap(s_of, zr, i):
-    """The points i of the generic table s_of where it and the parametrized
-    table zr over the same plan are regular, and the residuals
-    S_zero_range - S there."""
-    i = _kept(i, [zr, s_of])
-    with np.errstate(all="ignore"):
-        return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]]
+    return "plain norm", i, s_of.s[s_of.row[i]], tol
 
 
 def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Metric contraction G - S(z)* G S(z) >= 0 over interior points.
 
-    The residual is the most negative eigenvalue encountered, clamped at 0;
+    The residual is minus the lowest eigenvalue encountered, clamped at 0;
     the witness is the point that produced it.
     """
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    a = _cond_a(s_of, i, _products(s_of.s, metric(p))[2])
-    with np.errstate(all="ignore"):
-        worst, witness = _worsts(s_of.z, [a], -_hermitian_lows(a[2]))[0]
-    return _check(max(0.0, worst), witness, tol)
+    return _worsts(s_of.z, [_cond_a(s_of, i, _products(s_of.s, metric(p))[2], tol)])[0]
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _spectral_point))
-    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)")
-    return _check(*_worsts(s_of.z, [r])[0], tol)
+    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)", tol)
+    return _worsts(s_of.z, [r])[0]
 
 
 def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -474,8 +467,7 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     """
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _off_axis))
-    r = _cond_c(s_of, i, *_products(s_of.s, metric(p)))
-    return _check(*_worsts(s_of.z, [r])[0], tol)
+    return _worsts(s_of.z, [_cond_c(s_of, i, *_products(s_of.s, metric(p)), tol)])[0]
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -483,8 +475,8 @@ def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyChec
     closed half-plane."""
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _spectral_point))
-    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)")
-    return _check(*_worsts(s_of.z, [r])[0], tol)
+    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)", tol)
+    return _worsts(s_of.z, [r])[0]
 
 
 def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -492,13 +484,13 @@ def check_pt_criterion(t, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
     interior points; passes exactly when t is PT-symmetric."""
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    return _check(*_worsts(s_of.z, [_cond_pt(s_of, i)])[0], tol)
+    return _worsts(s_of.z, [_cond_pt(s_of, i, tol)])[0]
 
 
 def standard_contraction_norm(t, zs) -> float:
     """Largest singular value of S(z) over the sampled points (plain C^2 norm)."""
     s_of, i = _s_table(t, (zs, _spectral_point))
-    return _worsts(s_of.z, [_plain_norms(s_of, i)])[0][0]
+    return _worsts(s_of.z, [_plain_norms(s_of, i, math.inf)])[0].residual
 
 
 def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
@@ -520,7 +512,8 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     a = as_matrix(t)
     plan, positions = _report_plan(interior, boundary, witness)
     [s_of] = _tables(plan, a)
-    return _report(s_of, _checks(s_of, metric(p), p_xi(p.xi), positions), tol)[0]
+    checks = _checks(s_of, metric(p), p_xi(p.xi), positions, tol)
+    return PropertyReport(*_worsts(s_of.z, checks, "interior"))
 
 
 def _report_plan(interior, boundary, witness, *lists) -> tuple:
@@ -536,29 +529,14 @@ def _report_plan(interior, boundary, witness, *lists) -> tuple:
                           np.r_[witness, interior, boundary], interior), *extra)
 
 
-def _checks(s_of, g, px, positions) -> list:
-    """(a), (b), (c), (d) and PT over the table s_of at their positions,
-    each as (name, kept positions, residual matrices), for the metric g and
-    P_xi px.  G S, S* G, G - S* G S, P_xi S and S* P_xi are formed once
-    over the table rows."""
+def _checks(s_of, g, px, positions, tol) -> list:
+    """The records of (a), (b), (c), (d) and PT over the table s_of at their
+    positions, each held to tol, for the metric g and P_xi px.  G S, S* G,
+    G - S* G S, P_xi S and S* P_xi are formed once over the table rows."""
     a, b, c, d, pt = positions
     gs, sg, gap = _products(s_of.s, g)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
-    return [_cond_a(s_of, a, gap), _cond_reflection(s_of, b, gs, sg, "condition (b)"),
-            _cond_c(s_of, c, gs, sg, gap), _cond_reflection(s_of, d, ps, sp, "condition (d)"),
-            _cond_pt(s_of, pt)]
-
-
-@np.errstate(all="ignore")
-def _report(s_of, checks, tol):
-    """(PropertyReport of the first five checks, from _checks, and the list
-    of the worsts of the rest) from one verdict pass: (a) reduces minus the
-    lowest eigenvalues of its metric gaps, clamped at 0, the rest their
-    norms."""
-    (_, _, gap), *rest = checks
-    norms = _operator_norms(np.concatenate([m for *_, m in rest]))
-    res = np.concatenate([-_hermitian_lows(gap), norms])
-    (worst, witness), *worsts = _worsts(s_of.z, checks, res)
-    cond_a = _check(max(0.0, worst), witness, tol)
-    return PropertyReport(cond_a, *(_check(*w, tol) for w in worsts[:4])), worsts[4:]
+    return [_cond_a(s_of, a, gap, tol), _cond_reflection(s_of, b, gs, sg, "condition (b)", tol),
+            _cond_c(s_of, c, gs, sg, gap, tol),
+            _cond_reflection(s_of, d, ps, sp, "condition (d)", tol), _cond_pt(s_of, pt, tol)]

@@ -118,9 +118,10 @@ def c_params_from_matrix(m, tol: float = DEFAULT_TOL) -> KreinMetricParams:
     return _c_params(as_matrix(m), tol)[0]
 
 
-def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray]:
+def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray, float]:
     """c_params_from_matrix of the validated matrix a, under the caller's
-    errstate, and the C-operator of those parameters that reconstructs a."""
+    errstate, the C-operator of those parameters that reconstructs a, and
+    its reconstruction defect."""
     inv_defect = _defect("involution", a @ a - SIGMA0)
     if inv_defect > tol:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
@@ -138,7 +139,7 @@ def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray]:
         raise AssumptionError(
             f"m passed the involution and PT checks but does not reconstruct "
             f"as a C-operator (residual {residual:.3e})")
-    return params, c
+    return params, c, residual
 
 
 @np.errstate(all="ignore")
@@ -211,10 +212,8 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
         xi, degenerate = solve_xi(a, tol)
         residuals["krein"] = krein_defect(a, xi)
         try:
-            cp, c = _c_params(a, tol)
+            cp, _, residuals["c_reconstruction"] = _c_params(a, tol)
         except AssumptionError:
             cp = None
-        else:
-            residuals["c_reconstruction"] = _defect("C reconstruction", c - a)
     return SymmetryReport(pt_symmetric=pt_ok, krein_xi=xi, xi_degenerate=degenerate,
                           c_params=cp, residuals=residuals)

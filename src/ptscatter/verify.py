@@ -35,11 +35,12 @@ overflowing T, the classification, a check left with no regular point,
 the scalar t_from_s calls of the Mobius round trip, then the verdicts
 (a), (b), (c), (d), PT, Mobius round trip, z-independence, formula
 equivalence and plain norm, each raising for its first non-finite
-residual matrix, then for no residual left.  One verdict pass reduces
+residual matrix, then for no residual left.  One verdict pass draws
 them all in this order, (a) from one ``_hermitian_lows`` call and every
-other check from one norm call.  A suite is *consistent* when every
-actual outcome equals its expected one; the random battery reports the
-first inconsistent draw in replayable form.
+other check from one norm call, each held to the tolerance its record
+carries.  A suite is *consistent* when every actual outcome equals its
+expected one; the random battery reports the first inconsistent draw in
+replayable form.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from .errors import ArgumentError, _check_tol, _finite_real, _instance, _integer
 from .extensions import ExtensionParams, _classify, t_from_betas
 from .grids import lower_half_plane_grid, real_axis_points
 from .scattering import (_checks, _interior_point, _kept, _plain_norms,
-                         _report, _report_plan, _route_gap, _s_table,
-                         _spectral_point, _tables, _worsts, s_matrix, t_from_s)
+                         _report_plan, _s_table, _spectral_point, _tables,
+                         _worsts, s_matrix, t_from_s)
 
 WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
 
@@ -116,24 +117,35 @@ def mobius_round_trip_residuals(t) -> tuple[float, float]:
     point."""
     recovered = [t_from_s(s_matrix(t, z).s, z) for z in WITNESS_POINTS]
     z = np.array(WITNESS_POINTS, dtype=complex)
-    (recovery, _), (spread, _) = _worsts(z, _round_trip(recovered, t, np.arange(len(z))))
-    return recovery, spread
+    recovery, spread = _worsts(z, _round_trip(recovered, t, np.arange(len(z)), math.inf))
+    return recovery.residual, spread.residual
 
 
-def _round_trip(recovered, t, i) -> list:
+def _round_trip(recovered, t, i, tol) -> list:
     """The two Mobius round trip checks at the positions i, recovered
     holding t_from_s at each: recovered - t, and recovered - recovered[0],
     zero at the first point."""
     recovered = np.array(recovered).reshape(-1, 2, 2)
-    return [("Mobius round trip", i, recovered - t),
-            ("z-independence", i, recovered - recovered[:1])]
+    return [("Mobius round trip", i, recovered - t, tol),
+            ("z-independence", i, recovered - recovered[:1], tol)]
 
 
 def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
     """Worst deviation between the parametrized and the generic S
     evaluation, over the points where both are regular."""
     s_of, zr, i = _s_table(t_from_betas(e), (zs, _spectral_point), routes=[e])
-    return _worsts(s_of.z, [_route_gap(s_of, zr, i)])[0][0]
+    return _worsts(s_of.z, [_route_gap(s_of, zr, i)])[0].residual
+
+
+def _route_gap(s_of, zr, i):
+    """S_zero_range - S at the points i where the tables zr and s_of, over
+    one plan, are regular, held to a tolerance scaled with s_of's worst
+    condition number there."""
+    i = _kept(i, [zr, s_of])
+    worst_cond = max([1.0] + s_of.cond[s_of.row[i]].tolist())
+    tol = max(FORMULA_EQUIVALENCE_TOL, FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
+    with np.errstate(all="ignore"):
+        return "formula equivalence", i, zr.s[zr.row[i]] - s_of.s[s_of.row[i]], tol
 
 
 def _quadratic_gap(e, cls) -> float:
@@ -191,33 +203,31 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
     plan, positions, mobius = _default_plan()
     s_of, zr = _tables(plan, t, e)
     grid = positions[0]      # (a) reads the interior grid
-    checks = _checks(s_of, g, px, positions)
+    checks = _checks(s_of, g, px, positions, tol)
     gap = _route_gap(s_of, zr, grid)
-    norms = _plain_norms(s_of, grid)
+    norms = _plain_norms(s_of, grid, 1.0 + CONTRACTION_SLACK)
     mobius = _kept(mobius, [s_of])
     recovered = [t_from_s(x, z) for x, z in zip(s_of.s[s_of.row[mobius]], s_of.z[mobius])]
-    report, ((recovery, _), (spread, _), (feq, _), (max_norm, _)) = _report(
-        s_of, checks + _round_trip(recovered, t, mobius) + [gap, norms], tol)
-    worst_cond = max([1.0] + s_of.cond[s_of.row[gap[1]]].tolist())
-    feq_tol = max(FORMULA_EQUIVALENCE_TOL,
-                  FORMULA_EQUIVALENCE_COND_SCALE * worst_cond)
+    a, b, c, d, pt, recovery, spread, feq, contraction = _worsts(
+        s_of.z, checks + _round_trip(recovered, t, mobius, tol) + [gap, norms])
     quad = _quadratic_gap(e, cls)
 
     checks = {
-        "condition_a": _check_entry(report.cond_a, expected_pass=metric_ok),
-        "condition_b": _check_entry(report.cond_b, expected_pass=True),
-        "condition_c": _check_entry(report.cond_c, expected_pass=True),
-        "condition_d": _check_entry(report.cond_d, expected_pass=True),
-        "pt_criterion": _check_entry(report.pt_criterion, expected_pass=True),
-        "mobius_round_trip": _entry(recovery <= tol, recovery),
-        "z_independence": _entry(spread <= tol, spread),
-        "formula_equivalence": _entry(feq <= feq_tol, feq, tolerance=float(feq_tol)),
+        "condition_a": _check_entry(a, expected_pass=metric_ok),
+        "condition_b": _check_entry(b, expected_pass=True),
+        "condition_c": _check_entry(c, expected_pass=True),
+        "condition_d": _check_entry(d, expected_pass=True),
+        "pt_criterion": _check_entry(pt, expected_pass=True),
+        "mobius_round_trip": _entry(recovery.passed, recovery.residual),
+        "z_independence": _entry(spread.passed, spread.residual),
+        "formula_equivalence": _entry(feq.passed, feq.residual, tolerance=gap[3]),
         "quadratic_eigenvalues": _entry(quad <= tol, quad),
         "oracle_agreement": _entry(cls.closed_form_verdict == cls.oracle_verdict, 0.0),
     }
     if e.beta1 == 0.0:
-        checks["contraction_bound"] = _entry(max_norm <= 1.0 + CONTRACTION_SLACK,
-                                             max(0.0, max_norm - 1.0), expected_pass=metric_ok)
+        checks["contraction_bound"] = _entry(contraction.passed,
+                                             max(0.0, contraction.residual - 1.0),
+                                             expected_pass=metric_ok)
     consistent = all(entry["consistent"] for entry in checks.values())
 
     result = {
@@ -228,7 +238,7 @@ def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:
             "xi": float(e.metric.xi),
         },
         "classification": _classification(cls),
-        "standard_norm_max": float(max_norm),
+        "standard_norm_max": contraction.residual,
         # the distinct points of the table where S is singular; every check
         # skipped them
         "singular_z": [_pair(z) for z in s_of.points[s_of.singular].tolist()],

@@ -762,6 +762,9 @@ def _composed_report(t, p, interior, boundary, witness):
              _merged(check_condition_c, t, p, c_points),
              _merged(check_condition_d, t, p, [witness] + interior + boundary),
              _parity(_public, check_pt_criterion, t, p, interior)]
+    if not interior:
+        # (a) is the first check to read the empty list, which the report names
+        parts[0] = _raised(ArgumentError("interior must be nonempty"))
     for kind in (SingularMatrixError, ArgumentError):
         for part in parts:
             if part[0] is kind:
@@ -813,8 +816,8 @@ def test_an_overflowing_residual_matrix_is_named_apart_from_a_malformed_t():
 def test_worsts_names_the_first_non_finite_residual_matrix():
     z = np.array([1 - 1j, 2 - 1j, 3 - 1j, 4 - 1j])
     m = np.zeros((4, 2, 2), dtype=complex)
-    checks = [("PT criterion", np.arange(4), m)]
-    assert _worsts(z, checks) == [(0.0, 1 - 1j)]
+    checks = [("PT criterion", np.arange(4), m, 1e-10)]
+    assert _worsts(z, checks) == [PropertyCheck(True, 0.0, 1 - 1j)]
     m[2, 1, 0] = complex(0.0, np.inf)
     m[3, 0, 0] = np.nan
     with pytest.raises(ArgumentError,
@@ -906,15 +909,30 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
     property_report(t_from_betas(e), e.metric)
     assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,
                      "scattering._hermitian_lows": 1}
+    # only condition (a) takes eigenvalues, and it takes no norm
+    t, p = t_from_betas(e), e.metric
+    for call, lows in ((lambda: check_condition_a(t, p, GRID), 1),
+                       (lambda: check_condition_b(t, p, GRID), 0),
+                       (lambda: check_condition_c(t, p, 1 - 1j), 0),
+                       (lambda: check_condition_d(t, p.xi, 1 - 1j), 0),
+                       (lambda: check_pt_criterion(t, GRID), 0),
+                       (lambda: standard_contraction_norm(t, GRID), 0),
+                       (lambda: formula_equivalence_residual(e, GRID), 0),
+                       (lambda: verify.mobius_round_trip_residuals(t), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        assert calls["scattering._hermitian_lows"] == lows
+        assert calls["scattering._operator_norms"] == 1 - lows
 
 
 def _reference_worsts(z, checks, res):
-    """The per-check reduction: each check in list order raises for its
-    first non-finite matrix, then for no residual, then for none left after
-    a running ``r > worst`` skips NaN and -inf, and otherwise gives its
-    first largest residual and that residual's point."""
+    """The per-check reduction: each check (name, i, m, tol) in list order
+    raises for its first non-finite matrix, then for no residual, then for
+    none left after a running ``r > worst`` skips NaN and -inf, and
+    otherwise gives its first largest residual, clamped at 0 and held to
+    tol, and that residual's point."""
     out, start = [], 0
-    for name, i, m in checks:
+    for name, i, m, tol in checks:
         rs, zs = res[start:start + len(m)].tolist(), z[i].tolist()
         start += len(m)
         for zi, x in zip(zs, m):
@@ -928,29 +946,24 @@ def _reference_worsts(z, checks, res):
                 worst, witness = r, zi
         if witness is None:
             raise ArgumentError("the residual norm overflowed at every point")
-        out.append((worst, witness))
+        worst = max(0.0, worst)
+        out.append(PropertyCheck(worst <= tol, worst, witness))
     return out
 
 
 def _worsts_outcome(f):
     try:
-        return [(type(r), r, type(w), w) for r, w in f()]
+        return [_typed(c.passed, c.residual, c.witness_z) for c in f()]
     except ArgumentError as exc:
         return str(exc)
 
 
+def _typed(*fields):
+    return tuple(x for field in fields for x in (type(field), field))
+
+
 nan, inf = math.nan, math.inf
-
-
-def _gap(r):
-    """A finite Hermitian metric gap whose residual, minus its lowest
-    eigenvalue, is r: -r I for a finite r; for inf, a matrix whose
-    off-diagonal modulus overflows.  No finite gap has a NaN residual, so
-    a NaN r goes to the pass as given, over a zero gap."""
-    if math.isinf(r):
-        off = complex(1.7e308, 1.7e308)
-        return np.array([[1e308, off], [off.conjugate(), 1e308]])
-    return (0.0 if math.isnan(r) else -r) * np.eye(2, dtype=complex)
+TOL_ABOVE = math.nextafter(1.0, inf)   # the next float above the tolerance 1.0
 
 
 @pytest.mark.parametrize("lows, norms, bad", [
@@ -961,51 +974,72 @@ def _gap(r):
     (None, [[1.0, 2.0], [nan, nan], [1.0]], (2, 0)),                  # all-NaN before a bad one
     (None, [[1.0], [1.0, 2.0], [nan, -inf]], (1, 0)),                 # bad before all-NaN
     (None, [[nan, nan]], None),                                       # all-NaN norms
+    (None, [[0.5, 1.0], [TOL_ABOVE, 0.5]], None),                     # at the tolerance
     ([-1.0, 0.5, nan, 0.5], [[0.5, 2.0], [1.0]], None),               # (a) in the pass
     ([1.0, inf, nan], [[1.0]], None),                                 # (a) inf kept
     ([1.0, 2.0], [[1.0], [nan, nan], []], (0, 1)),                    # (a) bad before faults
     ([nan, nan], [[1.0, 2.0]], None),                                 # (a) all-NaN
     ([], [[1.0, 2.0], [3.0]], None),                                  # (a) empty
+    ([-1.0, -0.0, -0.5], [[TOL_ABOVE]], None),                        # (a) clamped at 0
+    ([0.5, 1.0], [[TOL_ABOVE]], None),                                # (a) at the tolerance
 ], ids=["ties", "skips", "empty", "bad-matrix", "all-nan-first", "bad-matrix-first",
-        "all-nan", "a-in-the-pass", "a-inf-kept", "a-bad-matrix-first", "a-all-nan",
-        "a-empty"])
+        "all-nan", "at-tol", "a-in-the-pass", "a-inf-kept", "a-bad-matrix-first", "a-all-nan",
+        "a-empty", "a-clamped", "a-at-tol"])
 def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
     import ptscatter.scattering as scattering
-    # the norms come from the patched norm call, so any finite matrix stands
-    # for one; lows, when given, are condition (a)'s residuals, in front of
-    # the norms, from real metric gaps where not NaN; bad puts a non-finite
-    # entry into (check, row)
+    # the residuals come from the patched eigenvalue and norm calls, so any
+    # finite matrix stands for one: lows, when given, are condition (a)'s
+    # residuals, minus the patched lowest eigenvalues, in front of the
+    # norms; bad puts a non-finite entry into (check, row).  Every check is
+    # held to the tolerance 1.0.
+    calls = []
     norm_res = np.array([x for check in norms for x in check])
-    monkeypatch.setattr(scattering, "_operator_norms", lambda m: norm_res.copy())
     ms = [np.zeros((len(check), 2, 2), dtype=complex) for check in norms]
     names = [f"check {k}" for k in range(len(norms))]
     if lows is not None:
-        ms.insert(0, np.array([_gap(r) for r in lows], dtype=complex).reshape(-1, 2, 2))
+        ms.insert(0, np.zeros((len(lows), 2, 2), dtype=complex))
         names.insert(0, "condition (a)")
-        given = ~np.isnan(lows)
-        with np.errstate(all="ignore"):
-            assert np.array_equal(-_hermitian_lows(ms[0])[given], np.array(lows)[given])
+
+    def patched(name, out):
+        def call(m):
+            calls.append((name, len(m)))
+            return out.copy()
+        monkeypatch.setattr(scattering, name, call)
+    patched("_operator_norms", norm_res)
+    patched("_hermitian_lows", -np.array(lows or [], dtype=float))
     if bad is not None:
         ms[bad[0]][bad[1], 1, 0] = complex(0.0, inf)
     z = np.arange(sum(map(len, ms))) * (1 - 0.5j) - 1j
     checks, start = [], 0
     for name, m in zip(names, ms):
-        checks.append((name, np.arange(start, start + len(m)), m))
+        checks.append((name, np.arange(start, start + len(m)), m, 1.0))
         start += len(m)
-    if lows is None:
-        res, args = norm_res, ()
-    else:
-        res = np.concatenate([lows, norm_res])
-        args = (res,)
-    got = _worsts_outcome(lambda: scattering._worsts(z, checks, *args))
+    res = norm_res if lows is None else np.concatenate([lows, norm_res])
+    got = _worsts_outcome(lambda: scattering._worsts(z, checks))
+    # the (a) residuals from one eigenvalue call over (a)'s matrices only,
+    # every other residual from one norm call
+    assert calls == ([] if lows is None else [("_hermitian_lows", len(lows))]) + \
+        [("_operator_norms", len(norm_res))]
     assert got == _worsts_outcome(lambda: _reference_worsts(z, checks, res))
     if norms[0] == [1.0, 3.0, 3.0, 2.0]:
-        assert got == [(float, 3.0, complex, complex(z[1])), (float, 5.0, complex, complex(z[4])),
-                       (float, 0.0, complex, complex(z[6]))]
+        assert got == [_typed(False, 3.0, complex(z[1])), _typed(False, 5.0, complex(z[4])),
+                       _typed(True, 0.0, complex(z[6]))]
+    if norms[:2] == [[1.0, 2.0], []]:
+        assert got == "zs must be nonempty"
+        with pytest.raises(ArgumentError, match="^interior must be nonempty$"):
+            scattering._worsts(z, checks, "interior")
+    if norms[0] == [0.5, 1.0]:
+        # a residual equal to its tolerance passes, the next float above fails
+        assert got == [_typed(True, 1.0, complex(z[1])), _typed(False, TOL_ABOVE, complex(z[2]))]
     if lows == [-1.0, 0.5, nan, 0.5]:
-        assert got == [(float, 0.5, complex, complex(z[1])), (float, 2.0, complex, complex(z[5])),
-                       (float, 1.0, complex, complex(z[6]))]
+        assert got == [_typed(True, 0.5, complex(z[1])), _typed(False, 2.0, complex(z[5])),
+                       _typed(True, 1.0, complex(z[6]))]
     if lows == [1.0, inf, nan]:
-        assert got == [(float, inf, complex, complex(z[1])), (float, 1.0, complex, complex(z[3]))]
+        assert got == [_typed(False, inf, complex(z[1])), _typed(True, 1.0, complex(z[3]))]
+    if lows == [-1.0, -0.0, -0.5]:
+        assert got[0] == _typed(True, 0.0, complex(z[1]))
+        assert math.copysign(1.0, got[0][3]) == 1.0
+    if lows == [0.5, 1.0]:
+        assert got == [_typed(True, 1.0, complex(z[1])), _typed(False, TOL_ABOVE, complex(z[2]))]
     if bad == (0, 1):
         assert got == f"the condition (a) residual matrix overflows at z={complex(z[1])}"

@@ -205,3 +205,20 @@ def test_symmetry_report_fields():
 
     rep = symmetry_report(0.5 * SIGMA0)
     assert rep.pt_symmetric and rep.xi_degenerate and rep.c_params is None
+
+
+def test_symmetry_report_forms_the_c_reconstruction_defect_once(monkeypatch):
+    import ptscatter.symmetry as symmetry
+    names = []
+    defect = symmetry._defect
+
+    def counting(name, m, *args):
+        names.append(name)
+        return defect(name, m, *args)
+    monkeypatch.setattr(symmetry, "_defect", counting)
+    c = c_operator(KreinMetricParams(0.3, 0.5))
+    rep = symmetry_report(c)
+    assert rep.c_params is not None
+    assert names.count("C reconstruction") == 1
+    assert rep.residuals["c_reconstruction"] == operator_norm(
+        c_operator(rep.c_params) - c)

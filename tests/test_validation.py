@@ -128,6 +128,8 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "min_chi must lie in [0, 2)"),
     (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), boundary=5),
      "boundary must be an iterable of points, got int"),
+    (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), interior=[]),
+     "interior must be nonempty"),
     (lambda: pts.check_condition_a(np.eye(2) / 4, pts.KreinMetricParams(0, 0), 5),
      "zs must be an iterable of points, got int"),
     (lambda: pts.standard_contraction_norm(np.eye(2) / 4, 5.0),

@@ -177,7 +177,7 @@ def reference_parameter_suite(e, tol=1e-10):
     }
     if e.beta1 == 0.0:
         checks["contraction_bound"] = _entry(max_norm <= 1.0 + CONTRACTION_SLACK,
-                                             max(0.0, max_norm - 1.0))
+                                             max(0.0, max_norm - 1.0), metric_ok)
     return {
         "params": {"beta0": float(e.beta0), "beta1": float(e.beta1),
                    "chi": float(e.metric.chi), "xi": float(e.metric.xi)},
@@ -208,6 +208,9 @@ def test_parameter_suite_matches_grid_loop_reference():
     # out-of-region draw whose denominator nearly vanishes at a grid point
     draws.append(extension_params(-0.24876168095150114, -0.0012823971079812813,
                                   chi=-1.4354489678740707, xi=2.929887110558113))
+    # scalar draws (beta1 = 0), which carry the contraction bound; none has a
+    # pole on a sample point
+    draws += [extension_params(beta0, 0.0) for beta0 in (0.0, 0.3, 0.75, -0.26)]
     for e in draws:
         assert (_suite_outcome(run_parameter_suite, e, 1e-10)
                 == _suite_outcome(reference_parameter_suite, e, 1e-10))

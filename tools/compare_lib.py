@@ -6,8 +6,10 @@ OLD_SRC and NEW_SRC are directories holding a ``ptscatter`` package (for
 example ``src`` of two checkouts).  Each tree runs in its own interpreter
 over the same N seeded input sets (default 3000).  A set holds a T (valid,
 large chi up to 709.86, singular, overflowing, with entries near the
-largest float or malformed), metric and extension parameters (beta1 now and
-then 1e308, so T overflows), point lists mixing interior and real-axis
+largest float or malformed), metric and extension parameters (beta1 in
+about one set in ten 0, the scalar family whose suite holds S to the
+contraction bound and whose T ``betas_from_t`` reads as beta0 I, and now
+and then 1e308, so T overflows), point lists mixing interior and real-axis
 points, the upper half-plane, NaN, inf, strings, None, signed zeros and
 poles of S, Pauli coefficients and an exponent, either of which may
 overflow.  Per set the tool calls the five checks,
@@ -136,8 +138,11 @@ def _calls(pts, k: int, seed: int):
     """(name, thunk) for every call of input set k."""
     rng = np.random.default_rng([seed, k])
     beta0, beta1 = float(rng.uniform(-0.5, 1.0)), float(rng.uniform(-0.5, 0.5))
-    if rng.random() < 0.02:
+    kind = rng.random()
+    if kind < 0.02:
         beta1 = 1e308
+    elif kind < 0.12:
+        beta1 = 0.0   # the scalar family: S = s I and the contraction bound
     xi, chi = float(rng.uniform(0.0, 2 * math.pi)), _chi(rng)
     e = pts.extension_params(beta0, beta1, chi=chi, xi=xi)
     p = pts.KreinMetricParams(float(rng.uniform(0.0, 2 * math.pi)), _chi(rng))
