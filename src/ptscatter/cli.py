@@ -9,17 +9,18 @@ smatrix   --beta0 ... --z-re A --z-im B     one S(z) evaluation, CSV or JSON
 sweep     --beta0 ... grid flags            S(z) over a z-grid, CSV or JSON
 verify    --beta0 ... | --random N --seed S full property suite, JSON
 
-Exit codes: 0 success, 2 usage or configuration error, 3 internal verdict
-disagreement, 4 every sweep point singular, 5 property violation.  A pole of
-S on a grid is not an error: sweep flags its row and verify skips it in
+decompose, classify and verify hold their verdicts to --tolerance.  Exit
+codes: 0 success, 2 usage or configuration error, 3 internal verdict
+disagreement, 4 every sweep point singular, 5 property violation.  A pole
+of S on a grid is not an error: sweep flags its row and verify skips it in
 every check and lists it in the result's singular_z.  Each input is
 validated by the library function it enters; exit 2 prints one
 ``error: <message>`` line on stderr and nothing on stdout, and so does an
-input too large to handle (a literal nested too deeply to parse, a grid
-too large to allocate).  The only
-exceptions are argparse's own usage errors (an unknown flag, a non-numeric
-value, a missing required flag, and a verify run with neither --random nor
---beta0/--beta1), which print argparse's usage message instead.
+input too large to handle (a literal nested too deeply to parse, a grid too
+large to allocate).  The only exceptions are argparse's own usage errors
+(an unknown flag, a non-numeric value, a missing required flag, and a
+verify run with neither --random nor --beta0/--beta1), which print
+argparse's usage message instead.
 
 CSV schema (fixed):
 z_re,z_im,s11_re,s11_im,s12_re,s12_im,s21_re,s21_im,s22_re,s22_im,std_norm,metric_defect
@@ -142,8 +143,9 @@ def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--xi", type=float, default=0.0)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+def _add_common_flags(parser: argparse.ArgumentParser, tolerance: bool = True):
+    if tolerance:
+        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
 
 
@@ -238,8 +240,7 @@ def _run_points(args, zs, config, evaluate) -> int:
 
 def cmd_smatrix(args) -> int:
     config = {"command": "smatrix", "beta0": args.beta0, "beta1": args.beta1,
-              "chi": args.chi, "xi": args.xi, "z": [args.z_re, args.z_im],
-              "tolerance": args.tolerance}
+              "chi": args.chi, "xi": args.xi, "z": [args.z_re, args.z_im]}
     return _run_points(args, [complex(args.z_re, args.z_im)], config, _point_s)
 
 
@@ -250,8 +251,7 @@ def cmd_sweep(args) -> int:
               "chi": args.chi, "xi": args.xi,
               "grid": {"re_min": args.re_min, "re_max": args.re_max,
                        "im_min": args.im_min, "im_max": args.im_max,
-                       "steps": args.steps},
-              "tolerance": args.tolerance}
+                       "steps": args.steps}}
     return _run_points(args, zs, config, _grid_s)
 
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sm.add_argument("--z-re", type=float, default=0.0)
     p_sm.add_argument("--z-im", type=float, required=True)
     p_sm.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_flags(p_sm)
+    _add_common_flags(p_sm, tolerance=False)
     p_sm.set_defaults(func=cmd_smatrix)
 
     p_sw = sub.add_parser("sweep", help="evaluate S(z) over a grid")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--im-max", type=float, default=-0.1)
     p_sw.add_argument("--steps", type=int, default=7)
     p_sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_flags(p_sw)
+    _add_common_flags(p_sw, tolerance=False)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the full property suite")
@@ -338,7 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_tol(args.tolerance)
+        if "tolerance" in args:
+            _check_tol(args.tolerance)
         # overflow at large |chi| already ends as a flagged singular row or
         # an error line; numpy's warnings would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):

@@ -171,8 +171,14 @@ def metric(params: KreinMetricParams) -> np.ndarray:
     matching :func:`c_operator` gives back P_xi.  An entry that overflows
     raises :class:`ArgumentError`.
     """
+    return _metric_p_xi(params)[0]
+
+
+def _metric_p_xi(params: KreinMetricParams) -> tuple[np.ndarray, np.ndarray]:
+    """metric(params) and the P_xi it is built from."""
     ch, sh = _cosh_sinh(params, "metric")
-    return ch * SIGMA0 - sh * (1j * (SIGMA1 @ p_xi(params.xi)))
+    j = p_xi(params.xi)
+    return ch * SIGMA0 - sh * (1j * (SIGMA1 @ j)), j
 
 
 @np.errstate(all="ignore")

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, c_operator,
-                       metric, p_xi)
+from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, _metric_p_xi,
+                       c_operator, metric)
 from .errors import (AssumptionError, _check_tol, _finite_complex,
                      _finite_real, _instance)
 from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, _norm, as_matrix
@@ -176,9 +176,10 @@ def classify_nonnegative(e: ExtensionParams, tol: float = DEFAULT_TOL) -> Spectr
     """
     _check_tol(tol)
     _instance("e", e, ExtensionParams)
-    return _classify(e, tol, metric(e.metric), p_xi(e.metric.xi))
+    return _classify(e, tol, *_metric_p_xi(e.metric))
 
 
+@np.errstate(all="ignore")
 def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
     """classify_nonnegative(e, tol) given the metric g and P_xi j of e."""
     b0, b1, at = e.beta0, e.beta1, f" at chi={e.metric.chi!r}"

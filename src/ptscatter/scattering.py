@@ -81,8 +81,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, KreinMetricParams, metric,
-                       p_xi)
+from .clifford import (DEFAULT_TOL, SIGMA0, SIGMA1, KreinMetricParams, _cosh_sinh,
+                       _metric_p_xi, metric, p_xi)
 from .errors import ArgumentError, _check_tol, _finite_complex, _instance
 from .extensions import ExtensionParams
 from .grids import lower_half_plane_grid, real_axis_points
@@ -185,10 +185,10 @@ def s_matrix_zero_range(e: ExtensionParams, z) -> ScatteringEvaluation:
 
 
 def _zero_range_basis(e: ExtensionParams):
-    """P_xi and e^{chi i R P_xi} = cosh(chi) I + sinh(chi) i R P_xi."""
+    """P_xi and e^{chi i R P_xi} = cosh(chi) I + sinh(chi) i R P_xi; overflows as the metric."""
+    ch, sh = _cosh_sinh(e.metric, "metric")
     sx = p_xi(e.metric.xi)
-    chi = e.metric.chi
-    return sx, math.cosh(chi) * SIGMA0 + math.sinh(chi) * (1j * (SIGMA1 @ sx))
+    return sx, ch * SIGMA0 + sh * (1j * (SIGMA1 @ sx))
 
 
 def _zero_range_coefficients(e: ExtensionParams, z):
@@ -512,7 +512,7 @@ def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
     a = as_matrix(t)
     plan, positions = _report_plan(interior, boundary, witness)
     [s_of] = _tables(plan, a)
-    checks = _checks(s_of, metric(p), p_xi(p.xi), positions, tol)
+    checks = _checks(s_of, *_metric_p_xi(p), positions, tol)
     return PropertyReport(*_worsts(s_of.z, checks, "interior"))
 
 

@@ -24,6 +24,8 @@ from ptscatter import (SIGMA0, SIGMA1, KreinMetricParams,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.verify import WITNESS_POINTS, draw_extension_params
 
+from _draws import bounded_admissible_draw
+
 GRID = lower_half_plane_grid()
 REAL_AXIS = real_axis_points()
 TWO_PI = 2.0 * math.pi
@@ -146,8 +148,7 @@ def test_criterion_6_contraction_dichotomy():
         witnessed = 0
         unwitnessed = []
         for _ in range(100):
-            e = draw_extension_params(rng, admissible=True,
-                                      min_beta1=0.05, min_chi=0.5)
+            e = bounded_admissible_draw(rng, min_beta1=0.05, min_chi=0.5)
             max_norm = standard_contraction_norm(t_from_betas(e), GRID)
             if max_norm > 1.0 + 1e-6:
                 witnessed += 1

@@ -1,5 +1,6 @@
 """Exit codes, output schemas and determinism of the command line."""
 
+import argparse
 import json
 import math
 import os
@@ -546,8 +547,9 @@ def test_verify_violation_echoes_the_flags_as_given(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["decompose", "[[1,0],[0,-1]]"],
     ["classify", "--beta0", "0.25", "--beta1", "0.2"],
-    ["smatrix", "--beta0", "0.25", "--beta1", "0.2", "--z-im", "-1"],
-    ["sweep", "--beta0", "0.25", "--beta1", "0.2", "--steps", "2"],
+    # the tolerance is checked before verify asks for its parameters
+    ["verify"],
+    ["verify", "--beta0", "0.25"],
     ["verify", "--beta0", "0.25", "--beta1", "0.2"],
     ["verify", "--random", "1"],
 ])
@@ -557,6 +559,39 @@ def test_bad_tolerance_exits_2_on_every_subcommand(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert err == "error: tol must be positive\n"
+
+
+# every option a subcommand registers, so that one no computation reads
+# shows up in review
+PARAM_FLAGS = {"--beta0", "--beta1", "--chi", "--xi"}
+OPTIONS = {
+    "decompose": {"--tolerance", "--output"},
+    "classify": PARAM_FLAGS | {"--tolerance", "--output"},
+    "smatrix": PARAM_FLAGS | {"--z-re", "--z-im", "--format", "--output"},
+    "sweep": PARAM_FLAGS | {"--re-min", "--re-max", "--im-min", "--im-max", "--steps",
+                            "--format", "--output"},
+    "verify": PARAM_FLAGS | {"--random", "--seed", "--tolerance", "--output"},
+}
+
+
+def test_each_subcommand_registers_exactly_its_options():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {flag for action in parser._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")}
+               for name, parser in sub.choices.items()}
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--beta0", "0.25", "--beta1", "0.2", "--z-im", "-1"],
+    ["sweep", "--beta0", "0.25", "--beta1", "0.2", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_tolerance_is_a_usage_error_where_no_verdict_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--tolerance=1e-6"])
+    out = capsys.readouterr()
+    assert info.value.code == 2 and out.out == ""
+    assert out.err.endswith("error: unrecognized arguments: --tolerance=1e-6\n")
 
 
 # ---------------------------------------------------------------- bad input

@@ -93,10 +93,7 @@ def test_malformed_vector_raises_argument_error():
     (lambda: pts.KreinMetricParams(None, 0.0), "xi"),
     (lambda: pts.KreinMetricParams(0.0, "1e"), "chi"),
     (lambda: pts.extension_params(10 ** 400, 0.0), "beta0"),
-    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_beta1="x"), "min_beta1"),
-    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=None), "min_chi"),
-], ids=["string", "none", "none-xi", "string-chi", "huge-int", "string-min-beta1",
-        "none-min-chi"])
+], ids=["string", "none", "none-xi", "string-chi", "huge-int"])
 def test_non_real_parameter_raises_argument_error(make, name):
     with pytest.raises(pts.ArgumentError, match=f"^{name} must be a real number: "):
         make()
@@ -122,10 +119,6 @@ def test_non_real_parameter_raises_argument_error(make, name):
      "complex() arg is a malformed string"),
     (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, np.array([1 + 1j, 0, 0])),
      "alpha must be real, got a nonzero imaginary part"),
-    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_beta1=0.3),
-     "min_beta1 must lie in [0, 0.25)"),
-    (lambda: pts.draw_extension_params(np.random.default_rng(0), min_chi=-1),
-     "min_chi must lie in [0, 2)"),
     (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), boundary=5),
      "boundary must be an iterable of points, got int"),
     (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), interior=[]),
@@ -207,11 +200,13 @@ def test_overflowing_involution_residual_is_named(call, message):
             call()
 
 
-# finite parameters whose oracle matrix overflows near the largest chi that
-# KreinMetricParams accepts: the error names the matrix and chi
+# finite parameters whose oracle matrix overflows, near the largest chi that
+# KreinMetricParams accepts or from a huge beta0: the error names the matrix
+# and chi, with no numpy warning
 CLASSIFY_REPRO = pts.extension_params(1.3165760051555746, -0.020132417011519577,
                                       chi=709.8642557525455, xi=5.305185825219249)
 LOWER = "the oracle matrix beta0 G + beta1 P_xi overflows at chi=709.8642557525455"
+HUGE_BETA0 = pts.extension_params(1e308, 0.2, chi=6)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -219,10 +214,14 @@ LOWER = "the oracle matrix beta0 G + beta1 P_xi overflows at chi=709.86425575254
     (lambda: pts.run_parameter_suite(CLASSIFY_REPRO), LOWER),
     (lambda: pts.classify_nonnegative(pts.extension_params(-0.9, -0.02, chi=710.4)),
      "the oracle matrix (1/2 - beta0) G - beta1 P_xi overflows at chi=710.4"),
-], ids=["lower", "run_parameter_suite", "upper"])
+    (lambda: pts.classify_nonnegative(HUGE_BETA0),
+     "the oracle matrix beta0 G + beta1 P_xi overflows at chi=6.0"),
+    (lambda: pts.run_parameter_suite(HUGE_BETA0),
+     "the oracle matrix beta0 G + beta1 P_xi overflows at chi=6.0"),
+], ids=["lower", "run_parameter_suite", "upper", "huge-beta0", "huge-beta0-suite"])
 def test_overflowing_oracle_matrix_is_named(call, message):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -241,8 +240,13 @@ T_MESSAGE = "the matrix T = beta0 I + beta1 C overflows"
      "the exponential e^{theta j} overflows at theta=(800+0j)"),
     (lambda: pts.check_metric_inequality([[0, 1e308], [-1e308, 0]], pts.KreinMetricParams(0, 0)),
      "the Hermiticity defect overflows at chi=0.0"),
+    # the zero-range basis shares the metric's largest entry; it once
+    # overflowed unchecked and S read as singular
+    (lambda: pts.s_matrix_zero_range(
+        pts.extension_params(0.2, 0.1, chi=709.8642557525455, xi=math.pi / 2), -1j),
+     "the metric overflows at chi=709.8642557525455, xi=1.5707963267948966"),
 ], ids=["t_from_betas", "run_parameter_suite", "pauli_compose", "exp_involution",
-        "check_metric_inequality"])
+        "check_metric_inequality", "s_matrix_zero_range"])
 def test_overflowing_formed_matrix_is_named_without_warnings(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

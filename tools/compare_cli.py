@@ -65,6 +65,10 @@ COMMANDS = [
     ["classify", "--beta0", "0", "--beta1", "1e308", "--chi", "2"],   # finite eigenvalues
     ["classify", "--beta0", "1.3165760051555746", "--beta1", "-0.020132417011519577",
      "--chi", "709.8642557525455", "--xi", "5.305185825219249"],     # exit 2
+    ["classify", "--beta0", "1e308", "--beta1", "0.2", "--chi", "6"],  # exit 2, no warning
+    # exit 2: the zero-range basis overflows with the metric
+    ["smatrix", "--beta0", "0.2", "--beta1", "0.1", "--chi", "709.8642557525455",
+     "--xi", "1.5707963267948966", "--z-im", "-1"],
     ["decompose", "[[1,0],[0,-1]]"],
     ["decompose", "[[0,1],[1,0]]"],                                   # c_params null
     ["decompose", "[[1,2],[3,4]]"],                                   # krein_xi null too
