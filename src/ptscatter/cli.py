@@ -227,6 +227,14 @@ def _cells_to_json(cells, singular, config: dict) -> dict:
 def _run_points(args, zs, config, evaluate) -> int:
     e = extension_params(args.beta0, args.beta1, args.chi, args.xi)
     s, singular = evaluate(e, zs)
+    # a regular row whose S overflowed would print NaNs that no count flags;
+    # the whole stack is tested first, at about a quarter of the cost of
+    # the row-wise test
+    if not np.isfinite(s).all():
+        overflowed = np.flatnonzero(~(singular | np.isfinite(s).all(axis=(1, 2))))
+        if len(overflowed):
+            raise ArgumentError(
+                f"the scattering matrix S overflows at z={complex(zs[overflowed[0]])}")
     cells = _sweep_cells(e, zs, s)
     if args.format == "csv":
         _emit(_cells_to_csv(cells, singular), args.output)

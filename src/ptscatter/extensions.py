@@ -22,6 +22,7 @@ verdicts must always agree.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,22 +51,33 @@ class BoundaryData:
 
 
 def gamma0(b: BoundaryData) -> np.ndarray:
-    """Mean and jump of the boundary values, as a C^2 vector."""
+    """Mean and jump of the boundary values, as a C^2 vector.  Where the sum
+    or difference overflows, both are formed from the halved values
+    (halving first everywhere would round subnormals)."""
     _instance("b", b, BoundaryData)
-    return np.array([(b.f_plus + b.f_minus) / 2.0,
-                     (b.f_plus - b.f_minus) / 2.0])
+    p, m = b.f_plus, b.f_minus
+    mean, jump = (p + m) / 2.0, (p - m) / 2.0
+    if not (cmath.isfinite(mean) and cmath.isfinite(jump)):
+        mean, jump = p / 2.0 + m / 2.0, p / 2.0 - m / 2.0
+    return np.array([mean, jump])
 
 
+@np.errstate(all="ignore")
 def gamma1(b: BoundaryData) -> np.ndarray:
-    """2*Gamma_0 plus the vector (derivative jump, derivative sum)."""
-    return 2.0 * gamma0(b) + np.array([b.fp_plus - b.fp_minus, b.fp_plus + b.fp_minus])
+    """2*Gamma_0 plus the vector (derivative jump, derivative sum); an entry
+    that overflows raises :class:`ArgumentError`."""
+    return _formed("boundary value Gamma_1 f", 2.0 * gamma0(b)
+                   + np.array([b.fp_plus - b.fp_minus, b.fp_plus + b.fp_minus]))
 
 
+@np.errstate(all="ignore")
 def in_domain(t, b: BoundaryData, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the boundary data satisfies T Gamma_1 f = Gamma_0 f."""
+    """Whether the boundary data satisfies T Gamma_1 f = Gamma_0 f; a
+    residual T Gamma_1 f - Gamma_0 f that overflows raises :class:`ArgumentError`."""
     _check_tol(tol)
     a = as_matrix(t)
-    return float(np.linalg.norm(a @ gamma1(b) - gamma0(b))) <= tol
+    residual = _formed("boundary residual T Gamma_1 f - Gamma_0 f", a @ gamma1(b) - gamma0(b))
+    return float(np.linalg.norm(residual)) <= tol
 
 
 @dataclass(frozen=True)

@@ -616,6 +616,10 @@ def test_tolerance_is_a_usage_error_where_no_verdict_is_drawn(capsys, argv):
     # a 4000000 x 4000000 complex grid (about 233 TiB) exceeds a 47-bit
     # address space; its two axes take 64 MB
     ["sweep", "--beta0", "0.1", "--beta1", "0.1", "--steps", "4000000"],
+    # finite T whose S overflows at a regular point once printed a row of NaNs
+    ["smatrix", "--beta0", "0.2", "--beta1", "1e308", "--chi", "0.5", "--z-im", "-1"],
+    ["sweep", "--beta0", "0.2", "--beta1", "1e308", "--chi", "0.5", "--re-min", "0",
+     "--re-max", "0", "--im-min", "-1", "--im-max", "-1", "--steps", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_prints_one_error_line(capsys, argv):
     # each input is rejected by the library function it enters

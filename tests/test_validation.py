@@ -230,6 +230,8 @@ def test_overflowing_oracle_matrix_is_named(call, message):
 # with no numpy warning
 T_OVERFLOWS = pts.extension_params(0, 1e308, chi=2)      # beta1 C passes the float range
 T_MESSAGE = "the matrix T = beta0 I + beta1 C overflows"
+HUGE_JUMP = pts.BoundaryData(1e308, -1e308, 0, 0)     # f(+0) - f(-0) passes the float range
+GAMMA1_MESSAGE = "the boundary value Gamma_1 f overflows"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -245,13 +247,33 @@ T_MESSAGE = "the matrix T = beta0 I + beta1 C overflows"
     (lambda: pts.s_matrix_zero_range(
         pts.extension_params(0.2, 0.1, chi=709.8642557525455, xi=math.pi / 2), -1j),
      "the metric overflows at chi=709.8642557525455, xi=1.5707963267948966"),
+    # 2 Gamma_0 f = (0, 2e308); Gamma_0 f itself once read (0, inf+nanj)
+    (lambda: pts.gamma1(HUGE_JUMP), GAMMA1_MESSAGE),
+    (lambda: pts.in_domain(pts.SIGMA0, HUGE_JUMP), GAMMA1_MESSAGE),
+    (lambda: pts.gamma1(pts.BoundaryData(0, 0, 1e308, -1e308)), GAMMA1_MESSAGE),
+    (lambda: pts.in_domain([[1e308, 1e308], [0, 0]], pts.BoundaryData(1, 0, 1e308, 0)),
+     "the boundary residual T Gamma_1 f - Gamma_0 f overflows"),
 ], ids=["t_from_betas", "run_parameter_suite", "pauli_compose", "exp_involution",
-        "check_metric_inequality", "s_matrix_zero_range"])
+        "check_metric_inequality", "s_matrix_zero_range", "gamma1", "in_domain-gamma1",
+        "gamma1-derivatives", "in_domain-residual"])
 def test_overflowing_formed_matrix_is_named_without_warnings(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pts.ArgumentError, match=f"^{re.escape(message)}$"):
             call()
+
+
+# finite boundary values whose sum or difference passes the float range
+# have a finite Gamma_0 f
+@pytest.mark.parametrize("data, expected", [
+    (HUGE_JUMP, [0j, 1e308 + 0j]),
+    (pts.BoundaryData(1.7e308, 1.7e308, 0, 0), [1.7e308 + 0j, 0j]),
+    (pts.BoundaryData(1e308j, -1e308j, 0, 0), [0j, 1e308j]),
+], ids=["jump", "mean", "imaginary"])
+def test_gamma0_of_huge_boundary_values_is_finite(data, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pts.gamma0(data).tolist() == expected
 
 
 # finite Hermitian input whose diagonal sum or difference passes the float

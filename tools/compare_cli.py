@@ -82,6 +82,10 @@ COMMANDS = [
     ["smatrix", "--beta0", "0.25", "--beta1", "0.1", "--chi", "1", "--z-re", "1", "--z-im", "-1",
      "--format", "json"],
     ["smatrix", "--beta0", "-0.25", "--beta1", "0", "--z-im", "-3", "--format", "json"],  # exit 4
+    # exit 2: S overflows at a regular point
+    ["smatrix", "--beta0", "0.2", "--beta1", "1e308", "--chi", "0.5", "--z-im", "-1"],
+    ["sweep", "--beta0", "0.2", "--beta1", "1e308", "--chi", "0.5", "--re-min", "0",
+     "--re-max", "0", "--im-min", "-1", "--im-max", "-1", "--steps", "1"],
     ["--help"],
     *([command, "--help"] for command in ("decompose", "classify", "smatrix", "sweep", "verify")),
 ]

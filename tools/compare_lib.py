@@ -22,6 +22,8 @@ grids), ``formula_equivalence_residual``, ``mobius_round_trip_residuals``,
 ``krein_defect``, ``c_symmetry_defect``, ``symmetry_report``,
 ``is_hermitian``, ``hermitian_eigenvalues``,
 ``krein_selfadjoint_reduction``, ``pauli_compose``, ``exp_involution``,
+``gamma0``, ``gamma1`` and ``in_domain`` (of drawn boundary values, now
+and then near the largest float),
 and the one-point primitives ``s_matrix``, ``s_matrix_zero_range``,
 ``t_from_s`` (of the S it gives, or of T where it raises),
 ``operator_norm``, ``condition_number``, ``inverse`` (with and without a
@@ -58,6 +60,8 @@ CHIS = [6.0, 50.0, 300.0, 700.0, -700.0, 709.8642557525455]
 HUGE_TS = [np.array([[1e308, -1e308], [1e308, 1e308]]),
            np.array([[1e308, 1e308j], [-1e308j, 1e308]]), np.diag([1e308, 1e308]),
            3e307 * np.eye(2), np.diag([1.7e308, 1.7e308]), np.diag([1.7e308, -1.7e308])]
+# boundary values whose sums, differences or doubles pass the float range
+HUGE_VALUES = [1e308, -1e308, 1.7e308j, complex(-1.7e308, 1e308), 6e307]
 
 
 def _chi(rng) -> float:
@@ -157,6 +161,7 @@ def _calls(pts, k: int, seed: int):
     coeffs = [1e308] * 4 if rng.random() < 0.1 else rng.standard_normal(4).tolist()
     theta = 800.0 if rng.random() < 0.1 else float(rng.uniform(-5.0, 5.0))
     limit = [1e12, 1e3, 10.0, "x", -1.0][rng.integers(5)]
+    values = _boundary_values(rng)
     yield "check_condition_a", lambda: pts.check_condition_a(t, p, zs, tol)
     yield "check_condition_b", lambda: pts.check_condition_b(t, p, zs, tol)
     yield "check_condition_c", lambda: pts.check_condition_c(t, p, one, tol)
@@ -196,6 +201,21 @@ def _calls(pts, k: int, seed: int):
     yield "det", lambda: pts.matrix2.det(t)
     yield "pauli_decompose", lambda: pts.pauli_decompose(t)
     yield "pauli_decompose_xi", lambda: pts.pauli_decompose(t, xi)
+    yield "gamma0", lambda: pts.gamma0(pts.BoundaryData(*values))
+    yield "gamma1", lambda: pts.gamma1(pts.BoundaryData(*values))
+    yield "in_domain", lambda: pts.in_domain(t, pts.BoundaryData(*values), tol)
+
+
+def _boundary_values(rng) -> list[complex]:
+    """f(+0), f(-0), f'(+0), f'(-0): complex normal draws; in about one set
+    in three, each is replaced by a value near the largest float with
+    probability 1/4."""
+    re, im = rng.standard_normal((2, 4))
+    values = (re + 1j * im).tolist()
+    if rng.random() < 1 / 3:
+        for i in np.flatnonzero(rng.random(4) < 0.25).tolist():
+            values[i] = HUGE_VALUES[rng.integers(len(HUGE_VALUES))]
+    return values
 
 
 def _sample(pts, t, z):
