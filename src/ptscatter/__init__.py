@@ -43,7 +43,6 @@ from .symmetry import (SymmetryReport, c_params_from_matrix,
                        krein_selfadjoint_reduction, pt_apply, pt_conjugate,
                        pt_defect, solve_xi, symmetry_report)
 from .verify import (WITNESS_POINTS, draw_extension_params,
-                     formula_equivalence_residual,
                      mobius_round_trip_residuals, run_parameter_suite,
                      run_random_suite)
 
@@ -71,5 +70,5 @@ __all__ = [
     "check_condition_d", "check_pt_criterion", "standard_contraction_norm",
     "lower_half_plane_grid", "real_axis_points", "property_report",
     "WITNESS_POINTS", "draw_extension_params", "mobius_round_trip_residuals",
-    "formula_equivalence_residual", "run_parameter_suite", "run_random_suite",
+    "run_parameter_suite", "run_random_suite",
 ]

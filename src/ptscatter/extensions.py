@@ -32,7 +32,8 @@ from .clifford import (DEFAULT_TOL, SIGMA0, KreinMetricParams, _metric_p_xi,
                        c_operator, metric)
 from .errors import (AssumptionError, _check_tol, _finite_complex,
                      _finite_real, _instance)
-from .matrix2 import _defect, _det, _formed, _hermitian_eigenvalues, _norm, as_matrix
+from .matrix2 import (_defect, _det, _formed, _formed_entries, _hermitian_eigenvalues, _norm,
+                      as_matrix)
 from .symmetry import _c_params
 
 
@@ -197,10 +198,10 @@ def _classify(e: ExtensionParams, tol, g, j) -> SpectraClassification:
     b0, b1, at = e.beta0, e.beta1, f" at chi={e.metric.chi!r}"
     closed = (b0 >= -tol and b0 <= 0.5 + tol
               and abs(b1) <= min(0.5 - b0, b0) + tol)
-    lower = _hermitian_eigenvalues(_formed("oracle matrix beta0 G + beta1 P_xi",
-                                           b0 * g + b1 * j, at))
-    upper = _hermitian_eigenvalues(_formed("oracle matrix (1/2 - beta0) G - beta1 P_xi",
-                                           (0.5 - b0) * g - b1 * j, at))
+    lower = _hermitian_eigenvalues(_formed_entries("oracle matrix beta0 G + beta1 P_xi",
+                                                   b0 * g + b1 * j, at))
+    upper = _hermitian_eigenvalues(_formed_entries("oracle matrix (1/2 - beta0) G - beta1 P_xi",
+                                                   (0.5 - b0) * g - b1 * j, at))
     oracle = lower[0] >= -tol and upper[0] >= -tol
     return SpectraClassification(closed_form_verdict=closed, oracle_verdict=oracle,
                                  eigenvalues_lower=lower, eigenvalues_upper=upper)
@@ -219,11 +220,13 @@ def check_metric_inequality(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -
     _check_tol(tol)
     a, g = as_matrix(t), metric(p)
     at = f" at chi={p.chi!r}"
-    gt = _formed("metric product G T", g @ a, at)
-    gu = _formed("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
+    gt = g @ a
+    gt_entries = _formed_entries("metric product G T", gt, at)
+    gu_entries = _formed_entries("metric product G (I/2 - T)", g @ (0.5 * SIGMA0 - a), at)
     scale = max(1.0, _norm(g, _det(g)) * _norm(a, _det(a)))
     # a NaN quotient (an overflowed defect over an overflowed scale) fails
     if not _defect("Hermiticity", gt - gt.conj().T, at) / scale <= tol:
         raise AssumptionError("metric * t is not Hermitian: "
                               "t is not self-adjoint for this metric")
-    return _hermitian_eigenvalues(gt)[0] >= -tol and _hermitian_eigenvalues(gu)[0] >= -tol
+    return (_hermitian_eigenvalues(gt_entries)[0] >= -tol
+            and _hermitian_eigenvalues(gu_entries)[0] >= -tol)

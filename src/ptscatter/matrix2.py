@@ -25,7 +25,8 @@ A matrix is read once.  A helper that needs the entries of a matrix its
 caller has already read or validated takes them from the caller (as
 ``_det_condition`` takes ``p, q, r, s`` from ``_adjugate``'s one
 ``tolist``) rather than reading or validating the matrix again, and one
-read serves both the finiteness test and the determinant of a defect.
+read serves both the finiteness test and the determinant of a defect, or
+the finiteness test and the eigenvalues of a formed Hermitian matrix.
 
 The underscored stack forms (``_det_conditions``, ``_adjugates``,
 ``_operator_norms``, ``_hermitian_lows``) apply the same formulas to arrays of
@@ -213,17 +214,10 @@ def condition_number(m) -> float:
     return _det_condition(*as_matrix(m).ravel().tolist())[1]
 
 
-def inverse(m, condition_limit: float | None = None, z=None) -> np.ndarray:
-    """Adjugate-over-determinant inverse.
-
-    When ``condition_limit`` (None or a positive number) is given, matrices
-    whose condition number exceeds it are rejected with
-    :class:`SingularMatrixError` (carrying the spectral point ``z`` if
-    supplied).
-    """
-    if condition_limit is not None:
-        _check_tol(condition_limit, "condition_limit")
-    adj, d, _ = _adjugate(as_matrix(m), condition_limit, z)
+def inverse(m) -> np.ndarray:
+    """Adjugate-over-determinant inverse; a singular m raises
+    :class:`SingularMatrixError`."""
+    adj, d, _ = _adjugate(as_matrix(m), None)
     return adj / d
 
 
@@ -252,12 +246,12 @@ def hermitian_eigenvalues(m) -> tuple[float, float]:
     Where p + s or p - s of the diagonal overflows, both are formed from
     p / 2 and s / 2 (halving first everywhere would round subnormals).
     """
-    return _hermitian_eigenvalues(as_matrix(m))
+    return _hermitian_eigenvalues(as_matrix(m).ravel().tolist())
 
 
-def _hermitian_eigenvalues(a) -> tuple[float, float]:
-    """hermitian_eigenvalues of the validated matrix a."""
-    p, q, _, s = a.ravel().tolist()
+def _hermitian_eigenvalues(entries) -> tuple[float, float]:
+    """hermitian_eigenvalues of the validated matrix with the four entries."""
+    p, q, _, s = entries
     p, s = p.real, s.real
     mid, half = (p + s) / 2.0, (p - s) / 2.0
     if math.isinf(mid) or math.isinf(half):

@@ -36,7 +36,12 @@ segmented pass: minus the lowest eigenvalues of a leading (a) check's
 metric gaps (one ``_hermitian_lows`` call), then the other checks' norms
 (one ``_operator_norms`` call).  The largest residual wins, clamped at 0,
 and passes when it is at most its tolerance; the first point attaining it
-is the witness, and NaN and -inf residuals are skipped.
+is the witness, and NaN and -inf residuals are skipped.  Conditions (b)
+and (d) are held to tol or, where larger, to the rounding bound of the
+adjugate quotient at their worst kept point,
+eps ||J||_F (cond(z) ||S(z)||_F + cond(-conj z) ||S(-conj z)||_F), one
+scalar per record: near a pole, S can be bounded while cond(den) is
+large (S(0) = I for every T), and the absolute tol alone fails there.
 
 Every evaluation of S at many points goes through one kernel, ``_s_batch``,
 on the numerator and denominator stacks that ``_terms`` builds from T and
@@ -55,6 +60,9 @@ lists end to end, keys each point with its reflection -conj z and indexes
 the distinct points, each list's positions and each point's rows at z and
 at -conj z.  A ``_Table`` holds S at a plan's distinct points and stands in
 for its plan.  T is validated first, then each list by its own validator.
+The default samples (the interior grid, the real axis, the witness 1-1j
+and the Mobius WITNESS_POINTS) have one plan, ``_default_plan``, built on
+first use and shared by ``property_report`` and the verify suite.
 
 A pole of S is a property of the parameter, not bad input: a check skips
 every point at which S is singular, at z or, for a check that reads it, at
@@ -67,8 +75,8 @@ points before any verdict is drawn.  On a fault the pass walks the checks
 in list order over the arrays it holds (a finiteness mask of the rows, the
 checks' sizes, their kept residuals) and raises for the first check with a
 non-finite residual matrix (an :class:`ArgumentError` naming the check and
-the point), no residual (naming the empty list, ``interior`` in
-``property_report``), or none left after the skips.  Numpy's
+the point), no residual (``zs must be nonempty``), or none left after the
+skips.  Numpy's
 floating-point warnings are off while the terms of S and the residuals are
 formed and the residuals normed.
 """
@@ -76,7 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -92,6 +100,9 @@ from .matrix2 import (_adjugate, _adjugates, _det_conditions, _hermitian_lows,
 from .symmetry import _pt_images
 
 DEFAULT_CONDITION_LIMIT = 1e12
+_EPS = float(np.finfo(float).eps)
+# the interior points at which the Mobius inverse recovers T in the suite
+WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
 
 
 def _spectral_point(z, interior: bool = False) -> complex:
@@ -295,30 +306,39 @@ def _tables(plan, a, *e):
     return [_Table(plan, batch, k) for k in range(len(terms))]
 
 
-def _s_table(t, *lists, routes=()):
+def _s_table(t, *lists):
     """The table of s_matrix(t, z) over the point lists, each a pair
-    (points, validator), then the table of s_matrix_zero_range(e, z) for
-    each e of routes, then each list's positions in the tables.  T is
+    (points, validator), then each list's positions in the table.  T is
     validated first, then each list in order."""
     a = as_matrix(t)
     plan = _Plan(*lists)
-    return (*_tables(plan, a, *routes), *plan.lists)
+    return (*_tables(plan, a), *plan.lists)
+
+
+@cache
+def _default_plan() -> tuple:
+    """The plan of the default samples, built on first use: the Mobius
+    WITNESS_POINTS, the witness 1-1j, the interior grid and the real axis,
+    validated in that order; the read-only positions (a), (b), (c), (d)
+    and PT read, (c) the witness and the off-axis grid points; and the
+    Mobius witnesses' positions."""
+    plan = _Plan((WITNESS_POINTS, _interior_point), ([1.0 - 1.0j], _off_axis),
+                 (lower_half_plane_grid(), _interior_point),
+                 (real_axis_points(), _spectral_point))
+    mobius, witness, interior, boundary = plan.lists
+    off_axis = interior[plan.z[interior].real != 0.0]
+    return plan, _frozen(interior, np.r_[interior, boundary], np.r_[witness, off_axis],
+                         np.r_[witness, interior, boundary], interior), mobius
 
 
 def _validated(zs, check) -> np.ndarray:
-    """check(z) for each point z of the sequence zs, as one array."""
-    return np.array([check(z) for z in _point_list("zs", zs)], dtype=complex)
-
-
-def _point_list(name, zs) -> list:
-    """The points of zs as a list; a zs that is not iterable raises
-    :class:`ArgumentError` naming the list."""
+    """check(z) for each point z of the sequence zs, read in full first, as
+    one array; a zs that is not iterable raises :class:`ArgumentError`."""
     try:
         points = iter(zs)
     except TypeError:
-        raise ArgumentError(f"{name} must be an iterable of points, "
-                            f"got {type(zs).__name__}") from None
-    return list(points)
+        raise ArgumentError(f"zs must be an iterable of points, got {type(zs).__name__}") from None
+    return np.array([check(z) for z in list(points)], dtype=complex)
 
 
 def _kept(i, tables, mirror=False):
@@ -340,15 +360,14 @@ def _kept(i, tables, mirror=False):
     return i[keep]
 
 
-def _worsts(z, checks, points="zs") -> list:
+def _worsts(z, checks) -> list:
     """The PropertyCheck of each check (name, i, m, tol) in order, m holding
     its residual matrices at the points z[i]: the largest residual, clamped
     at 0 and held to tol, and the first point attaining it.  A leading
     condition (a) check reduces minus the lowest eigenvalues of its metric
     gaps, the others their norms, from one call each; NaN and -inf
     residuals are skipped.  The first check in order with a non-finite
-    matrix, no residual (named as the list ``points``) or only skipped ones
-    raises :class:`ArgumentError`."""
+    matrix, no residual or only skipped ones raises :class:`ArgumentError`."""
     names, idx, ms, tols = zip(*checks)
     lead = int(names[0] == "condition (a)")
     with np.errstate(all="ignore"):
@@ -375,7 +394,7 @@ def _worsts(z, checks, points="zs") -> list:
             at = complex(z[i[bad[0]]])
             raise ArgumentError(f"the {name} residual matrix overflows at z={at}")
         if not n:
-            raise ArgumentError(f"{points} must be nonempty")
+            raise ArgumentError("zs must be nonempty")
         if kept[start:start + n].max() == -math.inf:
             raise ArgumentError("the residual norm overflowed at every point")
 
@@ -413,11 +432,31 @@ def _cond_a(s_of, i, gap, tol):
     return "condition (a)", i, gap[s_of.row[i]], tol
 
 
+def _frobenius(m) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (N, 2, 2), from hypot,
+    so no square overflows."""
+    x = np.abs(m)
+    return np.hypot(np.hypot(x[:, 0, 0], x[:, 0, 1]), np.hypot(x[:, 1, 0], x[:, 1, 1]))
+
+
 @np.errstate(all="ignore")
-def _cond_reflection(s_of, i, js, sj, name, tol):
-    """(b) with J = G, (d) with J = P_xi, from J S and S* J."""
+def _scales(s_of) -> np.ndarray:
+    """cond(den) ||S||_F at each row of the table s_of, the scale of the
+    rounding of the adjugate quotient that forms S there (NaN where S is
+    singular)."""
+    return s_of.cond * _frobenius(s_of.s)
+
+
+@np.errstate(all="ignore")
+def _cond_reflection(s_of, i, scales, j, js, sj, name, tol):
+    """(b) with J = G, (d) with J = P_xi, from J S and S* J, held to tol or,
+    where larger, to the rounding bound eps ||J||_F (c(z) + c(-conj z)) at
+    the worst kept point, scales holding c = cond(den) ||S||_F over the
+    table rows."""
     i = _kept(i, [s_of], mirror=True)
-    return name, i, js[s_of.row[i]] - sj[s_of.mirror[i]], tol
+    row, mirror = s_of.row[i], s_of.mirror[i]
+    bound = _EPS * _frobenius(j[None])[0] * (scales[row] + scales[mirror]).max(initial=0.0)
+    return name, i, js[row] - sj[mirror], max(tol, float(bound))
 
 
 @np.errstate(all="ignore")
@@ -453,10 +492,13 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
-    """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane."""
+    """Symmetry G S(z) = S(-conj z)* G over points of the closed half-plane,
+    held to tol or, where larger, to the rounding bound of S (module docstring)."""
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _spectral_point))
-    r = _cond_reflection(s_of, i, *_products(s_of.s, metric(p))[:2], "condition (b)", tol)
+    g = metric(p)
+    r = _cond_reflection(s_of, i, _scales(s_of), g, *_products(s_of.s, g)[:2],
+                         "condition (b)", tol)
     return _worsts(s_of.z, [r])[0]
 
 
@@ -472,10 +514,13 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
     """Krein symmetry P_xi S(z) = S(-conj z)* P_xi at one point of the
-    closed half-plane."""
+    closed half-plane, held to tol or, where larger, to the rounding bound
+    of S (module docstring)."""
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _spectral_point))
-    r = _cond_reflection(s_of, i, *_products(s_of.s, p_xi(xi))[:2], "condition (d)", tol)
+    px = p_xi(xi)
+    r = _cond_reflection(s_of, i, _scales(s_of), px, *_products(s_of.s, px)[:2],
+                         "condition (d)", tol)
     return _worsts(s_of.z, [r])[0]
 
 
@@ -493,50 +538,37 @@ def standard_contraction_norm(t, zs) -> float:
     return _worsts(s_of.z, [_plain_norms(s_of, i, math.inf)])[0].residual
 
 
-def property_report(t, p: KreinMetricParams, interior=None, boundary=None,
-                    witness: complex = 1.0 - 1.0j,
-                    tol: float = DEFAULT_TOL) -> PropertyReport:
-    """Run all characteristic checks for one extension parameter.
+def property_report(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """Run all characteristic checks for one extension parameter on the
+    default samples.
 
     Conditions (a) and the PT criterion sweep the interior grid; (b) and (d)
-    additionally take boundary (real-axis) samples.  The single-point
-    conditions (c) and (d) are evaluated at the fixed ``witness`` and, for
-    stronger evidence, at every admissible grid point, keeping the worst
-    residual.  S is evaluated once per distinct point of
-    interior | boundary | {witness} and of its reflection -conj z, in one
-    batched call, into a table shared by all five checks.
+    additionally take the real-axis samples.  The single-point conditions
+    (c) and (d) are evaluated at the witness 1-1j and, for stronger
+    evidence, at every admissible grid point, keeping the worst residual.
+    S is evaluated once per distinct point of the default samples and of
+    its reflection -conj z, in one batched call, into a table shared by
+    all five checks.  Other point lists go to the check_* functions.
     """
     _check_tol(tol)
-    interior = lower_half_plane_grid() if interior is None else _point_list("interior", interior)
-    boundary = real_axis_points() if boundary is None else _point_list("boundary", boundary)
     a = as_matrix(t)
-    plan, positions = _report_plan(interior, boundary, witness)
+    plan, positions, _ = _default_plan()
     [s_of] = _tables(plan, a)
-    checks = _checks(s_of, *_metric_p_xi(p), positions, tol)
-    return PropertyReport(*_worsts(s_of.z, checks, "interior"))
-
-
-def _report_plan(interior, boundary, witness, *lists) -> tuple:
-    """The plan of lists, each a pair (points, validator), then of witness
-    (one point), interior and boundary, validated in that order; the
-    read-only positions (a), (b), (c), (d) and PT read, (c) the witness and
-    the off-axis interior points; and each of lists' positions."""
-    plan = _Plan(*lists, ([witness], _off_axis), (interior, _interior_point),
-                 (boundary, _spectral_point))
-    *extra, witness, interior, boundary = plan.lists
-    off_axis = interior[plan.z[interior].real != 0.0]
-    return (plan, _frozen(interior, np.r_[interior, boundary], np.r_[witness, off_axis],
-                          np.r_[witness, interior, boundary], interior), *extra)
+    return PropertyReport(*_worsts(s_of.z, _checks(s_of, *_metric_p_xi(p), positions, tol)))
 
 
 def _checks(s_of, g, px, positions, tol) -> list:
     """The records of (a), (b), (c), (d) and PT over the table s_of at their
-    positions, each held to tol, for the metric g and P_xi px.  G S, S* G,
-    G - S* G S, P_xi S and S* P_xi are formed once over the table rows."""
+    positions, each held to tol ((b) and (d) at least to their rounding
+    bound), for the metric g and P_xi px.  G S, S* G, G - S* G S, P_xi S,
+    S* P_xi and the rounding scales are formed once over the table rows."""
     a, b, c, d, pt = positions
     gs, sg, gap = _products(s_of.s, g)
     with np.errstate(all="ignore"):
         ps, sp = px @ s_of.s, _ct(s_of.s) @ px
-    return [_cond_a(s_of, a, gap, tol), _cond_reflection(s_of, b, gs, sg, "condition (b)", tol),
+    scales = _scales(s_of)
+    return [_cond_a(s_of, a, gap, tol),
+            _cond_reflection(s_of, b, scales, g, gs, sg, "condition (b)", tol),
             _cond_c(s_of, c, gs, sg, gap, tol),
-            _cond_reflection(s_of, d, ps, sp, "condition (d)", tol), _cond_pt(s_of, pt, tol)]
+            _cond_reflection(s_of, d, scales, px, ps, sp, "condition (d)", tol),
+            _cond_pt(s_of, pt, tol)]

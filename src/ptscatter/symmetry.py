@@ -84,6 +84,11 @@ def solve_xi(m, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     a = as_matrix(m)
     if not is_pt_symmetric(a, tol):
         raise AssumptionError("m is not PT-symmetric; no Krein involution P_xi applies")
+    return _xi(a, tol)
+
+
+def _xi(a, tol) -> tuple[float, bool]:
+    """solve_xi of the validated matrix a, known to be PT-symmetric."""
     _, a1, _, a3 = _decompose(a)
     a1, a3 = a1.real, a3.real
     if abs(a1) <= tol and abs(a3) <= tol:
@@ -127,6 +132,12 @@ def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray, float]:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
     if _defect("PT", _pt_images(a) - a) > tol:
         raise AssumptionError("m is not PT-symmetric")
+    return _c_of_involution(a, tol)
+
+
+def _c_of_involution(a, tol) -> tuple[KreinMetricParams, np.ndarray, float]:
+    """_c_params of the validated matrix a, known to be a PT-symmetric
+    involution within tol."""
     if _defect("+I", a - SIGMA0) <= tol or _defect("-I", a + SIGMA0) <= tol:
         raise AssumptionError("m = +-I is trivial; (xi, chi) is not determined")
     _, a1, a2, a3 = _decompose(a)
@@ -209,11 +220,12 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     degenerate = False
     cp: Optional[KreinMetricParams] = None
     if pt_ok:
-        xi, degenerate = solve_xi(a, tol)
+        xi, degenerate = _xi(a, tol)
         residuals["krein"] = krein_defect(a, xi)
-        try:
-            cp, _, residuals["c_reconstruction"] = _c_params(a, tol)
-        except AssumptionError:
-            cp = None
+        if not residuals["involution"] > tol:   # _c_params' test, which a NaN passes
+            try:
+                cp, _, residuals["c_reconstruction"] = _c_of_involution(a, tol)
+            except AssumptionError:
+                pass
     return SymmetryReport(pt_symmetric=pt_ok, krein_xi=xi, xi_degenerate=degenerate,
                           c_params=cp, residuals=residuals)

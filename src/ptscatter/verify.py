@@ -23,9 +23,10 @@ with its theory-expected outcome:
     chi = 0 the spectral projections (I +- C)/2 of T are orthogonal, so S
     is a plain-norm contraction for every admissible beta1.
 
-A draw runs on one evaluation plan of the default samples and the Mobius
-witnesses, which does not depend on T and is built once per process, on
-first use.  One kernel call fills S at the plan's distinct points by both
+A draw runs on ``scattering._default_plan``, the evaluation plan of the
+default samples and the Mobius witnesses, which does not depend on T, is
+built once per process, on first use, and is the plan property_report
+reads.  One kernel call fills S at the plan's distinct points by both
 routes, the generic one and the parametrized one it is compared with, in
 two tables over the plan.  A draw forms G and P_xi once.  Every check
 skips the points where S is singular (the route gap those where either
@@ -46,19 +47,14 @@ replayable form.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
 from .clifford import DEFAULT_TOL, TWO_PI, KreinMetricParams, _metric_p_xi
 from .errors import ArgumentError, _check_tol, _instance, _integer
 from .extensions import ExtensionParams, _classify, t_from_betas
-from .grids import lower_half_plane_grid, real_axis_points
-from .scattering import (_checks, _interior_point, _kept, _plain_norms,
-                         _report_plan, _s_table, _spectral_point, _tables,
-                         _worsts, s_matrix, t_from_s)
-
-WITNESS_POINTS = (-1j, -2j, 1.0 - 1.0j, -0.5 - 0.3j)
+from .scattering import (WITNESS_POINTS, _checks, _default_plan, _kept, _plain_norms,
+                         _tables, _worsts, s_matrix, t_from_s)
 
 # contract tolerance for the two S-evaluation routes at well-conditioned
 # points; the generic suite scales it with the worst denominator condition
@@ -120,13 +116,6 @@ def _round_trip(recovered, t, i, tol) -> list:
             ("z-independence", i, recovered - recovered[:1], tol)]
 
 
-def formula_equivalence_residual(e: ExtensionParams, zs) -> float:
-    """Worst deviation between the parametrized and the generic S
-    evaluation, over the points where both are regular."""
-    s_of, zr, i = _s_table(t_from_betas(e), (zs, _spectral_point), routes=[e])
-    return _worsts(s_of.z, [_route_gap(s_of, zr, i)])[0].residual
-
-
 def _route_gap(s_of, zr, i):
     """S_zero_range - S at the points i where the tables zr and s_of, over
     one plan, are regular, held to a tolerance scaled with s_of's worst
@@ -171,14 +160,6 @@ def _classification(cls) -> dict:
 def _check_entry(check, expected_pass: bool) -> dict:
     return _entry(check.passed, check.residual, expected_pass,
                   witness_z=_pair(check.witness_z))
-
-
-@cache
-def _default_plan() -> tuple:
-    """_report_plan of the default samples and the Mobius witnesses, the
-    part of a draw that does not depend on T, built on first use."""
-    return _report_plan(lower_half_plane_grid(), real_axis_points(), 1.0 - 1.0j,
-                        (WITNESS_POINTS, _interior_point))
 
 
 def run_parameter_suite(e: ExtensionParams, tol: float = DEFAULT_TOL) -> dict:

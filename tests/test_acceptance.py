@@ -19,7 +19,7 @@ from ptscatter import (SIGMA0, SIGMA1, KreinMetricParams,
                        extension_params, hermitian_eigenvalues,
                        is_c_symmetric, is_pt_symmetric, lower_half_plane_grid,
                        metric, operator_norm, p_xi, pauli_compose, pt_defect,
-                       property_report, real_axis_points,
+                       property_report,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.verify import WITNESS_POINTS, draw_extension_params
@@ -27,7 +27,6 @@ from ptscatter.verify import WITNESS_POINTS, draw_extension_params
 from _draws import bounded_admissible_draw
 
 GRID = lower_half_plane_grid()
-REAL_AXIS = real_axis_points()
 TWO_PI = 2.0 * math.pi
 
 
@@ -110,15 +109,14 @@ def test_criterion_4_characteristic_properties():
         rng = np.random.default_rng(1004)
         for _ in range(200):
             e = draw_extension_params(rng, admissible=True)
-            rep = property_report(t_from_betas(e), e.metric, GRID, REAL_AXIS,
-                                  tol=1e-9)
+            rep = property_report(t_from_betas(e), e.metric, tol=1e-9)
             for check in (rep.cond_a, rep.cond_b, rep.cond_c, rep.cond_d):
                 assert check.passed and check.residual <= 1e-9, e
         for _ in range(200):
             e = draw_extension_params(rng, admissible=False)
             t = t_from_betas(e)
             metric_ok = check_metric_inequality(t, e.metric, 1e-9)
-            rep = property_report(t, e.metric, GRID, REAL_AXIS, tol=1e-9)
+            rep = property_report(t, e.metric, tol=1e-9)
             if not metric_ok:
                 assert not rep.cond_a.passed, e
 

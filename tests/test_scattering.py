@@ -13,22 +13,22 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
                        SingularMatrixError, check_condition_a,
                        check_condition_b, check_condition_c,
                        check_condition_d, check_pt_criterion, exp_involution,
-                       extension_params, formula_equivalence_residual,
-                       hermitian_eigenvalues, inverse,
+                       extension_params, hermitian_eigenvalues, inverse,
                        lower_half_plane_grid, metric, operator_norm, p_xi,
                        pauli_compose, property_report, real_axis_points,
                        s_matrix, s_matrix_zero_range,
                        standard_contraction_norm, t_from_betas, t_from_s)
 from ptscatter.matrix2 import (_hermitian_lows, _operator_norms,
                                _singular_error, as_matrix)
-from ptscatter.scattering import (_interior_point, _metric_defect,
+from ptscatter.scattering import (_Plan, _interior_point, _metric_defect,
                                   _metric_defects, _off_axis, _quotient,
-                                  _s_batch, _spectral_point, _terms, _worsts,
-                                  _zero_range_terms)
-from ptscatter.verify import (WITNESS_POINTS, draw_extension_params,
+                                  _s_batch, _spectral_point, _tables, _terms,
+                                  _worsts, _zero_range_terms)
+from ptscatter.verify import (WITNESS_POINTS, _route_gap, draw_extension_params,
                               run_parameter_suite)
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 GRID = lower_half_plane_grid()
 REAL_AXIS = real_axis_points()
 
@@ -473,7 +473,18 @@ def _ref_condition_b(t, p, zs, tol):
         res = operator_norm(g @ s - s_ref.conj().T @ g)
         if res > worst:
             worst, worst_z = res, zz
-    return PropertyCheck(worst <= tol, worst, worst_z)
+    return PropertyCheck(worst <= _ref_reflection_tol(t, g, zs, tol), worst, worst_z)
+
+
+def _ref_reflection_tol(t, j, zs, tol):
+    """The tolerance of (b) or (d) over the regular points zs: tol, or the
+    rounding bound eps ||J||_F (cond ||S||_F at z plus at -conj z) at the
+    worst point where that is larger."""
+    def scale(z):
+        ev = s_matrix(t, z)
+        return ev.condition_number * np.linalg.norm(ev.s)
+    worst = max([0.0] + [scale(complex(z)) + scale(-complex(z).conjugate()) for z in zs])
+    return max(tol, EPS * np.linalg.norm(j) * worst)
 
 
 def _ref_condition_c(t, p, z, tol):
@@ -493,7 +504,7 @@ def _ref_condition_d(t, xi, z, tol):
     s = s_matrix(t, zz).s
     s_ref = s_matrix(t, -zz.conjugate()).s
     res = operator_norm(j @ s - s_ref.conj().T @ j)
-    return PropertyCheck(res <= tol, res, zz)
+    return PropertyCheck(res <= _ref_reflection_tol(t, j, [zz], tol), res, zz)
 
 
 def _ref_pt_criterion(t, zs, tol):
@@ -513,17 +524,15 @@ def _ref_merge(checks, tol):
     return PropertyCheck(worst.residual <= tol, worst.residual, worst.witness_z)
 
 
-def reference_property_report(t, p, interior=None, boundary=None,
-                              witness=1.0 - 1.0j, tol=1e-10):
-    interior = list(interior) if interior is not None else lower_half_plane_grid()
-    boundary = list(boundary) if boundary is not None else real_axis_points()
-    witness = complex(witness)
+def reference_property_report(t, p, tol=1e-10):
+    interior, boundary, witness = GRID, REAL_AXIS, 1.0 - 1.0j
     cond_a = _ref_condition_a(t, p, interior, tol)
     cond_b = _ref_condition_b(t, p, interior + boundary, tol)
     c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
     cond_c = _ref_merge([_ref_condition_c(t, p, z, tol) for z in c_points], tol)
     d_points = [witness] + interior + boundary
-    cond_d = _ref_merge([_ref_condition_d(t, p.xi, z, tol) for z in d_points], tol)
+    cond_d = _ref_merge([_ref_condition_d(t, p.xi, z, tol) for z in d_points],
+                        _ref_reflection_tol(t, p_xi(p.xi), d_points, tol))
     pt = _ref_pt_criterion(t, interior, tol)
     return PropertyReport(cond_a, cond_b, cond_c, cond_d, pt)
 
@@ -540,20 +549,12 @@ def _outcome(fn, *args, **kwargs):
 
 def test_property_report_matches_per_point_loops():
     rng = np.random.default_rng(46)
-    # not reflection symmetric: no point's reflection is on this grid
-    skew = [complex(x, y) for x, y in zip(rng.uniform(-3, 3, 15),
-                                          rng.uniform(-3, -0.1, 15))]
-    bnd = [1.5, -0.25, 0.0]
     for i in range(80):
         e = draw_extension_params(rng, admissible=(i % 2 == 0))
         t = t_from_betas(e)
-        w = complex(rng.uniform(-2, 2), rng.uniform(-2, -0.2))
-        for args, kwargs in (((), {}),                     # default grid, witness 1-1j
-                             ((skew, bnd), {}),
-                             ((skew, bnd), {"witness": w}),
-                             ((GRID, REAL_AXIS), {"witness": w, "tol": 1e-6})):
-            assert (_outcome(property_report, t, e.metric, *args, **kwargs)
-                    == _outcome(reference_property_report, t, e.metric, *args, **kwargs))
+        for kwargs in ({}, {"tol": 1e-6}):
+            assert (_outcome(property_report, t, e.metric, **kwargs)
+                    == _outcome(reference_property_report, t, e.metric, **kwargs))
 
 
 def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
@@ -572,14 +573,34 @@ def test_property_report_evaluates_each_distinct_point_once(monkeypatch):
     monkeypatch.setattr(scattering, "s_matrix", per_point)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
     property_report(t_from_betas(e), e.metric)
-    # one batched evaluation over 49 grid points, 7 real-axis points and the
-    # witness 1-1j with its reflection -1-1j; the grid and the axis are their
-    # own reflections
+    # one batched evaluation over the suite's plan: 49 grid points, 7
+    # real-axis points, the witness 1-1j with its reflection -1-1j, and the
+    # Mobius witnesses -1j, -2j and -0.5-0.3j with its reflection; the grid
+    # and the axis are their own reflections
     assert len(batches) == 1
     calls = batches[0]
-    assert len(calls) == 58
-    assert len(set(calls)) == 58
-    assert 1 - 1j in calls and -1 - 1j in calls
+    assert len(calls) == 62
+    assert len(set(calls)) == 62
+    assert {1 - 1j, -1 - 1j, 0.5 - 0.3j}.union(WITNESS_POINTS) <= set(calls)
+
+
+def test_property_report_builds_its_plan_once(monkeypatch):
+    import ptscatter.scattering as scattering
+    plans = []
+
+    def counting(*lists):
+        plans.append(lists)
+        return _Plan(*lists)
+
+    monkeypatch.setattr(scattering, "_Plan", counting)
+    scattering._default_plan.cache_clear()
+    e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
+    first = property_report(t_from_betas(e), e.metric)
+    assert len(plans) == 1
+    for p in (e.metric, P):
+        property_report(t_from_betas(e), p)
+    assert property_report(t_from_betas(e), e.metric) == first
+    assert len(plans) == 1
 
 
 # ---------------------------------------------------------------- singular points
@@ -744,27 +765,30 @@ def _merged(check, t, p, points):
     return best, repr(best)
 
 
-def _composed_report(t, p, interior, boundary, witness):
-    """property_report as its validation and five checks: (a), (b) and PT
-    are the single checks on the report's lists, (c) and (d) merged from the
-    one-point checks.  A check left with no point raises before any check's
-    verdict does, and the checks raise in order."""
+def _composed_report(t, p):
+    """property_report as its validation and five checks on the default
+    samples: (a), (b) and PT are the single checks on the report's lists,
+    (c) and (d) merged from the one-point checks, (d) held to the rounding
+    bound over its regular points.  A check left with no point raises
+    before any check's verdict does, and the checks raise in order."""
     try:
         as_matrix(t)
-        _off_axis(witness)
-        [_interior_point(z) for z in interior]
-        [_spectral_point(z) for z in boundary]
     except ArgumentError as exc:
         return _raised(exc)
+    interior, boundary, witness = GRID, REAL_AXIS, 1.0 - 1.0j
     c_points = [witness] + [z for z in interior if complex(z).real != 0.0]
+    d_points = [witness] + interior + boundary
     parts = [_parity(_public, check_condition_a, t, p, interior),
              _parity(_public, check_condition_b, t, p, interior + boundary),
              _merged(check_condition_c, t, p, c_points),
-             _merged(check_condition_d, t, p, [witness] + interior + boundary),
+             _merged(check_condition_d, t, p, d_points),
              _parity(_public, check_pt_criterion, t, p, interior)]
-    if not interior:
-        # (a) is the first check to read the empty list, which the report names
-        parts[0] = _raised(ArgumentError("interior must be nonempty"))
+    if isinstance(parts[3][0], PropertyCheck):
+        regular = [z for z in d_points if _singular_at(t, z, True) is None]
+        d = parts[3][0]
+        d = PropertyCheck(d.residual <= _ref_reflection_tol(t, p_xi(p.xi), regular, TOL),
+                          d.residual, d.witness_z)
+        parts[3] = d, repr(d)
     for kind in (SingularMatrixError, ArgumentError):
         for part in parts:
             if part[0] is kind:
@@ -774,34 +798,39 @@ def _composed_report(t, p, interior, boundary, witness):
 
 
 def test_property_report_is_its_checks_with_singular_points_skipped():
-    cases = [((zs, [1.5, 0.0]), {}) for zs in PARITY_POINTS]
-    cases += [(([1 - 1j, -2j], bnd), {}) for bnd in ([1.5, NAN], [0.5j], ["x"], [])]
-    cases += [(([1 - 1j], [0.0]), {"witness": w}) for w in (-1j, 0.5 - 0.5j, NAN, 2.0)]
+    # poles of S on the default samples: at z = 0 on the real axis, at -3i
+    # on the grid, at -0.5-0.3j (a Mobius witness, read by no check) and,
+    # for 3e307 I, at every point
+    poles = [t_from_betas(extension_params(0.25, 0.25)), t_from_betas(extension_params(-0.26, 0.01)),
+             np.diag([1 / (2 * (1 - 1j * (-0.5 - 0.3j))), 0.2]), 3e307 * np.eye(2)]
     seen = set()
-    for t in PARITY_TS:
+    for t in PARITY_TS + poles:
         for p in (P, P700):
-            for args, kwargs in cases:
-                interior, boundary = (list(x) for x in args)
-                witness = kwargs.get("witness", 1.0 - 1.0j)
-                with np.errstate(all="ignore"):
-                    got = _parity(property_report, t, p, interior, boundary, witness, TOL)
-                    want = _composed_report(t, p, interior, boundary, witness)
-                assert got == want, (t, p, args, kwargs)
-                seen.add(want[0] if isinstance(want[0], type) else "ok")
+            with np.errstate(all="ignore"):
+                got = _parity(property_report, t, p, TOL)
+                want = _composed_report(t, p)
+            assert got == want, (t, p)
+            seen.add(want[0] if isinstance(want[0], type) else "ok")
     assert seen >= {"ok", ArgumentError, SingularMatrixError}
     assert not seen & {ValueError, TypeError}
 
 
 @pytest.mark.parametrize("call", [
     lambda: check_condition_c(SIGMA0, KreinMetricParams(0.0, 700.0), 1 - 1j),
-    lambda: formula_equivalence_residual(
-        extension_params(0.4279572396533232, 0.3365613704494501, chi=-700,
-                         xi=3.430488547447316), [-1j]),
+    lambda: _route_gap_at(extension_params(0.4279572396533232, 0.3365613704494501, chi=-700,
+                                           xi=3.430488547447316), [-1j]),
 ], ids=["condition-c", "route-gap"])
 def test_a_residual_norm_that_overflows_at_every_point_is_named(call):
     # the residual matrices are finite, but their norms overflow to NaN
     with pytest.raises(ArgumentError, match="^the residual norm overflowed at every point$"):
         call()
+
+
+def _route_gap_at(e, zs):
+    """The suite's route gap verdict over the points zs."""
+    plan = _Plan((zs, _spectral_point))
+    s_of, zr = _tables(plan, t_from_betas(e), e)
+    return _worsts(plan.z, [_route_gap(s_of, zr, plan.lists[0])])
 
 
 def test_an_overflowing_residual_matrix_is_named_apart_from_a_malformed_t():
@@ -895,10 +924,11 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
                          (scattering, "_hermitian_lows")):
         counting(module, name)
     e = extension_params(0.2, 0.1, chi=0.5, xi=0.3)
-    verify._default_plan.cache_clear()
-    # the point lists are WITNESS_POINTS, the interior grid, the real axis and
-    # the witness 1-1j; the default samples' plan is built by the first draw
-    # only, and the Mobius round trip is normed with the other residuals
+    scattering._default_plan.cache_clear()
+    # the point lists are WITNESS_POINTS, the witness 1-1j, the interior grid
+    # and the real axis; the default samples' plan is built by the first
+    # draw only, property_report reads the same plan, and the Mobius round
+    # trip is normed with the other residuals
     assert not hasattr(verify, "_operator_norms")
     for validated in (4, 0):
         calls.update(dict.fromkeys(calls, 0))
@@ -907,7 +937,7 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
                          "scattering._hermitian_lows": 1}
     calls.update(dict.fromkeys(calls, 0))
     property_report(t_from_betas(e), e.metric)
-    assert calls == {"scattering._validated": 3, "scattering._operator_norms": 1,
+    assert calls == {"scattering._validated": 0, "scattering._operator_norms": 1,
                      "scattering._hermitian_lows": 1}
     # only condition (a) takes eigenvalues, and it takes no norm
     t, p = t_from_betas(e), e.metric
@@ -917,7 +947,6 @@ def test_a_draw_validates_each_point_list_once_and_takes_one_norm_call(monkeypat
                        (lambda: check_condition_d(t, p.xi, 1 - 1j), 0),
                        (lambda: check_pt_criterion(t, GRID), 0),
                        (lambda: standard_contraction_norm(t, GRID), 0),
-                       (lambda: formula_equivalence_residual(e, GRID), 0),
                        (lambda: verify.mobius_round_trip_residuals(t), 0)):
         calls.update(dict.fromkeys(calls, 0))
         call()
@@ -1026,8 +1055,6 @@ def test_worsts_equals_the_per_check_reduction(monkeypatch, lows, norms, bad):
                        _typed(True, 0.0, complex(z[6]))]
     if norms[:2] == [[1.0, 2.0], []]:
         assert got == "zs must be nonempty"
-        with pytest.raises(ArgumentError, match="^interior must be nonempty$"):
-            scattering._worsts(z, checks, "interior")
     if norms[0] == [0.5, 1.0]:
         # a residual equal to its tolerance passes, the next float above fails
         assert got == [_typed(True, 1.0, complex(z[1])), _typed(False, TOL_ABOVE, complex(z[2]))]

@@ -113,25 +113,16 @@ def test_non_real_parameter_raises_argument_error(make, name):
     (lambda: pts.run_random_suite(2.5, 0), "n must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, 2.5), "seed must be an integer, got 2.5"),
     (lambda: pts.run_random_suite(1, "7"), "seed must be an integer, got '7'"),
-    (lambda: pts.formula_equivalence_residual(E, []), "zs must be nonempty"),
+    (lambda: pts.check_pt_criterion(np.eye(2) / 4, []), "zs must be nonempty"),
     (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, "abc"),
      "expected a vector of shape (3,) with numeric entries: "
      "complex() arg is a malformed string"),
     (lambda: pts.krein_selfadjoint_reduction(pts.SIGMA3, np.array([1 + 1j, 0, 0])),
      "alpha must be real, got a nonzero imaginary part"),
-    (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), boundary=5),
-     "boundary must be an iterable of points, got int"),
-    (lambda: pts.property_report(np.eye(2) / 4, pts.KreinMetricParams(0, 0), interior=[]),
-     "interior must be nonempty"),
     (lambda: pts.check_condition_a(np.eye(2) / 4, pts.KreinMetricParams(0, 0), 5),
      "zs must be an iterable of points, got int"),
     (lambda: pts.standard_contraction_norm(np.eye(2) / 4, 5.0),
      "zs must be an iterable of points, got float"),
-    (lambda: pts.inverse(np.eye(2), condition_limit="x"), "condition_limit must be positive"),
-    (lambda: pts.inverse(np.eye(2), condition_limit=np.array([1.0, 2.0])),
-     "condition_limit must be positive"),
-    (lambda: pts.inverse(np.diag([1, 1e-13]), condition_limit=np.array([1e12])),
-     "condition_limit must be positive"),
     (lambda: pts.draw_extension_params(None), "rng must be of type Generator, got NoneType"),
 ])
 def test_malformed_grid_and_count_raise_argument_error(call, message):
@@ -300,8 +291,6 @@ WRONG_TYPE_CALLS = {
     "t_from_betas": (lambda x: pts.t_from_betas(x), EXTENSION),
     "classify_nonnegative": (lambda x: pts.classify_nonnegative(x), EXTENSION),
     "run_parameter_suite": (lambda x: pts.run_parameter_suite(x), EXTENSION),
-    "formula_equivalence_residual":
-        (lambda x: pts.formula_equivalence_residual(x, [-1j]), EXTENSION),
     "metric": (lambda x: pts.metric(x), KREIN),
     "c_operator": (lambda x: pts.c_operator(x), KREIN),
     "check_condition_a": (lambda x: pts.check_condition_a(T, x, [1 - 1j]), KREIN),

@@ -11,7 +11,10 @@ same SEED on both sides; even pairs run OLD first and odd pairs NEW first,
 so a drift of the host's speed does not favour one tree.  B is C divided
 by the workload's calls per batch in ``benchmarks/workloads.py``, rounded
 up, so each side makes at least C timed calls after the untimed warm-up
-batch, and the child checks every output as the benchmark does.  Before
+batch, and the child checks every output as the benchmark does.  C
+defaults to the workload's entry in DEFAULT_CALLS: ``scan``'s calls are
+the shortest, and at 3000 calls (6 batches) two runs of one tree differed
+in p90 by more than the quartile spread, which 20000 calls avoid.  Before
 each child the tool times SETUP_PROBES cold imports with
 ``benchmarks/run.py``'s IMPORT_PROBE and reads the child's peak RSS with
 ``os.wait4``, as ``run.py`` does.
@@ -45,6 +48,7 @@ from run import IMPORT_PROBE, SETUP_PROBES  # noqa: E402
 from workloads import BATTERY_CALLS, SCAN_SETS, SWEEP_CALLS  # noqa: E402
 
 CALLS_PER_BATCH = {"battery": BATTERY_CALLS, "sweep": SWEEP_CALLS, "scan": SCAN_SETS}
+DEFAULT_CALLS = {"battery": 3000, "sweep": 3000, "scan": 20000}
 UNITS = {"p50": "ms", "p90": "ms", "rss": "MB", "setup": "s"}
 COUNTS = ("items", "failed", "wrong")
 
@@ -91,13 +95,14 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs=2, metavar="SRC")
     parser.add_argument("--workload", choices=sorted(CALLS_PER_BATCH), required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--calls", type=int, default=3000)
+    parser.add_argument("--calls", type=int)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out-dir", type=Path, required=True)
     args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     trees = [Path(a).resolve() for a in args.trees]
-    batches = math.ceil(args.calls / CALLS_PER_BATCH[args.workload])
+    calls = args.calls or DEFAULT_CALLS[args.workload]
+    batches = math.ceil(calls / CALLS_PER_BATCH[args.workload])
     runs = {"old": [], "new": []}
     unequal = 0
     for k in range(args.pairs):
