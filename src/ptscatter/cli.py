@@ -185,8 +185,9 @@ def cmd_classify(args) -> int:
 
 
 def _grid_s(e, zs) -> tuple[np.ndarray, np.ndarray]:
-    """S over the points zs of a lower_half_plane_grid, which are valid as
-    built, in one batched pass, and the singular mask; singular rows are NaN."""
+    """S over the array zs of a lower_half_plane_grid's points, which are
+    valid as built, in one batched pass, and the singular mask; singular rows
+    are NaN."""
     s, _, singular = _s_batch(*_zero_range_terms(e, zs))
     return s, singular
 
@@ -200,10 +201,9 @@ def _point_s(e, zs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_cells(e, zs, s) -> np.ndarray:
-    """(N, 12) CSV cells of the points zs with their S stack; rows with a NaN
-    S carry NaNs."""
-    z = np.array(zs, dtype=complex)
-    return np.column_stack([z.real, z.imag, s.reshape(-1, 4).view(float),
+    """(N, 12) CSV cells of the complex array zs with their S stack; rows
+    with a NaN S carry NaNs."""
+    return np.column_stack([zs.real, zs.imag, s.reshape(-1, 4).view(float),
                             _operator_norms(s), _metric_defects(metric(e.metric), s)])
 
 
@@ -249,12 +249,12 @@ def _run_points(args, zs, config, evaluate) -> int:
 def cmd_smatrix(args) -> int:
     config = {"command": "smatrix", "beta0": args.beta0, "beta1": args.beta1,
               "chi": args.chi, "xi": args.xi, "z": [args.z_re, args.z_im]}
-    return _run_points(args, [complex(args.z_re, args.z_im)], config, _point_s)
+    return _run_points(args, np.array([complex(args.z_re, args.z_im)]), config, _point_s)
 
 
 def cmd_sweep(args) -> int:
-    zs = lower_half_plane_grid(args.re_min, args.re_max, args.im_min, args.im_max,
-                               args.steps)
+    zs = np.array(lower_half_plane_grid(args.re_min, args.re_max, args.im_min, args.im_max,
+                                        args.steps))
     config = {"command": "sweep", "beta0": args.beta0, "beta1": args.beta1,
               "chi": args.chi, "xi": args.xi,
               "grid": {"re_min": args.re_min, "re_max": args.re_max,

@@ -67,18 +67,19 @@ first use and shared by ``property_report`` and the verify suite.
 A pole of S is a property of the parameter, not bad input: a check skips
 every point at which S is singular, at z or, for a check that reads it, at
 -conj z; a check left with no point raises the :class:`SingularMatrixError`
-of its first point.  The products the conditions share (G S, S* G,
-G - S* G S, P_xi S and S* P_xi) are formed once over the table rows and
-associate as each condition writes them, so every gathered row keeps its
-bits.  The batching does not change the error order: every check picks its
-points before any verdict is drawn.  On a fault the pass walks the checks
-in list order over the arrays it holds (a finiteness mask of the rows, the
-checks' sizes, their kept residuals) and raises for the first check with a
-non-finite residual matrix (an :class:`ArgumentError` naming the check and
-the point), no residual (``zs must be nonempty``), or none left after the
-skips.  Numpy's
-floating-point warnings are off while the terms of S and the residuals are
-formed and the residuals normed.
+of its first point.  One helper, ``_products``, forms S* J (J = G or P_xi)
+as one matrix product of the table's 2N rows by J, and J - (S* J) S where
+(a), (c) or the sweep read it.  J S is read as the conjugate transpose of
+S* J: G and P_xi have a real diagonal and imaginary off-diagonal entries,
+so by the zero-part argument above the two differ only in the sign of zero
+and NaN parts, which no norm sees.  The batching does not change the error
+order: every check picks its points before any verdict is drawn.  On a
+fault the pass walks the checks in list order over the arrays it holds (a
+finiteness mask of the rows, the checks' sizes, their kept residuals) and
+raises for the first check with a non-finite residual matrix (an
+:class:`ArgumentError` naming the check and the point), no residual (``zs
+must be nonempty``), or none left after the skips.  Numpy's floating-point
+warnings are off while the terms of S and the residuals are formed and normed.
 """
 from __future__ import annotations
 
@@ -369,13 +370,12 @@ def _worsts(z, checks) -> list:
     residuals are skipped.  The first check in order with a non-finite
     matrix, no residual or only skipped ones raises :class:`ArgumentError`."""
     names, idx, ms, tols = zip(*checks)
-    lead = int(names[0] == "condition (a)")
-    with np.errstate(all="ignore"):
-        res = [-_hermitian_lows(ms[0])] if lead else []
-        if len(ms) > lead:
-            res.append(_operator_norms(np.concatenate(ms[lead:])))
-    res = np.concatenate(res)
     m = np.concatenate(ms)
+    lead = names[0] == "condition (a)"
+    n_a = len(ms[0]) if lead else 0
+    with np.errstate(all="ignore"):
+        res = np.concatenate([-_hermitian_lows(m[:n_a]) if lead else [],
+                              _operator_norms(m[n_a:]) if len(ms) > lead else []])
     sizes = list(map(len, ms))
     starts = [0, *accumulate(sizes)][:-1]
     finite = np.isfinite(m)
@@ -411,15 +411,18 @@ def _metric_defect(g, s) -> float:
 
 def _metric_defects(g, s) -> np.ndarray:
     """_metric_defect of each S of a stack (N, 2, 2)."""
-    return _hermitian_lows(g - _ct(s) @ g @ s)
+    return _hermitian_lows(_products(s, g, gap=True)[1])
 
 
 @np.errstate(all="ignore")
-def _products(s, j):
-    """J S, S* J and J - (S* J) S over a stack of S, associated as the
-    conditions write them, so every row a check gathers keeps its bits."""
-    sj = _ct(s) @ j
-    return j @ s, sj, j - sj @ s
+def _products(s, j, gap=False):
+    """S* J over a stack of S (N, 2, 2), one matrix product of its 2N rows by
+    J that equals s.conj().T @ j bit for bit, and, given gap, J - (S* J) S.
+    J must have a real diagonal and imaginary off-diagonal entries, as G and
+    P_xi have, for S* J's conjugate transpose to equal J S up to the sign of
+    zero and NaN parts; for a generic Hermitian J the two round differently."""
+    sj = (_ct(s).reshape(-1, 2) @ j).reshape(s.shape)
+    return (sj, j - sj @ s) if gap else sj
 
 
 # One function per condition: its record (name, the points i of a table
@@ -448,24 +451,24 @@ def _scales(s_of) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _cond_reflection(s_of, i, scales, j, js, sj, name, tol):
-    """(b) with J = G, (d) with J = P_xi, from J S and S* J, held to tol or,
-    where larger, to the rounding bound eps ||J||_F (c(z) + c(-conj z)) at
-    the worst kept point, scales holding c = cond(den) ||S||_F over the
-    table rows."""
+def _cond_reflection(s_of, i, scales, j, sj, name, tol):
+    """(b) with J = G, (d) with J = P_xi, from S* J, held to tol or, where
+    larger, to the rounding bound eps ||J||_F (c(z) + c(-conj z)) at the
+    worst kept point, scales holding c = cond(den) ||S||_F over the table
+    rows."""
     i = _kept(i, [s_of], mirror=True)
     row, mirror = s_of.row[i], s_of.mirror[i]
     bound = _EPS * _frobenius(j[None])[0] * (scales[row] + scales[mirror]).max(initial=0.0)
-    return name, i, js[row] - sj[mirror], max(tol, float(bound))
+    return name, i, _ct(sj[row]) - sj[mirror], max(tol, float(bound))
 
 
 @np.errstate(all="ignore")
-def _cond_c(s_of, i, gs, sg, gap, tol):
+def _cond_c(s_of, i, sg, gap, tol):
     i = _kept(i, [s_of])
     z, row = s_of.z[i], s_of.row[i]
     re = z.real[:, None, None]
     im = (1j * z.imag)[:, None, None]
-    return "condition (c)", i, re * gap[row] - im * (sg[row] - gs[row]), tol
+    return "condition (c)", i, re * gap[row] - im * (sg[row] - _ct(sg[row])), tol
 
 
 @np.errstate(all="ignore")
@@ -488,7 +491,7 @@ def check_condition_a(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     """
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _interior_point))
-    return _worsts(s_of.z, [_cond_a(s_of, i, _products(s_of.s, metric(p))[2], tol)])[0]
+    return _worsts(s_of.z, [_cond_a(s_of, i, _products(s_of.s, metric(p), gap=True)[1], tol)])[0]
 
 
 def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -497,8 +500,7 @@ def check_condition_b(t, p: KreinMetricParams, zs, tol: float = DEFAULT_TOL) -> 
     _check_tol(tol)
     s_of, i = _s_table(t, (zs, _spectral_point))
     g = metric(p)
-    r = _cond_reflection(s_of, i, _scales(s_of), g, *_products(s_of.s, g)[:2],
-                         "condition (b)", tol)
+    r = _cond_reflection(s_of, i, _scales(s_of), g, _products(s_of.s, g), "condition (b)", tol)
     return _worsts(s_of.z, [r])[0]
 
 
@@ -509,7 +511,7 @@ def check_condition_c(t, p: KreinMetricParams, z, tol: float = DEFAULT_TOL) -> P
     """
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _off_axis))
-    return _worsts(s_of.z, [_cond_c(s_of, i, *_products(s_of.s, metric(p)), tol)])[0]
+    return _worsts(s_of.z, [_cond_c(s_of, i, *_products(s_of.s, metric(p), gap=True), tol)])[0]
 
 
 def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyCheck:
@@ -519,8 +521,7 @@ def check_condition_d(t, xi: float, z, tol: float = DEFAULT_TOL) -> PropertyChec
     _check_tol(tol)
     s_of, i = _s_table(t, ([z], _spectral_point))
     px = p_xi(xi)
-    r = _cond_reflection(s_of, i, _scales(s_of), px, *_products(s_of.s, px)[:2],
-                         "condition (d)", tol)
+    r = _cond_reflection(s_of, i, _scales(s_of), px, _products(s_of.s, px), "condition (d)", tol)
     return _worsts(s_of.z, [r])[0]
 
 
@@ -560,15 +561,13 @@ def property_report(t, p: KreinMetricParams, tol: float = DEFAULT_TOL) -> Proper
 def _checks(s_of, g, px, positions, tol) -> list:
     """The records of (a), (b), (c), (d) and PT over the table s_of at their
     positions, each held to tol ((b) and (d) at least to their rounding
-    bound), for the metric g and P_xi px.  G S, S* G, G - S* G S, P_xi S,
-    S* P_xi and the rounding scales are formed once over the table rows."""
+    bound), for the metric g and P_xi px.  S* G, G - S* G S, S* P_xi and
+    the rounding scales are formed once over the table rows."""
     a, b, c, d, pt = positions
-    gs, sg, gap = _products(s_of.s, g)
-    with np.errstate(all="ignore"):
-        ps, sp = px @ s_of.s, _ct(s_of.s) @ px
+    sg, gap = _products(s_of.s, g, gap=True)
     scales = _scales(s_of)
     return [_cond_a(s_of, a, gap, tol),
-            _cond_reflection(s_of, b, scales, g, gs, sg, "condition (b)", tol),
-            _cond_c(s_of, c, gs, sg, gap, tol),
-            _cond_reflection(s_of, d, scales, px, ps, sp, "condition (d)", tol),
+            _cond_reflection(s_of, b, scales, g, sg, "condition (b)", tol),
+            _cond_c(s_of, c, sg, gap, tol),
+            _cond_reflection(s_of, d, scales, px, _products(s_of.s, px), "condition (d)", tol),
             _cond_pt(s_of, pt, tol)]

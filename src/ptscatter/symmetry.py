@@ -51,7 +51,11 @@ def pt_conjugate(m) -> np.ndarray:
 @np.errstate(all="ignore")
 def pt_defect(m) -> float:
     """||pt_conjugate(m) - m||; zero exactly for PT-symmetric m."""
-    a = as_matrix(m)
+    return _pt_defect(as_matrix(m))
+
+
+def _pt_defect(a) -> float:
+    """pt_defect of the validated matrix a, under the caller's errstate."""
     return _defect("PT", _pt_images(a) - a)
 
 
@@ -64,8 +68,12 @@ def is_pt_symmetric(m, tol: float = DEFAULT_TOL) -> bool:
 def krein_defect(m, xi: float) -> float:
     """||P_xi m - m* P_xi||, zero iff m is self-adjoint for the indefinite
     inner product [f, g] = (P_xi f, g)."""
-    a = as_matrix(m)
-    j = p_xi(xi)
+    return _krein_defect(as_matrix(m), p_xi(xi))
+
+
+def _krein_defect(a, j) -> float:
+    """||J a - a* J|| for the validated matrix a and an involution J, under
+    the caller's errstate."""
     return _defect("Krein", j @ a - a.conj().T @ j)
 
 
@@ -130,7 +138,7 @@ def _c_params(a, tol) -> tuple[KreinMetricParams, np.ndarray, float]:
     inv_defect = _defect("involution", a @ a - SIGMA0)
     if inv_defect > tol:
         raise AssumptionError(f"m is not an involution: ||m^2 - I|| = {inv_defect:.3e}")
-    if _defect("PT", _pt_images(a) - a) > tol:
+    if _pt_defect(a) > tol:
         raise AssumptionError("m is not PT-symmetric")
     return _c_of_involution(a, tol)
 
@@ -175,16 +183,16 @@ def krein_selfadjoint_reduction(m, alpha, tol: float = DEFAULT_TOL) -> float:
     denom_sq = 1.0 - a2 * a2
     if denom_sq <= tol:
         raise AssumptionError("alpha1 = alpha3 = 0: the reduction to P_xi is undefined")
-    if not is_pt_symmetric(a, tol):
+    if not _pt_defect(a) <= tol:
         raise AssumptionError("m is not PT-symmetric")
     j = a1 * SIGMA3 + a2 * SIGMA1 + a3 * SIGMA2
-    j_defect = _defect("Krein", j @ a - a.conj().T @ j)
+    j_defect = _krein_defect(a, j)
     if j_defect > tol:
         raise AssumptionError(
             f"m is not self-adjoint w.r.t. the given involution (defect {j_defect:.3e})")
     root = math.sqrt(denom_sq)
     xi = math.atan2(a3 / root, a1 / root) % TWO_PI
-    defect = krein_defect(a, xi)
+    defect = _krein_defect(a, p_xi(xi))
     if defect > tol:
         raise AssumptionError(
             f"reduction produced xi = {xi:.6f} but the P_xi defect is {defect:.3e}")
@@ -212,7 +220,7 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     _check_tol(tol)
     a = as_matrix(m)
     residuals = {
-        "pt": pt_defect(a),
+        "pt": _pt_defect(a),
         "involution": _defect("involution", a @ a - SIGMA0),
     }
     pt_ok = residuals["pt"] <= tol
@@ -221,7 +229,7 @@ def symmetry_report(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     cp: Optional[KreinMetricParams] = None
     if pt_ok:
         xi, degenerate = _xi(a, tol)
-        residuals["krein"] = krein_defect(a, xi)
+        residuals["krein"] = _krein_defect(a, p_xi(xi))
         if not residuals["involution"] > tol:   # _c_params' test, which a NaN passes
             try:
                 cp, _, residuals["c_reconstruction"] = _c_of_involution(a, tol)

@@ -21,9 +21,9 @@ from ptscatter import (DEFAULT_CONDITION_LIMIT, SIGMA0, SIGMA1, SIGMA2, SIGMA3,
 from ptscatter.matrix2 import (_hermitian_lows, _operator_norms,
                                _singular_error, as_matrix)
 from ptscatter.scattering import (_Plan, _interior_point, _metric_defect,
-                                  _metric_defects, _off_axis, _quotient,
-                                  _s_batch, _spectral_point, _tables, _terms,
-                                  _worsts, _zero_range_terms)
+                                  _metric_defects, _off_axis, _products,
+                                  _quotient, _s_batch, _spectral_point,
+                                  _tables, _terms, _worsts, _zero_range_terms)
 from ptscatter.verify import (WITNESS_POINTS, _route_gap, draw_extension_params,
                               run_parameter_suite)
 
@@ -206,6 +206,51 @@ def test_kernel_matches_scalar_routes_bit_for_bit():
                 assert_same_bits(_operator_norms(good), [operator_norm(x) for x in good])
                 assert_same_bits(_metric_defects(g, good), [_metric_defect(g, x) for x in good])
     assert singular_rows > 0   # chi = +-20 and 400 push denominators past the limit
+
+
+def _words(a) -> np.ndarray:
+    """The 64-bit words of an array's parts: NaN payloads and zero signs count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_products_form_s_star_j_once_and_read_j_s_off_it():
+    # S* J batched over the stack's 2N rows equals the per-matrix product
+    # in every bit, for G and P_xi; its conjugate transpose equals J S but
+    # for the sign of zero and NaN parts, and the residual norms of (b),
+    # (c) and (d) keep every bit
+    rng = np.random.default_rng(32)
+    zs = GRID + REAL_AXIS + [complex(-0.0, -1.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                             complex(-0.0, 0.0), -0.5j]
+    nan_rows = 0
+    for k in range(200):
+        xi, chi = float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(-8.0, 8.0))
+        # beta1 = +-0 gives S exact zero entries; T = I is singular at -i/2
+        beta0, beta1 = [(float(rng.uniform(-0.25, 0.75)), float(rng.uniform(-0.5, 0.5))),
+                        (0.25, 0.0), (0.25, -0.0), (1.0, 0.0)][k % 4]
+        s, _, singular = _s_batch(*_zero_range_terms(extension_params(beta0, beta1, chi, xi), zs))
+        signed = s[rng.integers(len(s), size=8)]
+        signed[rng.random(signed.shape) < 0.4] = complex(-0.0, 0.0) if k % 2 else 0.0
+        s = np.concatenate([s, signed, np.full((1, 2, 2), complex(math.nan, math.nan))])
+        nan_rows += int(singular.sum()) + 1
+        for j in (metric(KreinMetricParams(xi, chi)), p_xi(xi)):
+            with np.errstate(all="ignore"):
+                sj, gap = _products(s, j, gap=True)
+                want_sj = np.array([x.conj().T @ j for x in s])
+                want_js = np.array([j @ x for x in s])
+                want_gap = np.array([j - x.conj().T @ j @ x for x in s])
+                js = sj.conj().swapaxes(1, 2)
+                norms = [_operator_norms(m) for m in (js - sj[::-1], want_js - want_sj[::-1],
+                                                      sj - js, want_sj - want_js)]
+            assert np.array_equal(_words(sj), _words(want_sj))
+            assert np.array_equal(_words(gap), _words(want_gap))
+            assert np.array_equal(_words(_products(s, j)), _words(sj))
+            assert np.array_equal(js, want_js, equal_nan=True)
+            want_parts = want_js.view(float)
+            differ = _words(js) != _words(want_parts)
+            assert not (differ & (want_parts != 0.0) & ~np.isnan(want_parts)).any()
+            for got, want in (norms[:2], norms[2:]):
+                assert np.array_equal(_words(got), _words(want))
+    assert nan_rows > 200
 
 
 def test_kernel_emits_no_warnings():

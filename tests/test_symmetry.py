@@ -222,3 +222,28 @@ def test_symmetry_report_forms_the_c_reconstruction_defect_once(monkeypatch):
     assert names.count("C reconstruction") == 1
     assert rep.residuals["c_reconstruction"] == operator_norm(
         c_operator(rep.c_params) - c)
+
+
+def test_symmetry_report_validates_its_matrix_once(monkeypatch):
+    import ptscatter.symmetry as symmetry
+    calls = []
+    as_matrix = symmetry.as_matrix
+
+    def counting(m):
+        calls.append(1)
+        return as_matrix(m)
+    rng = np.random.default_rng(31)
+    cases = [c_operator(KreinMetricParams(0.3, 0.5)), random_pt_symmetric(rng), SIGMA1]
+    want = [symmetry_report(m).residuals for m in cases]
+    monkeypatch.setattr(symmetry, "as_matrix", counting)
+    for m, residuals in zip(cases, want):
+        calls.clear()
+        rep = symmetry_report(m)
+        assert len(calls) == 1
+        assert list(rep.residuals.items()) == list(residuals.items())
+    monkeypatch.undo()
+    # the PT and Krein defects of the public functions, in the same order
+    assert list(want[0]) == ["pt", "involution", "krein", "c_reconstruction"]
+    for m, residuals in zip(cases[:2], want):
+        assert residuals["pt"] == symmetry.pt_defect(m)
+        assert residuals["krein"] == krein_defect(m, solve_xi(m)[0])

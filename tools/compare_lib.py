@@ -5,8 +5,9 @@
 OLD_SRC and NEW_SRC are directories holding a ``ptscatter`` package (for
 example ``src`` of two checkouts).  Each tree runs in its own interpreter
 over the same N seeded input sets (default 3000).  A set holds a T (valid,
-large chi up to 709.86, singular, overflowing, with entries near the
-largest float or malformed), metric and extension parameters (beta1 in
+with |chi| drawn up to 2, up to 12 or from fixed values up to 709.86;
+singular; overflowing; with entries near the largest float; or malformed),
+metric and extension parameters (beta1 in
 about one set in ten 0, the scalar family whose suite holds S to the
 contraction bound and whose T ``betas_from_t`` reads as beta0 I, and now
 and then 1e308, so T overflows), point lists mixing interior and real-axis
@@ -66,7 +67,13 @@ HUGE_VALUES = [1e308, -1e308, 1.7e308j, complex(-1.7e308, 1e308), 6e307]
 
 
 def _chi(rng) -> float:
-    return float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.7 else float(rng.choice(CHIS))
+    """|chi| <= 2 in 6 draws of 10, |chi| <= 12 in 2 (G's entries up to
+    e^12, S large but finite, where a changed rounding of a product
+    shows), else one of CHIS."""
+    u = rng.random()
+    if u < 0.8:
+        return float(rng.uniform(-2.0, 2.0) if u < 0.6 else rng.uniform(-12.0, 12.0))
+    return float(rng.choice(CHIS))
 
 
 def _t(rng, pts, e):
